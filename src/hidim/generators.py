@@ -4,8 +4,9 @@ Sampling uses counter-based Philox streams keyed by (seed, trial): a
 trial's n*m uniforms are one fixed-size block of the stream, so row i's
 draws are a pure function of (seed, trial, i) no matter how trials are
 scheduled across workers.  Standard normals come from the inverse CDF
-applied to open-interval uniforms built from the top 53 bits of raw
-64-bit draws, reusing the verified quantile.
+applied to uniforms strictly inside (0, 1): the top 53 bits k of each raw
+64-bit draw map to (k + 1/2) 2^-53, with k capped at 2^53 - 2 because
+the top value would round to exactly 1.0.
 """
 
 from __future__ import annotations
@@ -159,13 +160,16 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
 
 _SHIFT = np.uint64(11)
 _SCALE = float(2.0 ** -53)
+# (2^53 - 1) + 1/2 rounds to 2^53 in double precision, so the top 53-bit
+# value shares the uniform of the one below it instead of giving 1.0.
+_TOP = np.uint64(2 ** 53 - 2)
 
 
 def _uniform_open(master: int, stream: int, count: int) -> np.ndarray:
     """`count` uniforms in the open interval (0,1) from stream (master, stream)."""
     key = np.array([master, stream], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
-    return ((raw >> _SHIFT).astype(np.float64) + 0.5) * _SCALE
+    return (np.minimum(raw >> _SHIFT, _TOP).astype(np.float64) + 0.5) * _SCALE
 
 
 def standard_normal_block(seed: Seed, trial: int, rows: int, cols: int) -> np.ndarray:

@@ -17,10 +17,6 @@ from .errors import NotPositiveSemidefinite
 # near its PSD boundary); recorded in the factor for reproducibility.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
-# Relative slack on the theta-class threshold so the inclusive boundary is
-# robust to the 1e-9 calibration tolerance of constructed alternatives.
-_THETA_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class CorrMatrix:
@@ -107,20 +103,6 @@ def frobenius_signal(r: CorrMatrix) -> float:
     """Frobenius norm of R - I: sqrt(sum of all squared off-diagonal entries)."""
     off = r.rho - np.eye(r.m)
     return float(np.sqrt(np.sum(off * off)))
-
-
-def in_theta(r: CorrMatrix, b: float, n: int) -> bool:
-    """Whether the signal clears the alternative-class floor b * sqrt(m/n).
-
-    The boundary is inclusive; a 1e-9 relative slack absorbs construction
-    rounding of calibrated alternatives.
-    """
-    if b <= 0.0:
-        raise ValueError("b must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    threshold = b * np.sqrt(r.m / n)
-    return bool(frobenius_signal(r) >= threshold * (1.0 - _THETA_SLACK))
 
 
 def cholesky(r: CorrMatrix) -> CholeskyFactor:

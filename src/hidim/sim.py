@@ -23,7 +23,8 @@ from .generators import (AlternativeFamily, Seed, _uniform_open,
                          calibrate_to_theta, sample_gaussian)
 from .matrix import CorrMatrix, cholesky
 from .moments import expected_ii1, kernel_expectations, var_i_exact
-from .stats import CovMode, DataMatrix, decompose, statistic_t, term_i
+from .stats import (CovMode, DataMatrix, Decomposition, decompose, statistic_t,
+                    term_i)
 from .theory import asymptotic_power, normal_cdf, normal_quantile
 from . import kernels as _kernels
 
@@ -157,17 +158,23 @@ def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
     return out
 
 
+def _gated_decompose(data: DataMatrix, r: CorrMatrix) -> Decomposition:
+    """``decompose`` with its reconstruction residual held to
+    _RESIDUAL_RTOL relative to max(1, |T|)."""
+    dec = decompose(data, r)
+    if dec.residual > _RESIDUAL_RTOL * max(1.0, abs(dec.t_value)):
+        raise RuntimeError(
+            f"decomposition identity violated: residual {dec.residual:.3e} "
+            f"for |T| = {abs(dec.t_value):.3e}")
+    return dec
+
+
 def _checked_statistic(data: DataMatrix, r: CorrMatrix, mode: CovMode) -> float:
     """Statistic for one trial, with the decomposition identity enforced
     whenever the generating R is known and the zero-mean convention applies."""
-    t_value = statistic_t(data, mode)
     if mode is CovMode.KNOWN_ZERO_MEAN:
-        dec = decompose(data, r)
-        if dec.residual > _RESIDUAL_RTOL * max(1.0, abs(t_value)):
-            raise RuntimeError(
-                f"decomposition identity violated: residual {dec.residual:.3e} "
-                f"for |T| = {abs(t_value):.3e}")
-    return t_value
+        return _gated_decompose(data, r).t_value
+    return statistic_t(data, mode)
 
 
 def ks_statistic_vs_normal(values: np.ndarray) -> float:
@@ -311,9 +318,7 @@ def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
 
     def one(trial: int):
         data = sample_gaussian(factor, n, seed, trial)
-        dec = decompose(data, r)
-        if dec.residual > _RESIDUAL_RTOL * max(1.0, abs(dec.term_i)):
-            raise RuntimeError("decomposition identity violated inside trial")
+        dec = _gated_decompose(data, r)
         return dec.term_ii1, dec.term_i
 
     rows = _map_trials(one, trials, workers)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .errors import DegenerateColumn, DimensionMismatch, DomainError, IndexOutOfRange
+from .errors import DegenerateColumn, DimensionMismatch, DomainError
 from .matrix import CorrMatrix, frobenius_signal
 
 
@@ -90,9 +90,11 @@ class Decomposition:
     same-sample component split as term_ii1 + term_ii2, and term_iii the
     per-pair Taylor residual, so the identity
     T - ||R - I||_F^2 / 2 = I + II + III holds by construction; residual
-    reports its floating-point defect.
+    reports its floating-point defect.  t_value is T, from the same Gram
+    matrix as the terms.
     """
 
+    t_value: float
     term_i: float
     term_ii: float
     term_ii1: float
@@ -111,67 +113,36 @@ def _cov_matrix(values: np.ndarray, mode: CovMode) -> np.ndarray:
     return centered.T @ centered / (n - 1)
 
 
-def _check_index(data: DataMatrix, *cols: int) -> None:
-    for c in cols:
-        if c < 0 or c >= data.m:
-            raise IndexOutOfRange(f"column {c} outside [0, {data.m})")
-
-
 def _check_dims(data: DataMatrix, r: CorrMatrix) -> None:
     if data.m != r.m:
         raise DimensionMismatch(f"data has {data.m} columns, matrix is {r.m} x {r.m}")
 
 
-def _degenerate(diag: np.ndarray) -> None:
-    bad = np.flatnonzero(diag == 0.0)
+def _squared_correlations(s: np.ndarray) -> np.ndarray:
+    """Matrix of S_pq^2 / (S_pp S_qq) from a covariance matrix S."""
+    d = np.diag(s)
+    bad = np.flatnonzero(d == 0.0)
     if bad.size:
         raise DegenerateColumn(bad)
-
-
-def sample_cov(data: DataMatrix, p: int, q: int, mode: CovMode) -> float:
-    """Covariance of columns p and q under the chosen convention."""
-    _check_index(data, p, q)
-    x = data.values
-    if mode is CovMode.KNOWN_ZERO_MEAN:
-        return float(x[:, p] @ x[:, q] / data.n)
-    if data.n < 2:
-        raise DomainError("centered covariances need at least 2 samples")
-    xp = x[:, p] - x[:, p].mean()
-    xq = x[:, q] - x[:, q].mean()
-    return float(xp @ xq / (data.n - 1))
-
-
-def rho_hat_sq(data: DataMatrix, p: int, q: int, mode: CovMode) -> float:
-    """Squared sample correlation S_pq^2 / (S_pp S_qq)."""
-    _check_index(data, p, q)
-    spp = sample_cov(data, p, p, mode)
-    sqq = sample_cov(data, q, q, mode)
-    bad = [c for c, s in ((p, spp), (q, sqq)) if s == 0.0]
-    if bad:
-        raise DegenerateColumn(bad)
-    spq = sample_cov(data, p, q, mode)
-    return spq * spq / (spp * sqq)
-
-
-def _rho_hat_sq_matrix(values: np.ndarray, mode: CovMode) -> np.ndarray:
-    s = _cov_matrix(values, mode)
-    d = np.diag(s)
-    _degenerate(d)
     return (s * s) / np.outer(d, d)
+
+
+def _upper_sums(*mats: np.ndarray) -> list:
+    """Per matrix, the sum of the entries above the diagonal: the sum over
+    pairs p < q."""
+    iu = np.triu_indices(mats[0].shape[0], 1)
+    return [float(np.sum(mat[iu])) for mat in mats]
 
 
 def statistic_t(data: DataMatrix, mode: CovMode) -> float:
     """Sum of squared sample correlations over all pairs p < q."""
-    r2 = _rho_hat_sq_matrix(data.values, mode)
-    iu = np.triu_indices(data.m, 1)
-    return float(np.sum(r2[iu]))
+    return _upper_sums(_squared_correlations(_cov_matrix(data.values, mode)))[0]
 
 
 def max_statistic(data: DataMatrix, mode: CovMode) -> float:
     """Largest squared sample correlation over all pairs p < q."""
-    r2 = _rho_hat_sq_matrix(data.values, mode)
-    iu = np.triu_indices(data.m, 1)
-    return float(np.max(r2[iu]))
+    r2 = _squared_correlations(_cov_matrix(data.values, mode))
+    return float(np.max(r2[np.triu_indices(data.m, 1)]))
 
 
 def report_from_statistic(t_value: float, n: int, m: int, alpha: float) -> TestReport:
@@ -199,22 +170,21 @@ def rao_score_test(data: DataMatrix, alpha: float, mode: CovMode) -> TestReport:
     return report_from_statistic(statistic_t(data, mode), data.n, data.m, alpha)
 
 
-def _centered_products(values: np.ndarray, rho: np.ndarray):
-    """Per-pair sums of c_i = X_pi X_qi - rho_pq and of c_i^2, as matrices."""
+def _pair_sums(values: np.ndarray, rho: np.ndarray):
+    """The Gram matrix X'X and, per pair, the sums of c_i = X_pi X_qi - rho_pq
+    and of c_i^2, as matrices."""
     n = values.shape[0]
     g = values.T @ values
     sq = values * values
-    h = sq.T @ sq
     sum_c = g - n * rho
-    sum_c2 = h - 2.0 * rho * g + n * rho * rho
-    return sum_c, sum_c2
+    sum_c2 = sq.T @ sq - 2.0 * rho * g + n * rho * rho
+    return g, sum_c, sum_c2
 
 
-def _i_matrix(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
+def _cross_sample(sum_c: np.ndarray, sum_c2: np.ndarray, n: int) -> np.ndarray:
+    """Per-pair cross-sample term ((sum_i c_i)^2 - sum_i c_i^2) / n^2."""
     if n == 1:
-        return np.zeros_like(rho)  # empty cross-sample sum
-    sum_c, sum_c2 = _centered_products(values, rho)
+        return np.zeros_like(sum_c)  # empty cross-sample sum
     return (sum_c * sum_c - sum_c2) / float(n) ** 2
 
 
@@ -225,9 +195,8 @@ def term_i(data: DataMatrix, r: CorrMatrix) -> float:
     O(n^2) double loop.
     """
     _check_dims(data, r)
-    i_mat = _i_matrix(data.values, r.rho)
-    iu = np.triu_indices(data.m, 1)
-    return float(np.sum(i_mat[iu]))
+    _, sum_c, sum_c2 = _pair_sums(data.values, r.rho)
+    return _upper_sums(_cross_sample(sum_c, sum_c2, data.n))[0]
 
 
 def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
@@ -251,92 +220,46 @@ def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
     return y
 
 
-# Multi-orders (l1, l2, l3) with l3 in {0, 1} and 1 <= |l| <= 4: the only
-# surviving Taylor directions besides the l3 = 2 family, with coefficient
-# (-1)^(l1+l2) * rho^(2-l3) * (2 if l3 == 1 else 1).
-_LAMBDA_LOW = [
-    (l1, l2, l3)
-    for l3 in (0, 1)
-    for l1 in range(5)
-    for l2 in range(5)
-    if 1 <= l1 + l2 + l3 <= 4
-]
-
-
-def _pair_terms(values: np.ndarray, rho: np.ndarray):
-    """Per-pair matrices (i_mat, ii1_mat, ii2_mat) of the decomposition."""
-    n = values.shape[0]
-    _, sum_c2 = _centered_products(values, rho)
-    n2 = float(n) ** 2
-
-    i_mat = _i_matrix(values, rho)
-    sq_term = sum_c2 / n2
-
-    s = values.T @ values / n
-    sbar = s - rho
-    u = np.diag(sbar)[:, None] + np.zeros_like(rho)   # Sbar_pp by row
-    v = np.diag(sbar)[None, :] + np.zeros_like(rho)   # Sbar_qq by column
-    w2 = sbar * sbar                                  # Sbar_pq^2
-
-    ii1_mat = sq_term + (-u - v + u * u + v * v) * w2
-    ii2_mat = u * v * w2
-    for l1, l2, l3 in _LAMBDA_LOW:
-        sign = -1.0 if (l1 + l2) % 2 else 1.0
-        mult = 2.0 if l3 == 1 else 1.0
-        coeff = sign * mult * rho ** (2 - l3)
-        term = coeff * u ** l1 * v ** l2
-        if l3 == 1:
-            term = term * sbar
-        ii2_mat = ii2_mat + term
-    return i_mat, ii1_mat, ii2_mat, s
-
-
-def term_ii(data: DataMatrix, r: CorrMatrix):
-    """Same-sample component and its (ii1, ii2) split, aggregated over pairs."""
-    _check_dims(data, r)
-    _, ii1_mat, ii2_mat, _ = _pair_terms(data.values, r.rho)
-    iu = np.triu_indices(data.m, 1)
-    ii1 = float(np.sum(ii1_mat[iu]))
-    ii2 = float(np.sum(ii2_mat[iu]))
-    return ii1 + ii2, ii1, ii2
-
-
 def decompose(data: DataMatrix, r: CorrMatrix) -> Decomposition:
     """Exact decomposition of the centered statistic around a known R.
 
-    Per pair, the third term is the exact algebraic residual
-    (rho_hat^2 - rho^2) - i - ii, so the aggregate identity holds by
-    construction; ``residual`` reports the floating-point defect of
-    T - ||R - I||_F^2 / 2 - (I + II + III).
+    Per pair, with u = Sbar_pp, v = Sbar_qq and w = Sbar_pq for
+    Sbar = S - R, the order-4 Taylor expansion of f(u1, u2, u3) =
+    u3^2 / (u1 u2) around (1, 1, rho) gives the same-sample component
+    ii1 = sum_i c_i^2 / n^2 + (-u - v + u^2 + v^2) w^2 and
+    ii2 = u v w^2 + rho^2 (G_4 - 1) + 2 rho w G_3, where
+    G_k = sum_{l1 + l2 <= k} (-u)^l1 (-v)^l2.  The third term is the exact
+    algebraic residual (rho_hat^2 - rho^2) - i - ii, so the aggregate
+    identity holds by construction; ``residual`` reports the floating-point
+    defect of T - ||R - I||_F^2 / 2 - (I + II + III).  One Gram matrix
+    feeds every term and T itself.
     """
     _check_dims(data, r)
-    values, rho = data.values, r.rho
-    i_mat, ii1_mat, ii2_mat, s = _pair_terms(values, rho)
-    d = np.diag(s)
-    _degenerate(d)
-    r2_hat = (s * s) / np.outer(d, d)
+    n, rho = data.n, r.rho
+    g, sum_c, sum_c2 = _pair_sums(data.values, rho)
+    s = g / n
+    r2_hat = _squared_correlations(s)
+    n2 = float(n) ** 2
+    i_mat = _cross_sample(sum_c, sum_c2, n)
+
+    sbar = s - rho
+    u = np.diag(sbar)[:, None]   # Sbar_pp by row
+    v = np.diag(sbar)[None, :]   # Sbar_qq by column
+    w2 = sbar * sbar             # Sbar_pq^2
+    # G_k adds up the complete homogeneous sums h_j = -u h_{j-1} + (-v)^j.
+    h = g_k = np.ones_like(rho)
+    for j in range(1, 5):
+        g3 = g_k
+        h = -u * h + (-v) ** j
+        g_k = g_k + h
+    ii1_mat = sum_c2 / n2 + (-u - v + u * u + v * v) * w2
+    ii2_mat = u * v * w2 + rho * rho * (g_k - 1.0) + 2.0 * rho * sbar * g3
     iii_mat = (r2_hat - rho * rho) - i_mat - (ii1_mat + ii2_mat)
 
-    iu = np.triu_indices(data.m, 1)
-    t_value = float(np.sum(r2_hat[iu]))
-    t_i = float(np.sum(i_mat[iu]))
-    t_ii1 = float(np.sum(ii1_mat[iu]))
-    t_ii2 = float(np.sum(ii2_mat[iu]))
-    t_iii = float(np.sum(iii_mat[iu]))
+    t_value, t_i, t_ii1, t_ii2, t_iii = _upper_sums(r2_hat, i_mat, ii1_mat, ii2_mat,
+                                                    iii_mat)
     signal = frobenius_signal(r)
     residual = abs(t_value - 0.5 * signal * signal - (t_i + t_ii1 + t_ii2 + t_iii))
-    return Decomposition(
-        term_i=t_i,
-        term_ii=t_ii1 + t_ii2,
-        term_ii1=t_ii1,
-        term_ii2=t_ii2,
-        term_iii=t_iii,
-        residual=residual,
-    )
-
-
-def max_abs_centered_cov(data: DataMatrix, r: CorrMatrix) -> float:
-    """Largest |S_pq - rho_pq| over all p, q (diagonal included), zero-mean mode."""
-    _check_dims(data, r)
-    s = _cov_matrix(data.values, CovMode.KNOWN_ZERO_MEAN)
-    return float(np.max(np.abs(s - r.rho)))
+    return Decomposition(t_value=t_value, term_i=t_i, term_ii=t_ii1 + t_ii2,
+                         term_ii1=t_ii1, term_ii2=t_ii2, term_iii=t_iii,
+                         residual=residual)

@@ -7,10 +7,9 @@ complementary error function, which is accurate to a few ulp across the
 double range (far inside the 1e-10 absolute contract).
 
 ``normal_quantile`` returns the *upper-tail* inverse: the x solving
-tail(x) = p.  It starts from Acklam's piecewise rational approximation of
-the probit (relative error below 1.15e-9) and polishes with two Halley
-iterations against ``normal_cdf`` itself, so quantile and CDF round-trip
-by construction instead of relying on two unrelated approximations.
+tail(x) = p, as ``-scipy.special.ndtri(p)`` (Cephes' probit).  The tests
+hold it to 50-digit reference values and round-trip it through
+``normal_tail``.
 """
 
 from __future__ import annotations
@@ -19,31 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's lower-tail quantile approximation: central region uses a
-# rational function in (p - 1/2)^2, tails use one in sqrt(-2 log p).
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_PLOW = 0.02425
-
-
-def _poly(coeffs, x):
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
 
 
 def normal_cdf(x):
@@ -60,40 +39,13 @@ def normal_tail(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def _probit(p):
-    """Lower-tail quantile Phi^{-1}(p) for an array in (0, 1)."""
-    x = np.empty_like(p)
-
-    low = p < _ACK_PLOW
-    high = p > 1.0 - _ACK_PLOW
-    mid = ~(low | high)
-
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        x[low] = _poly(_ACK_C, q) / (_poly(_ACK_D, q) * q + 1.0)
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log1p(-p[high]))
-        x[high] = -_poly(_ACK_C, q) / (_poly(_ACK_D, q) * q + 1.0)
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        x[mid] = _poly(_ACK_A, r) * q / (_poly(_ACK_B, r) * r + 1.0)
-
-    # Two Halley steps against the verified CDF pin the round trip.
-    for _ in range(2):
-        err = normal_cdf(x) - p
-        u = err * _SQRT_2PI * np.exp(np.minimum(0.5 * x * x, 700.0))
-        x = x - u / (1.0 + 0.5 * x * u)
-    return x
-
-
 def normal_quantile(p):
     """Upper-tail quantile: the x with 1 - Phi(x) = p, for p in (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr))):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    out = -_probit(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = -ndtri(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

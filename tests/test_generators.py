@@ -6,6 +6,7 @@ from hidim import (AlternativeFamily, CorrMatrix, DomainError,
                    calibrate_to_theta, cholesky, frobenius_signal,
                    ks_statistic_vs_normal, make_family_matrix,
                    sample_from_matrix, sample_gaussian, standard_normal_block)
+from hidim.generators import _uniform_open
 
 EQUI = AlternativeFamily.equicorrelation()
 
@@ -144,3 +145,33 @@ def test_standard_normal_block_row_keying():
     full = standard_normal_block(Seed(5), 3, 10, 4)
     again = standard_normal_block(Seed(5), 3, 10, 4)
     assert np.array_equal(full, again)
+
+
+class _FixedPhilox:
+    """Stands in for np.random.Philox with a fixed list of raw draws."""
+
+    raw = np.array([0, 2 ** 64 - 1, 2 ** 64 - 1 - 2 ** 11, 2 ** 63], dtype=np.uint64)
+
+    def __init__(self, key):
+        pass
+
+    def random_raw(self, count):
+        return self.raw[:count]
+
+
+def test_uniform_open_stays_inside_the_unit_interval(monkeypatch):
+    monkeypatch.setattr(np.random, "Philox", _FixedPhilox)
+    u = _uniform_open(1, 0, 4)
+    assert u[0] == 2.0 ** -54
+    # the top 53-bit value would give (2^53 - 1/2) 2^-53, which rounds to 1.0
+    assert u[1] == u[2] == 1.0 - 2.0 ** -52
+    assert u[3] == 0.5 + 2.0 ** -54
+    z = standard_normal_block(Seed(1), 0, 2, 2)
+    assert np.all(np.isfinite(z))
+
+
+def test_uniform_open_bytes_below_the_top():
+    raw = np.random.Philox(key=np.array([9, 4], dtype=np.uint64)).random_raw(10000)
+    top53 = (raw >> np.uint64(11)).astype(np.float64)
+    assert top53.max() < 2.0 ** 53 - 1
+    assert np.array_equal(_uniform_open(9, 4, 10000), (top53 + 0.5) * 2.0 ** -53)

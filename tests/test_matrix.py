@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hidim import (CorrMatrix, NotPositiveSemidefinite, cholesky,
-                   frobenius_signal, in_theta)
+from hidim import CorrMatrix, NotPositiveSemidefinite, cholesky, frobenius_signal
 from conftest import random_corr
 
 
@@ -39,19 +38,6 @@ def test_frobenius_signal_squared_identity(rng):
         iu = np.triu_indices(r.m, 1)
         direct = 2.0 * float(np.sum(r.rho[iu] ** 2))
         assert frobenius_signal(r) ** 2 == pytest.approx(direct, rel=1e-12)
-
-
-def test_in_theta():
-    identity = CorrMatrix.identity(4)
-    assert not in_theta(identity, 2.0, 100)
-    # equicorrelation with signal exactly 2 * sqrt(4/100) = 0.4
-    rho = 0.4 / np.sqrt(12.0)
-    r = CorrMatrix(np.full((4, 4), rho) + (1 - rho) * np.eye(4))
-    assert in_theta(r, 2.0, 100)       # boundary inclusive
-    assert in_theta(r, 1.99, 100)
-    assert not in_theta(r, 2.01, 100)  # just above the boundary
-    with pytest.raises(ValueError):
-        in_theta(r, 0.0, 100)
 
 
 def test_cholesky_identity():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -8,6 +9,7 @@ from hidim import (AlternativeFamily, ConfigError, CorrMatrix, CovMode,
                    MomentCheck, Seed, SimConfig, make_family_matrix, run_null,
                    run_power_curve, verify_e_ii1, verify_kernels, verify_var_i,
                    write_power_csv)
+from hidim import sim
 
 EQUI = AlternativeFamily.equicorrelation()
 
@@ -149,3 +151,22 @@ def test_moment_check_gate():
     good = MomentCheck("x", 1.0, 1.0, 0.1, 0.0)
     bad = MomentCheck("x", 2.0, 1.0, 0.1, 10.0)
     assert good.passed and not bad.passed
+
+
+def test_in_trial_gate_fires(monkeypatch):
+    real = sim.decompose
+    monkeypatch.setattr(sim, "decompose", lambda data, r: dataclasses.replace(
+        real(data, r), residual=1.0))
+    with pytest.raises(RuntimeError, match="decomposition identity violated"):
+        run_power_curve(small_config(trials=100, b_grid=(1.0,)))
+    with pytest.raises(RuntimeError, match="decomposition identity violated"):
+        run_null(small_config(trials=100))
+    with pytest.raises(RuntimeError, match="decomposition identity violated"):
+        verify_e_ii1(CorrMatrix.identity(4), 12, 100, Seed(5))
+
+
+def test_centered_null_skips_decompose(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "decompose", lambda data, r: calls.append(1))
+    run_null(small_config(trials=100, cov_mode=CovMode.SAMPLE_CENTERED))
+    assert calls == []

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,9 @@ from hypothesis import strategies as st
 
 from hidim import (CorrMatrix, CovMode, DataMatrix, DegenerateColumn,
                    DimensionMismatch, DomainError, Seed, cholesky, decompose,
-                   frobenius_signal, martingale_differences,
-                   max_abs_centered_cov, max_statistic, rao_score_test,
-                   rho_hat_sq, sample_cov, sample_gaussian, statistic_t,
-                   term_i, term_ii, report_from_statistic, normal_quantile)
+                   f_partial, martingale_differences, max_statistic,
+                   rao_score_test, sample_gaussian, statistic_t, term_i,
+                   report_from_statistic, normal_quantile)
 from conftest import random_corr
 
 ZM = CovMode.KNOWN_ZERO_MEAN
@@ -24,32 +26,40 @@ def test_datamatrix_validation():
         DataMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
-def test_sample_cov_hand_examples():
-    data = DataMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert sample_cov(data, 0, 1, ZM) == -1.0
-    assert sample_cov(data, 0, 1, SC) == -2.0
-    same = DataMatrix(np.column_stack([np.arange(1.0, 5.0), np.arange(1.0, 5.0)]))
-    assert sample_cov(same, 0, 1, ZM) == sample_cov(same, 0, 0, ZM)
+def _pair_rho_hat_sq(x: np.ndarray, p: int, q: int) -> float:
+    """Zero-mean squared correlation of columns p and q, pair by pair."""
+    xp, xq = x[:, p], x[:, q]
+    return float((xp @ xq) ** 2 / ((xp @ xp) * (xq @ xq)))
 
+
+# On two columns T is the single squared correlation rho_hat^2.
 
 def test_rho_hat_sq_examples():
+    flipped = DataMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert statistic_t(flipped, ZM) == 1.0
+    assert statistic_t(flipped, SC) == 1.0
     same = DataMatrix(np.column_stack([np.arange(1.0, 6.0), np.arange(1.0, 6.0)]))
-    assert rho_hat_sq(same, 0, 1, ZM) == pytest.approx(1.0, rel=1e-14)
-    assert rho_hat_sq(same, 0, 1, SC) == pytest.approx(1.0, rel=1e-14)
+    assert statistic_t(same, ZM) == pytest.approx(1.0, rel=1e-14)
+    assert statistic_t(same, SC) == pytest.approx(1.0, rel=1e-14)
     ortho = DataMatrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
-    assert rho_hat_sq(ortho, 0, 1, ZM) == 0.0
+    assert statistic_t(ortho, ZM) == 0.0
     hand = DataMatrix(np.array([[1.0, 2.0], [2.0, 1.0], [-3.0, -3.0]]))
-    assert rho_hat_sq(hand, 0, 1, ZM) == pytest.approx(169.0 / 196.0, rel=1e-14)
+    assert statistic_t(hand, ZM) == pytest.approx(169.0 / 196.0, rel=1e-14)
+    assert statistic_t(hand, SC) == pytest.approx(169.0 / 196.0, rel=1e-14)
+    # column means 2 and 2: centering changes the answer
+    shifted = DataMatrix(np.array([[1.0, 1.0], [2.0, 3.0], [3.0, 2.0]]))
+    assert statistic_t(shifted, ZM) == pytest.approx(169.0 / 196.0, rel=1e-14)
+    assert statistic_t(shifted, SC) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_rho_hat_sq_degenerate():
     data = DataMatrix(np.array([[0.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(DegenerateColumn) as info:
-        rho_hat_sq(data, 0, 1, ZM)
+        statistic_t(data, ZM)
     assert info.value.columns == (0,)
     const = DataMatrix(np.array([[3.0, 1.0], [3.0, 2.0]]))
     with pytest.raises(DegenerateColumn):
-        rho_hat_sq(const, 0, 1, SC)
+        statistic_t(const, SC)
 
 
 @settings(max_examples=40, deadline=None)
@@ -57,13 +67,13 @@ def test_rho_hat_sq_degenerate():
        seed=st.integers(0, 10 ** 6))
 def test_rho_hat_sq_scale_invariance(scale, flip, seed):
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((8, 3))
+    base = rng.standard_normal((8, 2))
     factor = -scale if flip else scale
     scaled = base.copy()
     scaled[:, 1] *= factor
     for mode in (ZM, SC):
-        a = rho_hat_sq(DataMatrix(base), 0, 1, mode)
-        b = rho_hat_sq(DataMatrix(scaled), 0, 1, mode)
+        a = statistic_t(DataMatrix(base), mode)
+        b = statistic_t(DataMatrix(scaled), mode)
         assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -72,15 +82,18 @@ def test_statistic_t_examples(rng):
     same = DataMatrix(np.column_stack([col, col, col, col]))
     assert statistic_t(same, ZM) == pytest.approx(6.0, rel=1e-12)
     two = DataMatrix(rng.standard_normal((9, 2)))
-    assert statistic_t(two, ZM) == pytest.approx(rho_hat_sq(two, 0, 1, ZM), rel=1e-14)
+    assert statistic_t(two, ZM) == pytest.approx(_pair_rho_hat_sq(two.values, 0, 1),
+                                                 rel=1e-14)
 
 
 def test_statistic_t_brute_force(rng):
     data = DataMatrix(rng.standard_normal((15, 6)))
-    for mode in (ZM, SC):
-        brute = sum(rho_hat_sq(data, p, q, mode)
-                    for p in range(6) for q in range(p + 1, 6))
-        assert statistic_t(data, mode) == pytest.approx(brute, rel=1e-12)
+    pairs = list(itertools.combinations(range(6), 2))
+    zero_mean = sum(_pair_rho_hat_sq(data.values, p, q) for p, q in pairs)
+    corr = np.corrcoef(data.values, rowvar=False)
+    centered = sum(corr[p, q] ** 2 for p, q in pairs)
+    assert statistic_t(data, ZM) == pytest.approx(zero_mean, rel=1e-12)
+    assert statistic_t(data, SC) == pytest.approx(centered, rel=1e-12)
 
 
 def test_statistic_t_permutation_invariant(rng):
@@ -190,9 +203,9 @@ def test_term_ii_split(rng):
     for _ in range(10):
         m, n = int(rng.integers(2, 8)), int(rng.integers(4, 40))
         r = random_corr(rng, m)
-        data = DataMatrix(rng.standard_normal((n, m)))
-        ii, ii1, ii2 = term_ii(data, r)
-        assert ii == pytest.approx(ii1 + ii2, rel=1e-10, abs=1e-12)
+        dec = decompose(DataMatrix(rng.standard_normal((n, m))), r)
+        assert dec.term_ii == pytest.approx(dec.term_ii1 + dec.term_ii2,
+                                            rel=1e-10, abs=1e-12)
 
 
 def test_term_ii2_identity_matrix_reduction(rng):
@@ -201,12 +214,47 @@ def test_term_ii2_identity_matrix_reduction(rng):
     m, n = 4, 25
     r = CorrMatrix.identity(m)
     data = DataMatrix(rng.standard_normal((n, m)))
-    _, _, ii2 = term_ii(data, r)
+    ii2 = decompose(data, r).term_ii2
     s = data.values.T @ data.values / n
     sbar = s - r.rho
     direct = sum(sbar[p, p] * sbar[q, q] * sbar[p, q] ** 2
                  for p in range(m) for q in range(p + 1, m))
     assert ii2 == pytest.approx(direct, rel=1e-10, abs=1e-15)
+
+
+# Taylor directions of f(u1, u2, u3) = u3^2 / (u1 u2) around (1, 1, rho) that
+# make up II: orders 1..4 with l3 <= 2, except (0, 0, 2), whose w^2 is
+# replaced by its same-sample part sum_i c_i^2 / n^2.
+II_DIRECTIONS = [lam for lam in itertools.product(range(5), range(5), range(3))
+                 if 1 <= sum(lam) <= 4 and lam != (0, 0, 2)]
+
+
+def _term_ii_oracle(x: np.ndarray, rho: np.ndarray):
+    """II summed pair by pair from f_partial, and the sum of the absolute
+    values of its summands (the scale its rounding error grows with)."""
+    n, m = x.shape
+    sbar = x.T @ x / n - rho
+    total = magnitude = 0.0
+    for p, q in itertools.combinations(range(m), 2):
+        c = x[:, p] * x[:, q] - rho[p, q]
+        terms = [float(c @ c) / n ** 2]
+        u, v, w = sbar[p, p], sbar[q, q], sbar[p, q]
+        for l1, l2, l3 in II_DIRECTIONS:
+            coeff = f_partial((l1, l2, l3), 1.0, 1.0, rho[p, q])
+            terms.append(coeff / (math.factorial(l1) * math.factorial(l2)
+                                  * math.factorial(l3)) * u ** l1 * v ** l2 * w ** l3)
+        total += math.fsum(terms)
+        magnitude += math.fsum(abs(t) for t in terms)
+    return total, magnitude
+
+
+def test_term_ii_matches_taylor_oracle(rng):
+    for _ in range(40):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 60))
+        r = random_corr(rng, m)
+        data = DataMatrix(rng.standard_normal((n, m)) @ np.linalg.cholesky(r.rho).T)
+        oracle, magnitude = _term_ii_oracle(data.values, r.rho)
+        assert abs(decompose(data, r).term_ii - oracle) <= 1e-12 * magnitude
 
 
 def test_decompose_identity(rng):
@@ -218,6 +266,7 @@ def test_decompose_identity(rng):
         data = DataMatrix(rng.standard_normal((n, m)))
         dec = decompose(data, r)
         t = statistic_t(data, ZM)
+        assert dec.t_value == t
         worst = max(worst, dec.residual / max(1.0, abs(t)))
         assert dec.term_ii == pytest.approx(dec.term_ii1 + dec.term_ii2,
                                             rel=1e-10, abs=1e-12)
@@ -229,7 +278,7 @@ def test_decompose_per_pair_identity(rng):
     r = random_corr(rng, 2)
     data = DataMatrix(rng.standard_normal((12, 2)))
     dec = decompose(data, r)
-    lhs = rho_hat_sq(data, 0, 1, ZM) - r.rho[0, 1] ** 2
+    lhs = _pair_rho_hat_sq(data.values, 0, 1) - r.rho[0, 1] ** 2
     assert lhs == pytest.approx(dec.term_i + dec.term_ii + dec.term_iii,
                                 rel=1e-12, abs=1e-15)
 
@@ -258,27 +307,3 @@ def test_decompose_i_dominates_under_null():
         ts.append(statistic_t(data, ZM) - centering)
         tis.append(decompose(data, r).term_i)
     assert np.corrcoef(ts, tis)[0, 1] > 0.95
-
-
-def test_max_abs_centered_cov(rng):
-    # data reproducing the second moments exactly
-    n = 4
-    exact = DataMatrix(np.sqrt(n) * np.eye(n))
-    assert max_abs_centered_cov(exact, CorrMatrix.identity(n)) == 0.0
-    ones = DataMatrix(np.ones((1, 3)))
-    assert max_abs_centered_cov(ones, CorrMatrix.identity(3)) == 1.0
-
-
-def test_max_abs_centered_cov_trend():
-    # P(max |S - R| > n^(-1/4)) falls as n grows at fixed m
-    m = 6
-    r = CorrMatrix.identity(m)
-    factor = cholesky(r)
-    rates = []
-    for n in (10, 40, 160):
-        cut = n ** -0.25
-        hits = sum(max_abs_centered_cov(sample_gaussian(factor, n, Seed(5), t), r) > cut
-                   for t in range(300))
-        rates.append(hits / 300)
-    assert rates[0] > rates[-1]
-    assert rates[-1] <= rates[1] + 0.02

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,15 @@ def test_quantile_reference_values():
     assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
     assert normal_quantile(0.05) == pytest.approx(1.6448536269514722, abs=1e-8)
     assert normal_quantile(0.025) == pytest.approx(1.959963984540054, abs=1e-8)
+
+
+@pytest.mark.parametrize("p", [2.0 ** -53, 1e-20, 1e-6, 0.025, 0.05, 0.3, 0.5 + 2.0 ** -20,
+                               0.95, 1.0 - 1e-6, 1.0 - 2.0 ** -53])
+def test_quantile_vs_50_digit_oracle(p):
+    # the x with tail(x) = p is sqrt(2) erfinv(1 - 2p), at 50 digits
+    with mp.workdps(50):
+        exact = float(mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p)))
+    assert normal_quantile(p) == pytest.approx(exact, rel=4e-16)
 
 
 def test_quantile_round_trip():
