@@ -11,6 +11,7 @@ from hidim import (CorrMatrix, CovMode, DataMatrix, DegenerateColumn,
                    f_partial, martingale_differences, max_statistic,
                    rao_score_test, sample_gaussian, statistic_t, term_i,
                    report_from_statistic, normal_quantile)
+from hidim.stats import _cov_matrix
 from conftest import random_corr
 
 ZM = CovMode.KNOWN_ZERO_MEAN
@@ -24,6 +25,20 @@ def test_datamatrix_validation():
         DataMatrix(np.array([[1.0], [2.0]]))
     with pytest.raises(ValueError):
         DataMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def test_sample_cov_hand_examples():
+    # the covariance matrix that statistic_t and decompose are built on
+    data = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert _cov_matrix(data, ZM)[0, 1] == -1.0
+    assert _cov_matrix(data, SC)[0, 1] == -2.0
+    same = np.column_stack([np.arange(1.0, 5.0), np.arange(1.0, 5.0)])
+    for mode in (ZM, SC):
+        cov = _cov_matrix(same, mode)
+        assert cov[0, 1] == cov[0, 0] == cov[1, 1]
+        assert cov[1, 0] == cov[0, 1]
+    with pytest.raises(DomainError):
+        _cov_matrix(np.array([[1.0, 2.0]]), SC)
 
 
 def _pair_rho_hat_sq(x: np.ndarray, p: int, q: int) -> float:
