@@ -99,10 +99,15 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
 
+def off_diagonal_norm(rho: np.ndarray) -> np.ndarray:
+    """Frobenius norm of rho - I over the last two axes of a (..., m, m) array."""
+    off = rho - np.eye(rho.shape[-1])
+    return np.sqrt(np.sum((off * off).reshape(rho.shape[:-2] + (-1,)), axis=-1))
+
+
 def frobenius_signal(r: CorrMatrix) -> float:
     """Frobenius norm of R - I: sqrt(sum of all squared off-diagonal entries)."""
-    off = r.rho - np.eye(r.m)
-    return float(np.sqrt(np.sum(off * off)))
+    return float(off_diagonal_norm(r.rho))
 
 
 def cholesky(r: CorrMatrix) -> CholeskyFactor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from . import __version__
 from .errors import ConfigError, Unachievable
 from .generators import (AlternativeFamily, Seed, _uniform_open,
                          calibrate_to_theta, sample_gaussian)
+from . import generators as _generators
 from .matrix import CorrMatrix, cholesky
 from .moments import expected_ii1, kernel_expectations, var_i_exact
 from .stats import (CovMode, DataMatrix, Decomposition, decompose, statistic_t,
@@ -74,6 +75,15 @@ class SimConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimConfig":
+        """Config from its JSON object; a key that is not a field (a typo
+        such as "trails") or a missing required field raises ConfigError."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in obj
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"missing config key(s): {', '.join(missing)}")
         return cls(
             m=int(obj["m"]),
             n=int(obj["n"]),
@@ -158,14 +168,17 @@ def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
     return out
 
 
-def _gated_decompose(data: DataMatrix, r: CorrMatrix) -> Decomposition:
-    """``decompose`` with its reconstruction residual held to
-    _RESIDUAL_RTOL relative to max(1, |T|)."""
+def _gated_decompose(data, r) -> Decomposition:
+    """``decompose`` of one sample or a stack, with every reconstruction
+    residual held to _RESIDUAL_RTOL relative to max(1, |T|)."""
     dec = decompose(data, r)
-    if dec.residual > _RESIDUAL_RTOL * max(1.0, abs(dec.t_value)):
+    residual, t_abs = np.broadcast_arrays(np.ravel(dec.residual),
+                                          np.abs(np.ravel(dec.t_value)))
+    bad = np.flatnonzero(residual > _RESIDUAL_RTOL * np.maximum(1.0, t_abs))
+    if bad.size:
         raise RuntimeError(
-            f"decomposition identity violated: residual {dec.residual:.3e} "
-            f"for |T| = {abs(dec.t_value):.3e}")
+            f"decomposition identity violated: residual {residual[bad[0]]:.3e} "
+            f"for |T| = {t_abs[bad[0]]:.3e}")
     return dec
 
 
@@ -219,7 +232,9 @@ def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullRep
 def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     """Empirical power across the b grid against the asymptotic prediction.
 
-    Unachievable grid points are reported as skipped, not fatal.  The
+    Unachievable grid points are reported as skipped, not fatal.  Every
+    cell uses the same (seed, trial) normals, so each trial draws them once
+    and multiplies them by every cell's Cholesky factor in one stack.  The
     prediction is an m, n -> infinity limit; finite-sample agreement
     windows are engineering tolerances, not derived error bounds.
     """
@@ -227,30 +242,41 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     m, n = config.m, config.n
     z_alpha = normal_quantile(config.alpha)
     centering = m * (m - 1) / (2.0 * n)
-    points: List[PowerPoint] = []
+    cells: List[Optional[CorrMatrix]] = []
     for b in config.b_grid:
-        predicted = asymptotic_power(config.alpha, b).power
         try:
-            r = (CorrMatrix.identity(m) if b == 0.0
-                 else calibrate_to_theta(config.family, b, m, n))
+            cells.append(CorrMatrix.identity(m) if b == 0.0
+                         else calibrate_to_theta(config.family, b, m, n))
         except Unachievable:
-            points.append(PowerPoint(
-                b=b, m=m, n=n, trials=config.trials, empirical_power=None,
-                mc_stderr=None, predicted_power=predicted, skipped=True))
-            continue
-        factor = cholesky(r)
+            cells.append(None)
+    live = [r for r in cells if r is not None]
+    power: List[Optional[float]] = [None] * len(cells)
+    if live:
+        # Transposed views, so each slice is multiplied exactly as z @ L'.
+        lower_t = np.stack([cholesky(r).lower for r in live]).transpose(0, 2, 1)
 
-        def one(trial: int, r=r, factor=factor) -> bool:
-            data = sample_gaussian(factor, n, config.seed, trial)
-            t_value = _checked_statistic(data, r, config.cov_mode)
-            return bool((t_value - centering) > (m / n) * z_alpha)
+        def one(trial: int) -> np.ndarray:
+            # Looked up on the module, where a wrapper placed on it sees the call.
+            z = _generators.standard_normal_block(config.seed, trial, n, m)
+            stack = np.matmul(z, lower_t)
+            if config.cov_mode is CovMode.KNOWN_ZERO_MEAN:
+                t_values = _gated_decompose(stack, live).t_value
+            else:
+                t_values = np.array([statistic_t(DataMatrix(x), config.cov_mode)
+                                     for x in stack])
+            return (t_values - centering) > (m / n) * z_alpha
 
         rejections = np.array(_map_trials(one, config.trials, config.workers), dtype=bool)
-        p_hat = float(np.mean(rejections))
-        stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / config.trials))
+        live_power = iter(np.mean(rejections, axis=0))
+        power = [None if r is None else float(next(live_power)) for r in cells]
+    points: List[PowerPoint] = []
+    for b, p_hat in zip(config.b_grid, power):
+        stderr = (None if p_hat is None
+                  else float(np.sqrt(p_hat * (1.0 - p_hat) / config.trials)))
         points.append(PowerPoint(
             b=b, m=m, n=n, trials=config.trials, empirical_power=p_hat,
-            mc_stderr=stderr, predicted_power=predicted, skipped=False))
+            mc_stderr=stderr, predicted_power=asymptotic_power(config.alpha, b).power,
+            skipped=p_hat is None))
     return points
 
 

@@ -7,13 +7,15 @@ population correlation matrix.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import theory
 from .errors import DegenerateColumn, DimensionMismatch, DomainError
-from .matrix import CorrMatrix, frobenius_signal
+from .matrix import CorrMatrix, off_diagonal_norm
 
 
 class CovMode(enum.Enum):
@@ -91,7 +93,8 @@ class Decomposition:
     per-pair Taylor residual, so the identity
     T - ||R - I||_F^2 / 2 = I + II + III holds by construction; residual
     reports its floating-point defect.  t_value is T, from the same Gram
-    matrix as the terms.
+    matrix as the terms.  Each field is a float for one sample and a
+    length-B array for a stack of B samples.
     """
 
     t_value: float
@@ -127,22 +130,34 @@ def _squared_correlations(s: np.ndarray) -> np.ndarray:
     return (s * s) / np.outer(d, d)
 
 
-def _upper_sums(*mats: np.ndarray) -> list:
-    """Per matrix, the sum of the entries above the diagonal: the sum over
-    pairs p < q."""
-    iu = np.triu_indices(mats[0].shape[0], 1)
-    return [float(np.sum(mat[iu])) for mat in mats]
+@functools.lru_cache(maxsize=16)
+def _pair_offsets(m: int) -> np.ndarray:
+    """Flat offsets p * m + q of the pairs p < q of m variables in row-major
+    order; built once per m and read-only, because every caller shares it."""
+    p, q = np.triu_indices(m, 1)
+    flat = p * m + q
+    flat.flags.writeable = False
+    return flat
+
+
+def _upper(mats: np.ndarray) -> np.ndarray:
+    """The entries p < q of a (B, m, m) stack as a C-contiguous (B, m(m-1)/2)
+    array.  Row sums of it use numpy's pairwise summation; those of the
+    strided gather mats[:, p, q] do not, and differ in the last bits."""
+    b, m = mats.shape[0], mats.shape[-1]
+    return np.take(mats.reshape(b, m * m), _pair_offsets(m), axis=1)
 
 
 def statistic_t(data: DataMatrix, mode: CovMode) -> float:
     """Sum of squared sample correlations over all pairs p < q."""
-    return _upper_sums(_squared_correlations(_cov_matrix(data.values, mode)))[0]
+    r2 = _squared_correlations(_cov_matrix(data.values, mode))
+    return float(np.sum(np.take(r2, _pair_offsets(data.m))))
 
 
 def max_statistic(data: DataMatrix, mode: CovMode) -> float:
     """Largest squared sample correlation over all pairs p < q."""
     r2 = _squared_correlations(_cov_matrix(data.values, mode))
-    return float(np.max(r2[np.triu_indices(data.m, 1)]))
+    return float(np.max(np.take(r2, _pair_offsets(data.m))))
 
 
 def report_from_statistic(t_value: float, n: int, m: int, alpha: float) -> TestReport:
@@ -170,15 +185,18 @@ def rao_score_test(data: DataMatrix, alpha: float, mode: CovMode) -> TestReport:
     return report_from_statistic(statistic_t(data, mode), data.n, data.m, alpha)
 
 
-def _pair_sums(values: np.ndarray, rho: np.ndarray):
-    """The Gram matrix X'X and, per pair, the sums of c_i = X_pi X_qi - rho_pq
-    and of c_i^2, as matrices."""
-    n = values.shape[0]
-    g = values.T @ values
-    sq = values * values
-    sum_c = g - n * rho
-    sum_c2 = sq.T @ sq - 2.0 * rho * g + n * rho * rho
-    return g, sum_c, sum_c2
+def _pair_sums(x: np.ndarray, rho: np.ndarray):
+    """For a (B, n, m) stack and its (B, m(m-1)/2) pair correlations: the
+    Gram matrices X'X, their pair entries, and per pair the sums of
+    c_i = X_pi X_qi - rho_pq and of c_i^2."""
+    n = x.shape[1]
+    g = np.matmul(x.transpose(0, 2, 1), x)
+    sq = x * x
+    g_pairs = _upper(g)
+    sum_c = g_pairs - n * rho
+    sum_c2 = (_upper(np.matmul(sq.transpose(0, 2, 1), sq)) - 2.0 * rho * g_pairs
+              + n * rho * rho)
+    return g, g_pairs, sum_c, sum_c2
 
 
 def _cross_sample(sum_c: np.ndarray, sum_c2: np.ndarray, n: int) -> np.ndarray:
@@ -195,8 +213,8 @@ def term_i(data: DataMatrix, r: CorrMatrix) -> float:
     O(n^2) double loop.
     """
     _check_dims(data, r)
-    _, sum_c, sum_c2 = _pair_sums(data.values, r.rho)
-    return _upper_sums(_cross_sample(sum_c, sum_c2, data.n))[0]
+    _, _, sum_c, sum_c2 = _pair_sums(data.values[None], _upper(r.rho[None]))
+    return float(_cross_sample(sum_c, sum_c2, data.n).sum(axis=1)[0])
 
 
 def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
@@ -206,21 +224,31 @@ def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
     Y_i = (2/n^2) sum_{p<q} c_i (c_1 + ... + c_{i-1}).
     """
     _check_dims(data, r)
-    n, m = data.n, data.m
-    iu = np.triu_indices(m, 1)
+    n = data.n
+    flat = _pair_offsets(data.m)
     y = np.zeros(n + 1)
-    running = np.zeros(iu[0].size)
+    running = np.zeros(flat.size)
     scale = 2.0 / float(n) ** 2
     for i in range(1, n + 1):
         xi = data.values[i - 1]
-        ci = (np.outer(xi, xi) - r.rho)[iu]
+        ci = np.take(np.outer(xi, xi) - r.rho, flat)
         if i >= 2:
             y[i] = scale * float(ci @ running)
         running += ci
     return y
 
 
-def decompose(data: DataMatrix, r: CorrMatrix) -> Decomposition:
+def _checked_stack(data) -> np.ndarray:
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] < 2:
+        raise ValueError("a data stack must be a (B, n, m) array with n >= 1 and m >= 2")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("data entries must be finite")
+    return x
+
+
+def decompose(data: Union[DataMatrix, np.ndarray],
+              r: Union[CorrMatrix, Sequence[CorrMatrix]]) -> Decomposition:
     """Exact decomposition of the centered statistic around a known R.
 
     Per pair, with u = Sbar_pp, v = Sbar_qq and w = Sbar_pq for
@@ -233,33 +261,60 @@ def decompose(data: DataMatrix, r: CorrMatrix) -> Decomposition:
     identity holds by construction; ``residual`` reports the floating-point
     defect of T - ||R - I||_F^2 / 2 - (I + II + III).  One Gram matrix
     feeds every term and T itself.
-    """
-    _check_dims(data, r)
-    n, rho = data.n, r.rho
-    g, sum_c, sum_c2 = _pair_sums(data.values, rho)
-    s = g / n
-    r2_hat = _squared_correlations(s)
-    n2 = float(n) ** 2
-    i_mat = _cross_sample(sum_c, sum_c2, n)
 
+    ``data`` is one DataMatrix with one CorrMatrix, giving float fields, or
+    a (B, n, m) stack of samples with B CorrMatrix, giving length-B arrays
+    whose k-th entries equal those of decompose(DataMatrix(data[k]), r[k]).
+    """
+    single = isinstance(data, DataMatrix)
+    if single:
+        _check_dims(data, r)
+        x, rs = data.values[None], [r]
+    else:
+        x, rs = _checked_stack(data), list(r)
+        if len(rs) != x.shape[0]:
+            raise DimensionMismatch(f"{x.shape[0]} samples, {len(rs)} matrices")
+        for rk in rs:
+            if rk.m != x.shape[2]:
+                raise DimensionMismatch(
+                    f"data has {x.shape[2]} columns, matrix is {rk.m} x {rk.m}")
+    n, m = x.shape[1], x.shape[2]
+    p, q = np.divmod(_pair_offsets(m), m)
+    take = functools.partial(np.take, axis=1)   # C-contiguous, unlike [:, p]
+    rhos = np.stack([rk.rho for rk in rs])
+    rho = _upper(rhos)
+    g, g_pairs, sum_c, sum_c2 = _pair_sums(x, rho)
+    d = np.diagonal(g, axis1=1, axis2=2) / n       # S_pp per variable
+    slices, columns = np.nonzero(d == 0.0)
+    if slices.size:
+        raise DegenerateColumn(columns[slices == slices[0]])
+    s = g_pairs / n
+    r2_hat = (s * s) / (take(d, p) * take(d, q))
+    n2 = float(n) ** 2
+    i_pairs = _cross_sample(sum_c, sum_c2, n)
+
+    neg_diag = -(d - np.diagonal(rhos, axis1=1, axis2=2))   # -Sbar_pp per variable
     sbar = s - rho
-    u = np.diag(sbar)[:, None]   # Sbar_pp by row
-    v = np.diag(sbar)[None, :]   # Sbar_qq by column
-    w2 = sbar * sbar             # Sbar_pq^2
-    # G_k adds up the complete homogeneous sums h_j = -u h_{j-1} + (-v)^j.
+    neg_u, neg_v = take(neg_diag, p), take(neg_diag, q)
+    u, v = -neg_u, -neg_v
+    w2 = sbar * sbar
+    rho2 = rho * rho
+    # G_k adds up the complete homogeneous sums h_j = -u h_{j-1} + (-v)^j;
+    # the powers are taken per variable and then gathered by q.
     h = g_k = np.ones_like(rho)
     for j in range(1, 5):
         g3 = g_k
-        h = -u * h + (-v) ** j
+        h = neg_u * h + take(neg_diag ** j, q)
         g_k = g_k + h
-    ii1_mat = sum_c2 / n2 + (-u - v + u * u + v * v) * w2
-    ii2_mat = u * v * w2 + rho * rho * (g_k - 1.0) + 2.0 * rho * sbar * g3
-    iii_mat = (r2_hat - rho * rho) - i_mat - (ii1_mat + ii2_mat)
+    ii1 = sum_c2 / n2 + (neg_u - v + u * u + v * v) * w2
+    ii2 = u * v * w2 + rho2 * (g_k - 1.0) + 2.0 * rho * sbar * g3
+    iii = (r2_hat - rho2) - i_pairs - (ii1 + ii2)
 
-    t_value, t_i, t_ii1, t_ii2, t_iii = _upper_sums(r2_hat, i_mat, ii1_mat, ii2_mat,
-                                                    iii_mat)
-    signal = frobenius_signal(r)
-    residual = abs(t_value - 0.5 * signal * signal - (t_i + t_ii1 + t_ii2 + t_iii))
-    return Decomposition(t_value=t_value, term_i=t_i, term_ii=t_ii1 + t_ii2,
-                         term_ii1=t_ii1, term_ii2=t_ii2, term_iii=t_iii,
-                         residual=residual)
+    t_value, t_i, t_ii1, t_ii2, t_iii = (a.sum(axis=1) for a in
+                                         (r2_hat, i_pairs, ii1, ii2, iii))
+    signal = off_diagonal_norm(rhos)
+    residual = np.abs(t_value - 0.5 * signal * signal - (t_i + t_ii1 + t_ii2 + t_iii))
+    fields = (t_value, t_i, t_ii1 + t_ii2, t_ii1, t_ii2, t_iii, residual)
+    if single:
+        fields = tuple(float(f[0]) for f in fields)
+    return Decomposition(*fields)

@@ -126,6 +126,16 @@ def test_power_config_file(tmp_path, capsys):
     assert out.read_text().count("\n") == 2
 
 
+def test_power_config_unknown_key(tmp_path, capsys):
+    cfg = {"m": 6, "n": 25, "trails": 120, "trials": 120, "alpha": 0.05, "seed": 9,
+           "b_grid": [0.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("power", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and "trails" in err
+
+
 def test_power_bad_config(capsys):
     assert run_cli("power", "--m", "8", "--n", "30", "--trials", "50",
                    "--seed", "1", "--b-grid", "0,1") == 2

@@ -4,10 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hidim import (CorrMatrix, DomainError, IndexOutOfRange, TooLarge,
-                   central_pair_moment, central_product_moment, expected_ii1,
-                   f_partial, isserlis_moment, kernel_expectations,
-                   pair_partitions, s_sum, var_i_exact)
+from hidim import (AlternativeFamily, CorrMatrix, DomainError, IndexOutOfRange,
+                   TooLarge, central_pair_moment, central_product_moment,
+                   expected_ii1, f_partial, isserlis_moment,
+                   kernel_expectations, make_family_matrix, pair_partitions,
+                   s_sum, var_i_exact)
 from hidim import kernels
 from conftest import random_corr
 
@@ -262,3 +263,26 @@ def test_expected_ii1_examples():
     big_n = 10 ** 4
     centering = 5 * 4 / (2.0 * big_n)
     assert expected_ii1(identity, big_n) == pytest.approx(centering, rel=1e-6)
+
+
+def test_var_i_exact_trace_form_matches_enumeration(rng):
+    # s_sum enumerates the duple pairs; var_i_exact takes the O(m^3) trace form
+    n = 80
+    scale = 2.0 * n * (n - 1) / float(n) ** 4
+    for m in (3, 4, 7, 12, 25, 40, 60):
+        cases = [CorrMatrix.identity(m), random_corr(rng, m),
+                 make_family_matrix(AlternativeFamily.equicorrelation(), 0.4, m),
+                 make_family_matrix(AlternativeFamily.banded(2), 0.3, m)]
+        for r in cases:
+            oracle = scale * (s_sum(2, r) + s_sum(3, r) + s_sum(4, r))
+            assert var_i_exact(r, n) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def test_var_i_exact_past_the_enumeration_guard():
+    m, n = 80, 160
+    with pytest.raises(TooLarge):
+        s_sum(4, CorrMatrix.identity(m))
+    exact = var_i_exact(CorrMatrix.identity(m), n)
+    assert exact == pytest.approx(m * (m - 1) * n * (n - 1) / n ** 4, rel=1e-14)
+    r = make_family_matrix(AlternativeFamily.equicorrelation(), 0.05, m)
+    assert var_i_exact(r, n) > exact

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from hidim import (AlternativeFamily, ConfigError, CorrMatrix, CovMode,
-                   MomentCheck, Seed, SimConfig, make_family_matrix, run_null,
-                   run_power_curve, verify_e_ii1, verify_kernels, verify_var_i,
+                   MomentCheck, Seed, SimConfig, Unachievable,
+                   calibrate_to_theta, cholesky, make_family_matrix,
+                   normal_quantile, run_null, run_power_curve, sample_gaussian,
+                   statistic_t, verify_e_ii1, verify_kernels, verify_var_i,
                    write_power_csv)
 from hidim import sim
 
@@ -37,6 +39,17 @@ def test_config_json_round_trip():
     cfg = small_config(b_grid=(0.0, 1.5), family=AlternativeFamily.sparse_pairs(2))
     back = SimConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
     assert back == cfg
+
+
+def test_config_rejects_unknown_and_missing_keys():
+    obj = small_config().to_json_obj()
+    obj["trails"] = 500
+    with pytest.raises(ConfigError, match="trails"):
+        SimConfig.from_json_obj(obj)
+    obj = small_config().to_json_obj()
+    del obj["trials"]
+    with pytest.raises(ConfigError, match="trials"):
+        SimConfig.from_json_obj(obj)
 
 
 def test_run_null_basics(tmp_path):
@@ -94,6 +107,34 @@ def test_power_curve_worker_determinism():
     write_power_csv(p1, buf1)
     write_power_csv(p2, buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+@pytest.mark.parametrize("mode", [CovMode.KNOWN_ZERO_MEAN, CovMode.SAMPLE_CENTERED])
+def test_power_grid_matches_independent_recount(mode):
+    # one draw per trial feeds every cell; recount each (b, trial) on its own
+    family = AlternativeFamily.sparse_pairs(1)
+    cfg = small_config(m=6, n=25, trials=120, family=family,
+                       b_grid=(0.0, 1.0, 2.0, 2.0, 50.0), cov_mode=mode)
+    points = run_power_curve(cfg)
+    m, n = cfg.m, cfg.n
+    threshold = m * (m - 1) / (2.0 * n) + (m / n) * normal_quantile(cfg.alpha)
+    for point, b in zip(points, cfg.b_grid):
+        try:
+            r = (CorrMatrix.identity(m) if b == 0.0
+                 else calibrate_to_theta(family, b, m, n))
+        except Unachievable:
+            assert point.skipped and point.empirical_power is None
+            continue
+        factor = cholesky(r)
+        count = sum(statistic_t(sample_gaussian(factor, n, cfg.seed, trial), mode)
+                    > threshold for trial in range(cfg.trials))
+        assert not point.skipped
+        assert point.empirical_power * cfg.trials == count
+    assert points[-1].skipped
+    buf1, buf3 = io.StringIO(), io.StringIO()
+    write_power_csv(points, buf1)
+    write_power_csv(run_power_curve(dataclasses.replace(cfg, workers=3)), buf3)
+    assert buf1.getvalue() == buf3.getvalue()
 
 
 def test_power_csv_format(tmp_path):

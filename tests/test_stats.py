@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -322,3 +323,36 @@ def test_decompose_i_dominates_under_null():
         ts.append(statistic_t(data, ZM) - centering)
         tis.append(decompose(data, r).term_i)
     assert np.corrcoef(ts, tis)[0, 1] > 0.95
+
+
+def test_decompose_stack_equals_its_slices(rng):
+    m, n = 7, 30
+    r = random_corr(rng, m)
+    rs = [CorrMatrix.identity(m), r, random_corr(rng, m), r]
+    z = rng.standard_normal((n, m))
+    stack = np.stack([z @ cholesky(rk).lower.T for rk in rs])
+    dec = decompose(stack, rs)
+    for k, rk in enumerate(rs):
+        one = decompose(DataMatrix(stack[k]), rk)
+        for field in dataclasses.fields(one):
+            assert getattr(dec, field.name)[k] == getattr(one, field.name), field.name
+    assert dec.t_value[1] == dec.t_value[3]
+
+
+def test_decompose_stack_errors(rng):
+    m, n = 5, 20
+    rs = [CorrMatrix.identity(m), random_corr(rng, m)]
+    stack = rng.standard_normal((2, n, m))
+    zeroed = stack.copy()
+    zeroed[1, :, 3] = 0.0
+    with pytest.raises(DegenerateColumn) as info:
+        decompose(zeroed, rs)
+    assert info.value.columns == (3,)
+    with pytest.raises(DimensionMismatch):
+        decompose(stack, [rs[0], CorrMatrix.identity(m + 1)])
+    with pytest.raises(DimensionMismatch):
+        decompose(stack, rs[:1])
+    bad = stack.copy()
+    bad[0, 4, 2] = np.nan
+    with pytest.raises(ValueError):
+        decompose(bad, rs)
