@@ -23,7 +23,8 @@ from .theory import (PowerPrediction, asymptotic_power, normal_cdf,
                      normal_quantile, normal_tail)
 from .generators import (AlternativeFamily, Seed, calibrate_to_theta,
                          make_family_matrix, sample_from_matrix,
-                         sample_gaussian, standard_normal_block)
+                         sample_gaussian, standard_normal_block,
+                         standard_normal_blocks)
 from .sim import (MomentCheck, NullReport, PowerPoint, SimConfig,
                   ks_statistic_vs_normal, run_null, run_power_curve,
                   verify_e_ii1, verify_kernels, verify_var_i,
@@ -50,6 +51,7 @@ __all__ = [
     # generators
     "AlternativeFamily", "Seed", "calibrate_to_theta", "make_family_matrix",
     "sample_from_matrix", "sample_gaussian", "standard_normal_block",
+    "standard_normal_blocks",
     # sim
     "MomentCheck", "NullReport", "PowerPoint", "SimConfig",
     "ks_statistic_vs_normal", "run_null", "run_power_curve", "verify_e_ii1",

@@ -165,19 +165,57 @@ _SCALE = float(2.0 ** -53)
 _TOP = np.uint64(2 ** 53 - 2)
 
 
+# np.random.Philox(key=...) starts with its 4-word counter at zero and its
+# 4-word buffer empty (buffer_pos 4); a re-keyed generator starts there too.
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _philox_raw(master: int, streams: range, count: int) -> np.ndarray:
+    """`count` raw 64-bit draws from each stream (master, s), s in `streams`,
+    as a (len(streams), count) array.  One generator serves every stream: it
+    is built for the first and re-keyed through its state for the others."""
+    raw = np.empty((len(streams), count), dtype=np.uint64)
+    bits = None
+    for row, stream in enumerate(streams):
+        key = np.array([master, stream], dtype=np.uint64)
+        if bits is None:
+            bits = np.random.Philox(key=key)
+        else:
+            bits.state = {"bit_generator": "Philox",
+                          "state": {"counter": _ZERO_WORDS, "key": key},
+                          "buffer": _ZERO_WORDS, "buffer_pos": 4,
+                          "has_uint32": 0, "uinteger": 0}
+        raw[row] = bits.random_raw(count)
+    return raw
+
+
+def _to_uniform(raw: np.ndarray) -> np.ndarray:
+    """(min(raw >> 11, _TOP) + 1/2) 2^-53, overwriting ``raw`` on the way."""
+    np.right_shift(raw, _SHIFT, out=raw)
+    u = np.minimum(raw, _TOP, out=raw).astype(np.float64)
+    u += 0.5
+    u *= _SCALE
+    return u
+
+
 def _uniform_open(master: int, stream: int, count: int) -> np.ndarray:
     """`count` uniforms in the open interval (0,1) from stream (master, stream)."""
-    key = np.array([master, stream], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
-    return (np.minimum(raw >> _SHIFT, _TOP).astype(np.float64) + 0.5) * _SCALE
+    return _to_uniform(_philox_raw(master, range(stream, stream + 1), count))[0]
+
+
+def standard_normal_blocks(seed: Seed, trials: range, rows: int, cols: int) -> np.ndarray:
+    """(len(trials), rows, cols) stack whose k-th slice is the block of
+    standard normals for (seed, trials[k]), drawn with one uniform transform
+    and one normal quantile over the whole range."""
+    if len(trials) and min(trials[0], trials[-1]) < 0:
+        raise DomainError("trial index must be nonnegative")
+    z = normal_quantile(_to_uniform(_philox_raw(seed.master, trials, rows * cols)))
+    return np.negative(z, out=z).reshape(len(trials), rows, cols)
 
 
 def standard_normal_block(seed: Seed, trial: int, rows: int, cols: int) -> np.ndarray:
     """Deterministic rows x cols block of standard normals for (seed, trial)."""
-    if trial < 0:
-        raise DomainError("trial index must be nonnegative")
-    u = _uniform_open(seed.master, trial, rows * cols)
-    return (-normal_quantile(u)).reshape(rows, cols)
+    return standard_normal_blocks(seed, range(trial, trial + 1), rows, cols)[0]
 
 
 def sample_gaussian(chol: CholeskyFactor, n: int, seed: Seed, trial: int) -> DataMatrix:

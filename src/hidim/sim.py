@@ -2,9 +2,13 @@
 the asymptotic prediction, and oracle checks of the exact moment formulas.
 
 Trials are embarrassingly parallel: each is a pure function of the config
-and its trial index (counter-based streams), results land in pre-sized
-slots indexed by trial, and reductions run in fixed trial order, so
-reports are bitwise identical for any worker count.
+and its trial index (counter-based streams).  A unit of work is one trial
+(null and power runs) or one chunk of consecutive trials (the moment
+checks, whose samples are small enough that per-call overhead would
+dominate).  Chunk bounds depend only on the trial count and the sample
+size, results land in pre-sized slots indexed by trial or chunk, and
+reductions run in fixed trial order, so reports are bitwise identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -18,11 +22,13 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, Unachievable
+from .errors import ConfigError, DomainError, Unachievable
+# sample_gaussian is not called here, but bench/tracing.py wraps it at this
+# lookup site, so the name stays bound.
 from .generators import (AlternativeFamily, Seed, _uniform_open,
                          calibrate_to_theta, sample_gaussian)
 from . import generators as _generators
-from .matrix import CorrMatrix, cholesky
+from .matrix import CholeskyFactor, CorrMatrix, cholesky
 from .moments import expected_ii1, kernel_expectations, var_i_exact
 from .stats import (CovMode, DataMatrix, Decomposition, decompose, statistic_t,
                     term_i)
@@ -30,6 +36,9 @@ from .theory import asymptotic_power, normal_cdf, normal_quantile
 from . import kernels as _kernels
 
 _RESIDUAL_RTOL = 1e-9
+# Bound on the bytes of one chunk's (B, n, m) float64 sample stack: 873
+# trials at m=5/n=30, 40 at m=40/n=80, and one trial once n*m > 65536.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -168,6 +177,27 @@ def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
     return out
 
 
+def _map_chunks(reduce: Callable[[np.ndarray], np.ndarray], factor: CholeskyFactor,
+                n: int, trials: int, seed: Seed, workers: int) -> np.ndarray:
+    """``reduce`` of the (B, n, m) sample stacks of consecutive chunks of
+    trials 0..trials-1, concatenated along the last axis in trial order.
+    Slice k of a chunk starting at trial t is the sample of trial t + k."""
+    if n < 1:
+        raise DomainError("n must be a positive integer")
+    if trials < 2:
+        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
+    size = max(1, _CHUNK_BYTES // (8 * n * factor.m))
+    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    lower_t = factor.lower.T
+
+    def one(chunk: int) -> np.ndarray:
+        # Looked up on the module, where a wrapper placed on it sees the call.
+        z = _generators.standard_normal_blocks(seed, chunks[chunk], n, factor.m)
+        return reduce(np.matmul(z, lower_t))
+
+    return np.concatenate(_map_trials(one, len(chunks), workers), axis=-1)
+
+
 def _gated_decompose(data, r) -> Decomposition:
     """``decompose`` of one sample or a stack, with every reconstruction
     residual held to _RESIDUAL_RTOL relative to max(1, |T|)."""
@@ -204,11 +234,12 @@ def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullRep
     of the standardized statistic n (T - m(m-1)/(2n)) / m to the normal."""
     config.validate()
     m, n = config.m, config.n
-    factor = cholesky(CorrMatrix.identity(m))
     identity = CorrMatrix.identity(m)
 
     def one(trial: int) -> float:
-        data = sample_gaussian(factor, n, config.seed, trial)
+        # Under the null the normals are the sample; looked up on the module,
+        # where a wrapper placed on it sees the call.
+        data = DataMatrix(_generators.standard_normal_block(config.seed, trial, n, m))
         return _checked_statistic(data, identity, config.cov_mode)
 
     t_values = np.array(_map_trials(one, config.trials, config.workers))
@@ -321,12 +352,7 @@ def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,
     The z-score uses the large-sample standard error of a sample variance,
     sqrt((m4 - var^2) / trials) with m4 the fourth central moment.
     """
-    factor = cholesky(r)
-
-    def one(trial: int) -> float:
-        return term_i(sample_gaussian(factor, n, seed, trial), r)
-
-    values = np.array(_map_trials(one, trials, workers))
+    values = _map_chunks(lambda x: term_i(x, r), cholesky(r), n, trials, seed, workers)
     mc_var = float(np.var(values, ddof=1))
     exact = var_i_exact(r, n)
     m4 = float(np.mean((values - values.mean()) ** 4))
@@ -340,16 +366,11 @@ def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
                  workers: int = 1):
     """Monte Carlo means of the same-sample component II1 (against its exact
     closed form) and of the cross-sample term (against zero)."""
-    factor = cholesky(r)
+    def one(x: np.ndarray) -> np.ndarray:
+        dec = _gated_decompose(x, [r] * len(x))
+        return np.stack([dec.term_ii1, dec.term_i])
 
-    def one(trial: int):
-        data = sample_gaussian(factor, n, seed, trial)
-        dec = _gated_decompose(data, r)
-        return dec.term_ii1, dec.term_i
-
-    rows = _map_trials(one, trials, workers)
-    ii1 = np.array([row[0] for row in rows])
-    t_i = np.array([row[1] for row in rows])
+    ii1, t_i = _map_chunks(one, cholesky(r), n, trials, seed, workers)
     return (_moment_check("e_ii1", ii1, expected_ii1(r, n)),
             _moment_check("e_i", t_i, 0.0))
 

@@ -116,9 +116,9 @@ def _cov_matrix(values: np.ndarray, mode: CovMode) -> np.ndarray:
     return centered.T @ centered / (n - 1)
 
 
-def _check_dims(data: DataMatrix, r: CorrMatrix) -> None:
-    if data.m != r.m:
-        raise DimensionMismatch(f"data has {data.m} columns, matrix is {r.m} x {r.m}")
+def _check_dims(columns: int, r: CorrMatrix) -> None:
+    if columns != r.m:
+        raise DimensionMismatch(f"data has {columns} columns, matrix is {r.m} x {r.m}")
 
 
 def _squared_correlations(s: np.ndarray) -> np.ndarray:
@@ -206,15 +206,20 @@ def _cross_sample(sum_c: np.ndarray, sum_c2: np.ndarray, n: int) -> np.ndarray:
     return (sum_c * sum_c - sum_c2) / float(n) ** 2
 
 
-def term_i(data: DataMatrix, r: CorrMatrix) -> float:
+def term_i(data: Union[DataMatrix, np.ndarray], r: CorrMatrix):
     """Cross-sample component: (2/n^2) sum_{p<q} sum_{i<j} c_i c_j.
 
     Computed as ((sum_i c_i)^2 - sum_i c_i^2) / n^2 per pair, avoiding the
-    O(n^2) double loop.
+    O(n^2) double loop.  A float for one DataMatrix; for a (B, n, m) stack
+    of samples from the same R, a length-B array whose k-th entry equals
+    term_i(DataMatrix(data[k]), r).
     """
-    _check_dims(data, r)
-    _, _, sum_c, sum_c2 = _pair_sums(data.values[None], _upper(r.rho[None]))
-    return float(_cross_sample(sum_c, sum_c2, data.n).sum(axis=1)[0])
+    single = isinstance(data, DataMatrix)
+    x = data.values[None] if single else _checked_stack(data)
+    _check_dims(x.shape[2], r)
+    _, _, sum_c, sum_c2 = _pair_sums(x, _upper(r.rho[None]))
+    values = _cross_sample(sum_c, sum_c2, x.shape[1]).sum(axis=1)
+    return float(values[0]) if single else values
 
 
 def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
@@ -223,7 +228,7 @@ def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
     Y_0 = Y_1 = 0 and, for samples i >= 2 (1-based),
     Y_i = (2/n^2) sum_{p<q} c_i (c_1 + ... + c_{i-1}).
     """
-    _check_dims(data, r)
+    _check_dims(data.m, r)
     n = data.n
     flat = _pair_offsets(data.m)
     y = np.zeros(n + 1)
@@ -268,16 +273,13 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     """
     single = isinstance(data, DataMatrix)
     if single:
-        _check_dims(data, r)
         x, rs = data.values[None], [r]
     else:
         x, rs = _checked_stack(data), list(r)
         if len(rs) != x.shape[0]:
             raise DimensionMismatch(f"{x.shape[0]} samples, {len(rs)} matrices")
-        for rk in rs:
-            if rk.m != x.shape[2]:
-                raise DimensionMismatch(
-                    f"data has {x.shape[2]} columns, matrix is {rk.m} x {rk.m}")
+    for rk in rs:
+        _check_dims(x.shape[2], rk)
     n, m = x.shape[1], x.shape[2]
     p, q = np.divmod(_pair_offsets(m), m)
     take = functools.partial(np.take, axis=1)   # C-contiguous, unlike [:, p]

@@ -257,21 +257,27 @@ def test_c4_gap_is_the_same_sample_term():
     trials, null_multiple, b = 400, 3.0, 2.0
     small, large = POWER_CONFIG, LIMIT_CONFIG
     r_small = calibrate_to_theta(small.family, b, small.m, small.n)
+    r_large = calibrate_to_theta(large.family, b, large.m, large.n)
     (sd_i, se_i), (sd_ii, se_ii) = _term_sds(r_small, small.n, trials)
     _, (sd_ii_null, se_ii_null) = _term_sds(CorrMatrix.identity(small.m), small.n, trials)
-    _, (sd_ii_large, se_ii_large) = _term_sds(
-        calibrate_to_theta(large.family, b, large.m, large.n), large.n, trials)
+    (sd_i_large, se_i_large), (sd_ii_large, se_ii_large) = _term_sds(
+        r_large, large.n, trials)
     exact_i = math.sqrt(var_i_exact(r_small, small.n)) * small.n / small.m
+    exact_i_large = math.sqrt(var_i_exact(r_large, large.n)) * large.n / large.m
     z_i = (sd_i - exact_i) / se_i
+    z_i_large = (sd_i_large - exact_i_large) / se_i_large
     excess = sd_ii - null_multiple * sd_ii_null
     excess_se = math.hypot(se_ii, null_multiple * se_ii_null)
     shrink = sd_ii - sd_ii_large
     shrink_se = math.hypot(se_ii, se_ii_large)
     assert abs(z_i) <= 3.0
+    assert abs(z_i_large) <= 3.0
     assert excess > excess_se
     assert shrink > shrink_se
     report(f"PASS criterion 4 (cause of the gap, b={b}, sd x n/m over {trials} "
-           f"trials): I {sd_i:.3f} vs exact {exact_i:.3f} (|z| = {abs(z_i):.2f}); "
+           f"trials): I {sd_i:.3f} vs exact {exact_i:.3f} (|z| = {abs(z_i):.2f}) at "
+           f"m={small.m}, {sd_i_large:.3f} vs {exact_i_large:.3f} "
+           f"(|z| = {abs(z_i_large):.2f}) at m={large.m}; "
            f"II at m={small.m} {sd_ii:.3f} > {null_multiple:g} x null "
            f"{sd_ii_null:.3f} (margin {(excess - excess_se) / excess_se:.1f} se); "
            f"II at m={large.m} {sd_ii_large:.3f} (smaller, margin "

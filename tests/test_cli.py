@@ -205,6 +205,15 @@ def test_verify_isserlis(capsys):
     assert "partition count" in out and "FAIL" not in out
 
 
+def test_verify_bad_sizes(capsys):
+    # a sample variance needs two trials, a sample one row
+    for which in ("var-i", "e-ii1"):
+        assert run_cli("verify", which, "--trials", "0") == 2
+        assert "at least 2 trials" in capsys.readouterr().err
+    assert run_cli("verify", "var-i", "--n", "0", "--trials", "100") == 2
+    assert "n must be a positive integer" in capsys.readouterr().err
+
+
 def test_verify_moments_table(capsys):
     assert run_cli("verify-moments") == 0
     out = capsys.readouterr().out

@@ -5,7 +5,8 @@ from hidim import (AlternativeFamily, CorrMatrix, DomainError,
                    NotPositiveSemidefinite, Seed, Unachievable,
                    calibrate_to_theta, cholesky, frobenius_signal,
                    ks_statistic_vs_normal, make_family_matrix,
-                   sample_from_matrix, sample_gaussian, standard_normal_block)
+                   sample_from_matrix, sample_gaussian, standard_normal_block,
+                   standard_normal_blocks)
 from hidim.generators import _uniform_open
 
 EQUI = AlternativeFamily.equicorrelation()
@@ -145,6 +146,18 @@ def test_standard_normal_block_row_keying():
     full = standard_normal_block(Seed(5), 3, 10, 4)
     again = standard_normal_block(Seed(5), 3, 10, 4)
     assert np.array_equal(full, again)
+
+
+def test_standard_normal_blocks_equal_the_single_trial_blocks():
+    # one generator re-keyed per trial gives each trial's own stream
+    trials = range(37, 52)
+    stack = standard_normal_blocks(Seed(2 ** 64 - 3), trials, 9, 4)
+    assert stack.shape == (len(trials), 9, 4)
+    for k, trial in enumerate(trials):
+        assert stack[k].tobytes() == standard_normal_block(Seed(2 ** 64 - 3), trial,
+                                                           9, 4).tobytes()
+    with pytest.raises(DomainError):
+        standard_normal_blocks(Seed(1), range(-1, 3), 2, 2)
 
 
 class _FixedPhilox:

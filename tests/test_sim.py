@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hidim import (AlternativeFamily, ConfigError, CorrMatrix, CovMode,
-                   MomentCheck, Seed, SimConfig, Unachievable,
-                   calibrate_to_theta, cholesky, make_family_matrix,
+                   DomainError, MomentCheck, Seed, SimConfig, Unachievable,
+                   calibrate_to_theta, cholesky, decompose, make_family_matrix,
                    normal_quantile, run_null, run_power_curve, sample_gaussian,
-                   statistic_t, verify_e_ii1, verify_kernels, verify_var_i,
-                   write_power_csv)
+                   statistic_t, term_i, verify_e_ii1, verify_kernels,
+                   verify_var_i, write_power_csv)
 from hidim import sim
 
 EQUI = AlternativeFamily.equicorrelation()
@@ -167,6 +167,52 @@ def test_verify_e_ii1_sanity():
     assert abs(ii1.z_score) <= 4.0
     assert abs(e_i.z_score) <= 4.0
     assert e_i.exact == 0.0
+
+
+def _recording(monkeypatch, name, values):
+    """Wrap sim.<name> so each call's (B, n, m) stack size and result are kept."""
+    real = getattr(sim, name)
+
+    def wrapped(x, r):
+        out = real(x, r)
+        values.append((len(x), out))
+        return out
+
+    monkeypatch.setattr(sim, name, wrapped)
+
+
+def test_chunked_verify_loops_match_a_per_trial_recount(monkeypatch):
+    # 40 trials of m=40/n=80 fill a chunk, so 100 trials make chunks 40, 40, 20
+    m, n, trials, seed = 40, 80, 100, Seed(61)
+    r = make_family_matrix(EQUI, 0.05, m)
+    factor = cholesky(r)
+    recount = [decompose(sample_gaussian(factor, n, seed, t), r) for t in range(trials)]
+    stacks, decs = [], []
+    _recording(monkeypatch, "term_i", stacks)
+    _recording(monkeypatch, "decompose", decs)
+    var_i = verify_var_i(r, n, trials, seed)
+    e_ii1 = verify_e_ii1(r, n, trials, seed)
+    assert [size for size, _ in stacks] == [size for size, _ in decs] == [40, 40, 20]
+    got_i = np.concatenate([values for _, values in stacks])
+    assert np.array_equal(got_i, [term_i(sample_gaussian(factor, n, seed, t), r)
+                                  for t in range(trials)])
+    for field in ("term_ii1", "term_i", "residual"):
+        got = np.concatenate([getattr(dec, field) for _, dec in decs])
+        assert np.array_equal(got, [getattr(dec, field) for dec in recount]), field
+    monkeypatch.undo()
+    threaded = [verify_var_i(r, n, trials, seed, workers=3),
+                *verify_e_ii1(r, n, trials, seed, workers=3)]
+    assert (sim.verification_report_json(threaded, {})
+            == sim.verification_report_json([var_i, *e_ii1], {}))
+
+
+def test_verify_loops_reject_bad_sizes():
+    for verify in (verify_var_i, verify_e_ii1):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            verify(CorrMatrix.identity(4), 0, 100, Seed(1))
+        for trials in (1, 0, -3):
+            with pytest.raises(ConfigError, match="at least 2 trials"):
+                verify(CorrMatrix.identity(4), 12, trials, Seed(1))
 
 
 def test_verify_kernels_sanity():

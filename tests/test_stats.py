@@ -356,3 +356,25 @@ def test_decompose_stack_errors(rng):
     bad[0, 4, 2] = np.nan
     with pytest.raises(ValueError):
         decompose(bad, rs)
+
+
+def test_term_i_stack_equals_its_slices(rng):
+    m, n = 6, 25
+    r = random_corr(rng, m)
+    stack = rng.standard_normal((5, n, m)) @ cholesky(r).lower.T
+    values = term_i(stack, r)
+    assert values.shape == (5,)
+    for k in range(5):
+        assert values[k] == term_i(DataMatrix(stack[k]), r)
+    assert isinstance(term_i(DataMatrix(stack[0]), r), float)
+
+
+def test_term_i_stack_errors(rng):
+    m, n = 5, 20
+    stack = rng.standard_normal((3, n, m))
+    with pytest.raises(DimensionMismatch):
+        term_i(stack, CorrMatrix.identity(m + 1))
+    bad = stack.copy()
+    bad[2, 7, 1] = np.nan
+    with pytest.raises(ValueError):
+        term_i(bad, CorrMatrix.identity(m))
