@@ -72,8 +72,12 @@ def _coef(n: int, power: int, r: int) -> float:
 def _factor_values(factors, x, y, rho):
     val = None
     for f in factors:
-        term = x * x - 1.0 if f == "A" else x * y - rho
-        val = term if val is None else val * term
+        term = x * x if f == "A" else x * y
+        term -= 1.0 if f == "A" else rho
+        if val is None:
+            val = term
+        else:
+            val *= term
     return val
 
 
@@ -95,6 +99,9 @@ def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
     if x.shape[0] != 4 or y.shape != x.shape:
         raise DomainError("expected four samples in the leading axis")
 
+    # Slot values are reused across permutations, so nothing below writes
+    # into an array that slot_value returned; every sum and product is
+    # accumulated in an array the loop allocated itself.
     cache = {}
 
     def slot_value(factors, slot):
@@ -103,16 +110,19 @@ def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
             cache[key] = _factor_values(factors, x[slot], y[slot], rho)
         return cache[key]
 
-    total = 0.0
+    total = np.zeros_like(x[0])
     for mult, slots in addends:
         r = len(slots)
-        part = 0.0
+        part = np.zeros_like(x[0])
         for assign in permutations(range(4), r):
             prod = slot_value(slots[0], assign[0])
-            for lbl in range(1, r):
-                prod = prod * slot_value(slots[lbl], assign[lbl])
-            part = part + prod
-        total = total + _coef(n, power, r) * mult * part
+            if r > 1:
+                prod = prod * slot_value(slots[1], assign[1])
+                for lbl in range(2, r):
+                    prod *= slot_value(slots[lbl], assign[lbl])
+            part += prod
+        part *= _coef(n, power, r) * mult
+        total += part
     if np.ndim(total) == 0:
         return float(total)
     return total

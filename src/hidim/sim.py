@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, List, Optional, Sequence
@@ -38,6 +39,7 @@ from . import kernels as _kernels
 _RESIDUAL_RTOL = 1e-9
 # Bound on the bytes of one chunk's (B, n, m) float64 sample stack: 873
 # trials at m=5/n=30, 40 at m=40/n=80, and one trial once n*m > 65536.
+# The kernel checks chunk their draws by it too: 16384 draws of x and y.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -338,11 +340,21 @@ def write_power_csv(points: Sequence[PowerPoint], path) -> None:
             handle.close()
 
 
+def _z_score(estimate: float, exact: float, stderr: float) -> float:
+    """(estimate - exact) / stderr; with zero spread, 0 for an exact estimate
+    and an infinity of the error's sign otherwise."""
+    if stderr > 0:
+        return (estimate - exact) / stderr
+    if estimate == exact:
+        return 0.0
+    return math.copysign(math.inf, estimate - exact)
+
+
 def _moment_check(name: str, samples: np.ndarray, exact: float) -> MomentCheck:
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(samples.size))
-    z = (mean - exact) / stderr if stderr > 0 else np.inf * np.sign(mean - exact)
-    return MomentCheck(name=name, mc_value=mean, exact=exact, stderr=stderr, z_score=float(z))
+    return MomentCheck(name=name, mc_value=mean, exact=exact, stderr=stderr,
+                       z_score=_z_score(mean, exact, stderr))
 
 
 def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,
@@ -357,9 +369,8 @@ def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,
     exact = var_i_exact(r, n)
     m4 = float(np.mean((values - values.mean()) ** 4))
     stderr = float(np.sqrt(max(m4 - mc_var ** 2, 0.0) / trials))
-    z = (mc_var - exact) / stderr if stderr > 0 else np.inf
     return MomentCheck(name="var_i", mc_value=mc_var, exact=exact,
-                       stderr=stderr, z_score=float(z))
+                       stderr=stderr, z_score=_z_score(mc_var, exact, stderr))
 
 
 def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
@@ -377,23 +388,34 @@ def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
 
 def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCheck]:
     """Kernel means over i.i.d. draws of four bivariate normal vectors,
-    including the mirrored variants, against the closed forms."""
+    including the mirrored variants, against the closed forms.
+
+    The kernels run over consecutive chunks of draws whose x and y columns
+    (64 bytes per draw) fit in _CHUNK_BYTES; the per-draw values are the
+    same as over one batch, and each check reduces them all at once."""
     if abs(rho) >= 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
+    if trials < 2:
+        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     u = _uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2)
-    z = -normal_quantile(u)
-    x = z[:, :, 0].T                       # shape (4, trials)
-    y = rho * x + np.sqrt(1.0 - rho * rho) * z[:, :, 1].T
+    # (coordinate, sample slot, draw), C-contiguous, so a chunk of draws is
+    # a contiguous run of each of the eight rows
+    z = np.negative(normal_quantile(u).transpose(2, 1, 0), order="C")
+    x = z[0]
+    y = rho * x + np.sqrt(1.0 - rho * rho) * z[1]
     exact = kernel_expectations(rho, n)
     targets = {"h1": exact.e_h1, "h2": exact.e_h2, "h3": exact.e_h3}
-    checks = []
-    for name in _kernels.KERNEL_NAMES:
-        samples = _kernels.evaluate(name, x, y, rho, n)
-        checks.append(_moment_check(name, samples, targets[name]))
-        if name != "h1":
-            swapped = _kernels.evaluate(name, x, y, rho, n, swapped=True)
-            checks.append(_moment_check(name + "_bar", swapped, targets[name]))
-    return checks
+    variants = [(name, swapped) for name in _kernels.KERNEL_NAMES
+                for swapped in ((False,) if name == "h1" else (False, True))]
+    size = _CHUNK_BYTES // (2 * 4 * 8)
+    values: List[list] = [[] for _ in variants]
+    for lo in range(0, trials, size):
+        xc, yc = x[:, lo:lo + size], y[:, lo:lo + size]
+        for out, (name, swapped) in zip(values, variants):
+            out.append(_kernels.evaluate(name, xc, yc, rho, n, swapped=swapped))
+    return [_moment_check(name + ("_bar" if swapped else ""), np.concatenate(out),
+                          targets[name])
+            for out, (name, swapped) in zip(values, variants)]
 
 
 def verification_report_json(checks: Sequence[MomentCheck], config_obj: dict) -> str:

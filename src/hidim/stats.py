@@ -23,8 +23,11 @@ class CovMode(enum.Enum):
 
     KNOWN_ZERO_MEAN: divisor n, no mean subtraction (the convention all
     exact decomposition formulas are written in).  SAMPLE_CENTERED:
-    subtract column means, divisor n - 1 (the usual Pearson form; the two
-    give the same squared-correlation distribution under normality).
+    subtract column means, divisor n - 1 (the usual Pearson form).  Under
+    independent normal columns each squared correlation is
+    Beta(1/2, (n-1)/2), mean 1/n, for zero-mean data and Beta(1/2, (n-2)/2),
+    mean 1/(n-1), for centered data.  ``report_from_statistic`` centers T at
+    the zero-mean mean m(m-1)/(2n) in both conventions.
     """
 
     KNOWN_ZERO_MEAN = "zero-mean"

@@ -42,7 +42,8 @@ def normal_tail(x):
 def normal_quantile(p):
     """Upper-tail quantile: the x with 1 - Phi(x) = p, for p in (0, 1)."""
     arr = np.asarray(p, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr))):
+    # Two reductions and no boolean temporaries; a NaN fails both comparisons.
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
     out = -ndtri(arr)
     return float(out) if arr.ndim == 0 else out

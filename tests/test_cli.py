@@ -212,6 +212,9 @@ def test_verify_bad_sizes(capsys):
         assert "at least 2 trials" in capsys.readouterr().err
     assert run_cli("verify", "var-i", "--n", "0", "--trials", "100") == 2
     assert "n must be a positive integer" in capsys.readouterr().err
+    for trials in ("1", "0", "-3"):
+        assert run_cli("verify", "kernels", "--trials-kernels", trials) == 2
+        assert "at least 2 trials" in capsys.readouterr().err
 
 
 def test_verify_moments_table(capsys):

@@ -213,6 +213,51 @@ def test_verify_loops_reject_bad_sizes():
         for trials in (1, 0, -3):
             with pytest.raises(ConfigError, match="at least 2 trials"):
                 verify(CorrMatrix.identity(4), 12, trials, Seed(1))
+    for trials in (1, 0, -3):
+        with pytest.raises(ConfigError, match="at least 2 trials"):
+            verify_kernels(0.5, 10, trials, Seed(1))
+
+
+def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
+    # with n = 1 the cross-sample term is an empty sum: every trial gives 0
+    r = CorrMatrix.identity(3)
+    _, e_i = verify_e_ii1(r, 1, 100, Seed(43))
+    var_i = verify_var_i(r, 1, 100, Seed(43))
+    for check in (e_i, var_i):
+        assert check.mc_value == check.exact == 0.0 and check.stderr == 0.0
+        assert check.z_score == 0.0 and check.passed
+    off = sim._moment_check("x", np.zeros(5), 1.0)
+    assert off.z_score == -np.inf and not off.passed
+    monkeypatch.setattr(sim, "var_i_exact", lambda r, n: 0.5)
+    off = verify_var_i(r, 1, 100, Seed(43))
+    assert off.z_score == -np.inf and not off.passed
+
+
+def test_verify_kernels_chunks_match_one_batch(monkeypatch):
+    # 16384 draws fill a chunk, so 16384 + 37 make two chunks, one a remainder
+    rho, n, trials, seed = 0.3, 8, 16384 + 37, Seed(19)
+    evaluate = sim._kernels.evaluate
+    widths = []
+
+    def recording(name, x, y, *args, **kwargs):
+        widths.append(x.shape[1])
+        return evaluate(name, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(sim._kernels, "evaluate", recording)
+    checks = verify_kernels(rho, n, trials, seed)
+    assert widths == [16384] * 5 + [37] * 5
+    z = -normal_quantile(sim._uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
+    x = z[:, :, 0].T
+    y = rho * x + np.sqrt(1.0 - rho * rho) * z[:, :, 1].T
+    exact = sim.kernel_expectations(rho, n)
+    targets = {"h1": exact.e_h1, "h2": exact.e_h2, "h3": exact.e_h3}
+    recount = []
+    for name in ("h1", "h2", "h3"):
+        recount.append(sim._moment_check(name, evaluate(name, x, y, rho, n), targets[name]))
+        if name != "h1":
+            recount.append(sim._moment_check(
+                name + "_bar", evaluate(name, x, y, rho, n, swapped=True), targets[name]))
+    assert checks == recount
 
 
 def test_verify_kernels_sanity():

@@ -66,7 +66,8 @@ def test_quantile_round_trip():
     assert err.max() <= 1e-9
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, np.nan, np.inf, -np.inf,
+                                 [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5]])
 def test_quantile_domain(bad):
     with pytest.raises(DomainError):
         normal_quantile(bad)
