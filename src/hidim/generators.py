@@ -167,7 +167,8 @@ _TOP = np.uint64(2 ** 53 - 2)
 
 # np.random.Philox(key=...) starts with its 4-word counter at zero and its
 # 4-word buffer empty (buffer_pos 4); a re-keyed generator starts there too.
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+# The state setter takes plain ints, which it converts faster than arrays.
+_ZERO_WORDS = (0, 0, 0, 0)
 
 
 def _philox_raw(master: int, streams: range, count: int) -> np.ndarray:
@@ -177,12 +178,11 @@ def _philox_raw(master: int, streams: range, count: int) -> np.ndarray:
     raw = np.empty((len(streams), count), dtype=np.uint64)
     bits = None
     for row, stream in enumerate(streams):
-        key = np.array([master, stream], dtype=np.uint64)
         if bits is None:
-            bits = np.random.Philox(key=key)
+            bits = np.random.Philox(key=np.array([master, stream], dtype=np.uint64))
         else:
             bits.state = {"bit_generator": "Philox",
-                          "state": {"counter": _ZERO_WORDS, "key": key},
+                          "state": {"counter": _ZERO_WORDS, "key": (master, stream)},
                           "buffer": _ZERO_WORDS, "buffer_pos": 4,
                           "has_uint32": 0, "uinteger": 0}
         raw[row] = bits.random_raw(count)

@@ -18,17 +18,32 @@ centered covariance term).  The addend contributes
     mult * sum over injective assignments of slots to the 4 arguments
            of the product over slots of its factors,
 
-and the group coefficient is C(n,4) / (n^power * C(n - r, 4 - r)) with
+and the group coefficient w(r) = C(n,4) / (n^power * C(n - r, 4 - r)) with
 r = len(slots); the binomial divisor undoes the multiple counting of a
 base term across the C(n - r, 4 - r) quadruples containing its r distinct
 sample indices.  The swapped variants exchange the roles of x and y,
 which only affects "A" since "B" is symmetric.
+
+Evaluation
+----------
+Label the factors of the one-slot addend (``a`` A's and ``b`` B's).  For
+each r, the r-slot addends are either absent or all the set partitions of
+the labelled factors into r blocks, ``mult`` counting the partitions of
+one block type.  A kernel is therefore the sum over all maps of its factors
+to the four samples of the factor product, weighted by w(number of samples
+hit), with w(r) = 0 where no r-slot addend exists.  Moebius inversion over
+the subsets T of the samples turns that into subset sums:
+
+    h = sum over nonempty T of g(|T|) (sum_{j in T} A_j)^a (sum_{j in T} B_j)^b,
+    g(k) = sum_{u=k..4} (-1)^(u-k) C(4-k, u-k) w(u).
+
+All variants share the 15 subset sums of A (for x and for y) and of B.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -62,23 +77,87 @@ KERNELS = {
     )),
 }
 
-KERNEL_NAMES = ("h1", "h2", "h3")
+# (kernel, swapped) pairs the Monte Carlo checks; h1 is its own mirror.
+VARIANTS = (("h1", False), ("h2", False), ("h2", True), ("h3", False), ("h3", True))
 
 
 def _coef(n: int, power: int, r: int) -> float:
     return comb(n, 4) / (float(n) ** power * comb(n - r, 4 - r))
 
 
-def _factor_values(factors, x, y, rho):
-    val = None
-    for f in factors:
-        term = x * x if f == "A" else x * y
-        term -= 1.0 if f == "A" else rho
-        if val is None:
-            val = term
+def _factor_counts(name: str):
+    """(a, b): the numbers of A and B factors, read off the one-slot addend."""
+    (factors,) = next(slots for _, slots in KERNELS[name][1] if len(slots) == 1)
+    return factors.count("A"), factors.count("B")
+
+
+def _size_weights(name: str, n: int):
+    """g(1..4), the weight of a subset sum term by the size of its subset."""
+    power, addends = KERNELS[name]
+    present = {len(slots) for _, slots in addends}
+    w = [_coef(n, power, r) if r in present else 0.0 for r in range(5)]
+    return [sum((-1) ** (u - k) * comb(4 - k, u - k) * w[u] for u in range(k, 5))
+            for k in range(1, 5)]
+
+
+def _monomial(memo: dict, sums: np.ndarray, a: int, b: int, swapped: bool):
+    """(sum A)^a (sum B)^b of one subset, from the subset's ``sums`` of A of
+    x, A of y and B; each is built from the one with an A fewer (or a B
+    fewer), kept in ``memo``, so h3 reuses h2's and all reuse B^2."""
+    key = (a, b, swapped and a > 0)
+    if key not in memo:
+        if a:
+            memo[key] = sums[int(swapped)] * _monomial(memo, sums, a - 1, b, swapped)
+        elif b > 1:
+            memo[key] = sums[2] * _monomial(memo, sums, 0, b - 1, False)
         else:
-            val *= term
-    return val
+            memo[key] = sums[2]
+    return memo[key]
+
+
+def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray:
+    """Evaluate several kernel variants on the same four samples.
+
+    ``x`` and ``y`` hold the two coordinates of the four sample vectors,
+    shape (4,) or (4, reps); ``variants`` lists (name, swapped) pairs.  The
+    result has shape (len(variants),) or (len(variants), reps).
+    """
+    if n < 4:
+        raise DomainError("kernels are degree 4, so n >= 4 is required")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[0] != 4 or y.shape != x.shape:
+        raise DomainError("expected four samples in the leading axis")
+    shape = (len(variants),) + x.shape[1:]
+    x = x.reshape(4, -1)
+    y = y.reshape(4, -1)
+    draws = x.shape[1]
+    # factor[j]: A of x, A of y and B of sample j
+    factor = np.empty((4, 3, draws))
+    for f, (u, v, shift) in enumerate(((x, x, 1.0), (y, y, 1.0), (x, y, rho))):
+        np.multiply(u, v, out=factor[:, f])
+        factor[:, f] -= shift
+    keys = [(*_factor_counts(name), swapped) for name, swapped in variants]
+    weights = [_size_weights(name, n) for name, _ in variants]
+    out = np.zeros((len(variants), draws))
+    by_size = np.empty_like(out)
+    subset_sum = np.empty((3, draws))
+    for k in range(1, 5):
+        by_size[...] = 0.0
+        for t in combinations(range(4), k):
+            sums = factor[t[0]]
+            if k > 1:
+                sums = np.add(sums, factor[t[1]], out=subset_sum)
+                for j in t[2:]:
+                    sums += factor[j]
+            monomials = {}
+            for acc, key in zip(by_size, keys):
+                acc += _monomial(monomials, sums, *key)
+        for total, acc, g in zip(out, by_size, weights):
+            if g[k - 1]:
+                acc *= g[k - 1]
+                total += acc
+    return out.reshape(shape)
 
 
 def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
@@ -89,40 +168,7 @@ def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
     result is a float or an array of length reps.  ``swapped`` evaluates
     the mirrored kernel (coordinates exchanged).
     """
-    if n < 4:
-        raise DomainError("kernels are degree 4, so n >= 4 is required")
-    power, addends = KERNELS[name]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if swapped:
-        x, y = y, x
-    if x.shape[0] != 4 or y.shape != x.shape:
-        raise DomainError("expected four samples in the leading axis")
-
-    # Slot values are reused across permutations, so nothing below writes
-    # into an array that slot_value returned; every sum and product is
-    # accumulated in an array the loop allocated itself.
-    cache = {}
-
-    def slot_value(factors, slot):
-        key = (factors, slot)
-        if key not in cache:
-            cache[key] = _factor_values(factors, x[slot], y[slot], rho)
-        return cache[key]
-
-    total = np.zeros_like(x[0])
-    for mult, slots in addends:
-        r = len(slots)
-        part = np.zeros_like(x[0])
-        for assign in permutations(range(4), r):
-            prod = slot_value(slots[0], assign[0])
-            if r > 1:
-                prod = prod * slot_value(slots[1], assign[1])
-                for lbl in range(2, r):
-                    prod *= slot_value(slots[lbl], assign[lbl])
-            part += prod
-        part *= _coef(n, power, r) * mult
-        total += part
+    total = evaluate_variants(x, y, rho, n, ((name, swapped),))[0]
     if np.ndim(total) == 0:
         return float(total)
     return total

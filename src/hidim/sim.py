@@ -390,32 +390,32 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
     """Kernel means over i.i.d. draws of four bivariate normal vectors,
     including the mirrored variants, against the closed forms.
 
-    The kernels run over consecutive chunks of draws whose x and y columns
-    (64 bytes per draw) fit in _CHUNK_BYTES; the per-draw values are the
-    same as over one batch, and each check reduces them all at once."""
+    All variants are evaluated in one call per chunk of consecutive draws
+    whose x and y columns (64 bytes per draw) fit in _CHUNK_BYTES; the
+    per-draw values are the same as over one batch, and each check reduces
+    them all at once."""
     if abs(rho) >= 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
-    u = _uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2)
-    # (coordinate, sample slot, draw), C-contiguous, so a chunk of draws is
-    # a contiguous run of each of the eight rows
-    z = np.negative(normal_quantile(u).transpose(2, 1, 0), order="C")
-    x = z[0]
-    y = rho * x + np.sqrt(1.0 - rho * rho) * z[1]
+    # Neither the uniforms nor their quantiles outlive the draw.  x and y
+    # are the two halves of one C-contiguous (coordinate, sample slot, draw)
+    # array, so a chunk of draws is a contiguous run of each of the eight
+    # rows; y is correlated in place.
+    q = normal_quantile(_uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
+    x, y = np.negative(q.transpose(2, 1, 0), order="C")
+    del q
+    y *= np.sqrt(1.0 - rho * rho)
+    y += rho * x
     exact = kernel_expectations(rho, n)
     targets = {"h1": exact.e_h1, "h2": exact.e_h2, "h3": exact.e_h3}
-    variants = [(name, swapped) for name in _kernels.KERNEL_NAMES
-                for swapped in ((False,) if name == "h1" else (False, True))]
     size = _CHUNK_BYTES // (2 * 4 * 8)
-    values: List[list] = [[] for _ in variants]
+    values = np.empty((len(_kernels.VARIANTS), trials))
     for lo in range(0, trials, size):
-        xc, yc = x[:, lo:lo + size], y[:, lo:lo + size]
-        for out, (name, swapped) in zip(values, variants):
-            out.append(_kernels.evaluate(name, xc, yc, rho, n, swapped=swapped))
-    return [_moment_check(name + ("_bar" if swapped else ""), np.concatenate(out),
-                          targets[name])
-            for out, (name, swapped) in zip(values, variants)]
+        values[:, lo:lo + size] = _kernels.evaluate_variants(
+            x[:, lo:lo + size], y[:, lo:lo + size], rho, n)
+    return [_moment_check(name + ("_bar" if swapped else ""), out, targets[name])
+            for out, (name, swapped) in zip(values, _kernels.VARIANTS)]
 
 
 def verification_report_json(checks: Sequence[MomentCheck], config_obj: dict) -> str:

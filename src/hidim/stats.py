@@ -34,6 +34,16 @@ class CovMode(enum.Enum):
     SAMPLE_CENTERED = "centered"
 
 
+def _non_finite(arr: np.ndarray) -> ValueError:
+    """The error for data with a non-finite entry, naming the first one by
+    its 0-based (slice,) sample and variable; called only once a finiteness
+    check has failed."""
+    *where, sample, variable = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+    stack = f"slice {where[0]}, " if where else ""
+    return ValueError(f"data entries must be finite: {stack}sample {sample}, "
+                      f"variable {variable} is {arr[(*where, sample, variable)]}")
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """n samples (rows) by m variables (columns) of finite observations."""
@@ -47,7 +57,7 @@ class DataMatrix:
         if arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ValueError("data needs at least 1 sample and 2 variables")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("data entries must be finite")
+            raise _non_finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -251,7 +261,7 @@ def _checked_stack(data) -> np.ndarray:
     if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] < 2:
         raise ValueError("a data stack must be a (B, n, m) array with n >= 1 and m >= 2")
     if not np.all(np.isfinite(x)):
-        raise ValueError("data entries must be finite")
+        raise _non_finite(x)
     return x
 
 

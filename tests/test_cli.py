@@ -82,6 +82,12 @@ def test_test_parse_errors(tmp_path, capsys):
     write_csv(single, np.array([[1.0, 2.0]]))
     assert run_cli("test", str(single)) == 2   # n < 2
     capsys.readouterr()
+    holed = tmp_path / "holed.csv"
+    values = np.arange(12.0).reshape(4, 3)
+    values[2, 1] = np.nan
+    write_csv(holed, values, header="a,b,c")
+    assert run_cli("test", str(holed), "--header") == 2
+    assert "sample 2, variable 1 is nan" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(tmp_path):

@@ -151,11 +151,12 @@ def test_standard_normal_block_row_keying():
 def test_standard_normal_blocks_equal_the_single_trial_blocks():
     # one generator re-keyed per trial gives each trial's own stream
     trials = range(37, 52)
-    stack = standard_normal_blocks(Seed(2 ** 64 - 3), trials, 9, 4)
-    assert stack.shape == (len(trials), 9, 4)
-    for k, trial in enumerate(trials):
-        assert stack[k].tobytes() == standard_normal_block(Seed(2 ** 64 - 3), trial,
-                                                           9, 4).tobytes()
+    for master in (2 ** 64 - 3, 2 ** 64 - 1):
+        stack = standard_normal_blocks(Seed(master), trials, 9, 4)
+        assert stack.shape == (len(trials), 9, 4)
+        for k, trial in enumerate(trials):
+            assert stack[k].tobytes() == standard_normal_block(Seed(master), trial,
+                                                               9, 4).tobytes()
     with pytest.raises(DomainError):
         standard_normal_blocks(Seed(1), range(-1, 3), 2, 2)
 

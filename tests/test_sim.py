@@ -237,15 +237,16 @@ def test_verify_kernels_chunks_match_one_batch(monkeypatch):
     # 16384 draws fill a chunk, so 16384 + 37 make two chunks, one a remainder
     rho, n, trials, seed = 0.3, 8, 16384 + 37, Seed(19)
     evaluate = sim._kernels.evaluate
+    evaluate_variants = sim._kernels.evaluate_variants
     widths = []
 
-    def recording(name, x, y, *args, **kwargs):
+    def recording(x, y, *args, **kwargs):
         widths.append(x.shape[1])
-        return evaluate(name, x, y, *args, **kwargs)
+        return evaluate_variants(x, y, *args, **kwargs)
 
-    monkeypatch.setattr(sim._kernels, "evaluate", recording)
+    monkeypatch.setattr(sim._kernels, "evaluate_variants", recording)
     checks = verify_kernels(rho, n, trials, seed)
-    assert widths == [16384] * 5 + [37] * 5
+    assert widths == [16384, 37]
     z = -normal_quantile(sim._uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
     x = z[:, :, 0].T
     y = rho * x + np.sqrt(1.0 - rho * rho) * z[:, :, 1].T

@@ -24,8 +24,12 @@ def test_datamatrix_validation():
         DataMatrix(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         DataMatrix(np.array([[1.0], [2.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample 0, variable 1 is inf"):
         DataMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    bad = np.ones((6, 4))
+    bad[4, 2] = bad[5, 0] = np.nan
+    with pytest.raises(ValueError, match="finite: sample 4, variable 2 is nan$"):
+        DataMatrix(bad)
 
 
 def test_sample_cov_hand_examples():
@@ -354,7 +358,7 @@ def test_decompose_stack_errors(rng):
         decompose(stack, rs[:1])
     bad = stack.copy()
     bad[0, 4, 2] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slice 0, sample 4, variable 2 is nan"):
         decompose(bad, rs)
 
 
@@ -376,5 +380,5 @@ def test_term_i_stack_errors(rng):
         term_i(stack, CorrMatrix.identity(m + 1))
     bad = stack.copy()
     bad[2, 7, 1] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slice 2, sample 7, variable 1 is nan"):
         term_i(bad, CorrMatrix.identity(m))
