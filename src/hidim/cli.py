@@ -69,9 +69,15 @@ def _open_out(path):
 
 def cmd_test(args) -> int:
     try:
-        data = DataMatrix.from_csv(args.data, header=args.header)
+        values = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0,
+                            ndmin=2)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read data file: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    try:
+        data = DataMatrix(values)
+    except ValueError as exc:
+        print(f"error: invalid data: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     if data.n < 2 or data.m < 2:
         print("error: need at least 2 rows and 2 columns", file=sys.stderr)

@@ -31,8 +31,8 @@ from .generators import (AlternativeFamily, Seed, _uniform_open,
 from . import generators as _generators
 from .matrix import CholeskyFactor, CorrMatrix, cholesky
 from .moments import expected_ii1, kernel_expectations, var_i_exact
-from .stats import (CovMode, DataMatrix, Decomposition, decompose, statistic_t,
-                    term_i)
+from .stats import (CovMode, DataMatrix, Decomposition, _Cells, decompose,
+                    statistic_t, term_i)
 from .theory import asymptotic_power, normal_cdf, normal_quantile
 from . import kernels as _kernels
 
@@ -214,14 +214,6 @@ def _gated_decompose(data, r) -> Decomposition:
     return dec
 
 
-def _checked_statistic(data: DataMatrix, r: CorrMatrix, mode: CovMode) -> float:
-    """Statistic for one trial, with the decomposition identity enforced
-    whenever the generating R is known and the zero-mean convention applies."""
-    if mode is CovMode.KNOWN_ZERO_MEAN:
-        return _gated_decompose(data, r).t_value
-    return statistic_t(data, mode)
-
-
 def ks_statistic_vs_normal(values: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample against the standard normal."""
     z = np.sort(np.asarray(values, dtype=float))
@@ -236,13 +228,19 @@ def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullRep
     of the standardized statistic n (T - m(m-1)/(2n)) / m to the normal."""
     config.validate()
     m, n = config.m, config.n
-    identity = CorrMatrix.identity(m)
+    zero_mean = config.cov_mode is CovMode.KNOWN_ZERO_MEAN
+    # decompose's constants of R = I, built once for all trials
+    identity = _Cells.of([CorrMatrix.identity(m)]) if zero_mean else None
 
     def one(trial: int) -> float:
         # Under the null the normals are the sample; looked up on the module,
         # where a wrapper placed on it sees the call.
         data = DataMatrix(_generators.standard_normal_block(config.seed, trial, n, m))
-        return _checked_statistic(data, identity, config.cov_mode)
+        # The decomposition identity is enforced whenever the zero-mean
+        # convention it is written in applies.
+        if zero_mean:
+            return _gated_decompose(data, identity).t_value
+        return statistic_t(data, config.cov_mode)
 
     t_values = np.array(_map_trials(one, config.trials, config.workers))
     centering = m * (m - 1) / (2.0 * n)
@@ -287,13 +285,16 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     if live:
         # Transposed views, so each slice is multiplied exactly as z @ L'.
         lower_t = np.stack([cholesky(r).lower for r in live]).transpose(0, 2, 1)
+        zero_mean = config.cov_mode is CovMode.KNOWN_ZERO_MEAN
+        # decompose's constants of every live cell, built once for all trials
+        live_cells = _Cells.of(live) if zero_mean else None
 
         def one(trial: int) -> np.ndarray:
             # Looked up on the module, where a wrapper placed on it sees the call.
             z = _generators.standard_normal_block(config.seed, trial, n, m)
             stack = np.matmul(z, lower_t)
-            if config.cov_mode is CovMode.KNOWN_ZERO_MEAN:
-                t_values = _gated_decompose(stack, live).t_value
+            if zero_mean:
+                t_values = _gated_decompose(stack, live_cells).t_value
             else:
                 t_values = np.array([statistic_t(DataMatrix(x), config.cov_mode)
                                      for x in stack])
@@ -377,8 +378,10 @@ def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
                  workers: int = 1):
     """Monte Carlo means of the same-sample component II1 (against its exact
     closed form) and of the cross-sample term (against zero)."""
+    cells = _Cells.of([r])   # decompose's constants, shared by every chunk
+
     def one(x: np.ndarray) -> np.ndarray:
-        dec = _gated_decompose(x, [r] * len(x))
+        dec = _gated_decompose(x, cells)
         return np.stack([dec.term_ii1, dec.term_i])
 
     ii1, t_i = _map_chunks(one, cholesky(r), n, trials, seed, workers)

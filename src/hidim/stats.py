@@ -69,11 +69,6 @@ class DataMatrix:
     def m(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_csv(cls, path, header: bool = False) -> "DataMatrix":
-        arr = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-        return cls(arr)
-
 
 @dataclass(frozen=True)
 class TestReport:
@@ -103,7 +98,7 @@ class Decomposition:
 
     term_i is the cross-sample (martingale) component, term_ii the
     same-sample component split as term_ii1 + term_ii2, and term_iii the
-    per-pair Taylor residual, so the identity
+    aggregate Taylor remainder, so the identity
     T - ||R - I||_F^2 / 2 = I + II + III holds by construction; residual
     reports its floating-point defect.  t_value is T, from the same Gram
     matrix as the terms.  Each field is a float for one sample and a
@@ -129,9 +124,9 @@ def _cov_matrix(values: np.ndarray, mode: CovMode) -> np.ndarray:
     return centered.T @ centered / (n - 1)
 
 
-def _check_dims(columns: int, r: CorrMatrix) -> None:
-    if columns != r.m:
-        raise DimensionMismatch(f"data has {columns} columns, matrix is {r.m} x {r.m}")
+def _check_dims(columns: int, m: int) -> None:
+    if columns != m:
+        raise DimensionMismatch(f"data has {columns} columns, matrix is {m} x {m}")
 
 
 def _squared_correlations(s: np.ndarray) -> np.ndarray:
@@ -198,16 +193,16 @@ def rao_score_test(data: DataMatrix, alpha: float, mode: CovMode) -> TestReport:
     return report_from_statistic(statistic_t(data, mode), data.n, data.m, alpha)
 
 
-def _pair_sums(x: np.ndarray, rho: np.ndarray):
-    """For a (B, n, m) stack and its (B, m(m-1)/2) pair correlations: the
-    Gram matrices X'X, their pair entries, and per pair the sums of
-    c_i = X_pi X_qi - rho_pq and of c_i^2."""
+def _pair_sums(x: np.ndarray, rho: np.ndarray, two_rho: np.ndarray):
+    """For a (B, n, m) stack, its (B, m(m-1)/2) pair correlations and their
+    doubles: the Gram matrices X'X, their pair entries, and per pair the
+    sums of c_i = X_pi X_qi - rho_pq and of c_i^2."""
     n = x.shape[1]
     g = np.matmul(x.transpose(0, 2, 1), x)
     sq = x * x
     g_pairs = _upper(g)
     sum_c = g_pairs - n * rho
-    sum_c2 = (_upper(np.matmul(sq.transpose(0, 2, 1), sq)) - 2.0 * rho * g_pairs
+    sum_c2 = (_upper(np.matmul(sq.transpose(0, 2, 1), sq)) - two_rho * g_pairs
               + n * rho * rho)
     return g, g_pairs, sum_c, sum_c2
 
@@ -229,8 +224,9 @@ def term_i(data: Union[DataMatrix, np.ndarray], r: CorrMatrix):
     """
     single = isinstance(data, DataMatrix)
     x = data.values[None] if single else _checked_stack(data)
-    _check_dims(x.shape[2], r)
-    _, _, sum_c, sum_c2 = _pair_sums(x, _upper(r.rho[None]))
+    _check_dims(x.shape[2], r.m)
+    rho = _upper(r.rho[None])
+    _, _, sum_c, sum_c2 = _pair_sums(x, rho, 2.0 * rho)
     values = _cross_sample(sum_c, sum_c2, x.shape[1]).sum(axis=1)
     return float(values[0]) if single else values
 
@@ -241,7 +237,7 @@ def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
     Y_0 = Y_1 = 0 and, for samples i >= 2 (1-based),
     Y_i = (2/n^2) sum_{p<q} c_i (c_1 + ... + c_{i-1}).
     """
-    _check_dims(data.m, r)
+    _check_dims(data.m, r.m)
     n = data.n
     flat = _pair_offsets(data.m)
     y = np.zeros(n + 1)
@@ -265,6 +261,55 @@ def _checked_stack(data) -> np.ndarray:
     return x
 
 
+def _ii_weights() -> np.ndarray:
+    """Weights of the bilinear forms M_K[l1, l2] in II1 (row 0) and II2
+    (row 1), indexed [row, l1, K, l2] with K = 0, 1, 2 for W, P, RW (the
+    layout of the forms in ``decompose``), flattened to (2, 75)."""
+    weights = np.zeros((2, 5, 3, 5))
+    weights[0, 1:3, 0, 0] = 1.0                 # (-u - v + u^2 + v^2) w^2
+    weights[1, 1, 0, 1] = 0.5                   # u v w^2
+    for l1 in range(5):
+        for l2 in range(5):
+            if 1 <= l1 + l2 <= 4:
+                weights[1, l1, 1, l2] = 0.5     # rho^2 (G_4 - 1)
+            if l1 + l2 <= 3:
+                weights[1, l1, 2, l2] = 1.0     # 2 rho w G_3
+    weights.flags.writeable = False
+    return weights.reshape(2, 75)
+
+
+_II_WEIGHTS = _ii_weights()
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """The constants ``decompose`` needs of C correlation matrices, built
+    once per run: the (C, m, m) matrices R and P = R * R (P with a zero
+    diagonal), the (C, m(m-1)/2) pair correlations rho and 2 rho,
+    ||R - I||_F^2 / 2, and the pair indices p < q.  With C = 1 they serve
+    every slice of a stack."""
+
+    rhos: np.ndarray
+    rho_sq: np.ndarray
+    rho: np.ndarray
+    two_rho: np.ndarray
+    half_signal: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+    @classmethod
+    def of(cls, rs: Sequence[CorrMatrix]) -> "_Cells":
+        rhos = np.stack([r.rho for r in rs])
+        m = rhos.shape[-1]
+        rho_sq = rhos * rhos
+        rho_sq.reshape(len(rs), m * m)[:, ::m + 1] = 0.0
+        rho = _upper(rhos)
+        signal = off_diagonal_norm(rhos)
+        p, q = np.divmod(_pair_offsets(m), m)
+        return cls(rhos=rhos, rho_sq=rho_sq, rho=rho, two_rho=2.0 * rho,
+                   half_signal=0.5 * signal * signal, p=p, q=q)
+
+
 def decompose(data: Union[DataMatrix, np.ndarray],
               r: Union[CorrMatrix, Sequence[CorrMatrix]]) -> Decomposition:
     """Exact decomposition of the centered statistic around a known R.
@@ -274,61 +319,77 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     u3^2 / (u1 u2) around (1, 1, rho) gives the same-sample component
     ii1 = sum_i c_i^2 / n^2 + (-u - v + u^2 + v^2) w^2 and
     ii2 = u v w^2 + rho^2 (G_4 - 1) + 2 rho w G_3, where
-    G_k = sum_{l1 + l2 <= k} (-u)^l1 (-v)^l2.  The third term is the exact
-    algebraic residual (rho_hat^2 - rho^2) - i - ii, so the aggregate
-    identity holds by construction; ``residual`` reports the floating-point
-    defect of T - ||R - I||_F^2 / 2 - (I + II + III).  One Gram matrix
-    feeds every term and T itself.
+    G_k = sum_{l1 + l2 <= k} (-u)^l1 (-v)^l2.
+
+    All but sum_i c_i^2 / n^2 is summed over the pairs through 5 x 5
+    bilinear forms of per-variable powers.  With a = -Sbar_pp = 1 - S_pp,
+    V = [1, a, a^2, a^3, a^4] (m x 5), the elementwise products
+    W = Sbar * Sbar, RW = R * Sbar and P = R * R with their diagonals
+    zeroed, and M_K = V' K V (m x m matrices, 5 x 5 forms):
+
+        sum_{p<q} (-u - v + u^2 + v^2) w^2 = M_W[1, 0] + M_W[2, 0]
+        sum_{p<q} u v w^2                  = M_W[1, 1] / 2
+        sum_{p<q} rho^2 (G_4 - 1)          = sum_{1 <= l1 + l2 <= 4} M_P[l1, l2] / 2
+        sum_{p<q} 2 rho w G_3              = sum_{l1 + l2 <= 3} M_RW[l1, l2]
+
+    T, term I and sum_i c_i^2 / n^2 are computed on the m(m-1)/2 pairs, so
+    t_value equals statistic_t bit for bit.  The third term is the exact
+    aggregate residual (T - ||R - I||_F^2 / 2) - I - II, so the identity
+    holds by construction; ``residual`` reports the floating-point defect
+    of T - ||R - I||_F^2 / 2 - (I + II + III).  One Gram matrix feeds every
+    term and T itself.
 
     ``data`` is one DataMatrix with one CorrMatrix, giving float fields, or
     a (B, n, m) stack of samples with B CorrMatrix, giving length-B arrays
     whose k-th entries equal those of decompose(DataMatrix(data[k]), r[k]).
+    ``r`` may also be the matrices' ``_Cells``, built once per run; built
+    from one CorrMatrix, they serve every slice of a stack.
     """
     single = isinstance(data, DataMatrix)
-    if single:
-        x, rs = data.values[None], [r]
+    x = data.values[None] if single else _checked_stack(data)
+    size, n, m = x.shape
+    if isinstance(r, _Cells):
+        cells = r
+        if len(cells.rho) not in (1, size):
+            raise DimensionMismatch(f"{size} samples, {len(cells.rho)} matrices")
+        _check_dims(m, cells.rhos.shape[-1])
     else:
-        x, rs = _checked_stack(data), list(r)
-        if len(rs) != x.shape[0]:
-            raise DimensionMismatch(f"{x.shape[0]} samples, {len(rs)} matrices")
-    for rk in rs:
-        _check_dims(x.shape[2], rk)
-    n, m = x.shape[1], x.shape[2]
-    p, q = np.divmod(_pair_offsets(m), m)
-    take = functools.partial(np.take, axis=1)   # C-contiguous, unlike [:, p]
-    rhos = np.stack([rk.rho for rk in rs])
-    rho = _upper(rhos)
-    g, g_pairs, sum_c, sum_c2 = _pair_sums(x, rho)
+        rs = [r] if single else list(r)
+        if len(rs) != size:
+            raise DimensionMismatch(f"{size} samples, {len(rs)} matrices")
+        for rk in rs:
+            _check_dims(m, rk.m)
+        cells = _Cells.of(rs)
+    g, g_pairs, sum_c, sum_c2 = _pair_sums(x, cells.rho, cells.two_rho)
     d = np.diagonal(g, axis1=1, axis2=2) / n       # S_pp per variable
     slices, columns = np.nonzero(d == 0.0)
     if slices.size:
         raise DegenerateColumn(columns[slices == slices[0]])
     s = g_pairs / n
-    r2_hat = (s * s) / (take(d, p) * take(d, q))
-    n2 = float(n) ** 2
-    i_pairs = _cross_sample(sum_c, sum_c2, n)
+    # np.take gathers C-contiguous arrays, unlike d[:, p]
+    r2_hat = (s * s) / (np.take(d, cells.p, axis=1) * np.take(d, cells.q, axis=1))
+    t_value = r2_hat.sum(axis=1)
+    t_i = _cross_sample(sum_c, sum_c2, n).sum(axis=1)
 
-    neg_diag = -(d - np.diagonal(rhos, axis1=1, axis2=2))   # -Sbar_pp per variable
-    sbar = s - rho
-    neg_u, neg_v = take(neg_diag, p), take(neg_diag, q)
-    u, v = -neg_u, -neg_v
-    w2 = sbar * sbar
-    rho2 = rho * rho
-    # G_k adds up the complete homogeneous sums h_j = -u h_{j-1} + (-v)^j;
-    # the powers are taken per variable and then gathered by q.
-    h = g_k = np.ones_like(rho)
-    for j in range(1, 5):
-        g3 = g_k
-        h = neg_u * h + take(neg_diag ** j, q)
-        g_k = g_k + h
-    ii1 = sum_c2 / n2 + (neg_u - v + u * u + v * v) * w2
-    ii2 = u * v * w2 + rho2 * (g_k - 1.0) + 2.0 * rho * sbar * g3
-    iii = (r2_hat - rho2) - i_pairs - (ii1 + ii2)
-
-    t_value, t_i, t_ii1, t_ii2, t_iii = (a.sum(axis=1) for a in
-                                         (r2_hat, i_pairs, ii1, ii2, iii))
-    signal = off_diagonal_norm(rhos)
-    residual = np.abs(t_value - 0.5 * signal * signal - (t_i + t_ii1 + t_ii2 + t_iii))
+    # Sbar and then RW overwrite the Gram matrices, which are spent.
+    sbar = np.divide(g, n, out=g)
+    sbar -= cells.rhos
+    sbar.reshape(size, m * m)[:, ::m + 1] = 0.0
+    w = sbar * sbar
+    rw = np.multiply(sbar, cells.rhos, out=sbar)
+    powers = np.empty((size, m, 5))                # V per variable
+    powers[..., 0] = 1.0
+    a = np.subtract(1.0, d, out=powers[..., 1])
+    a2 = np.multiply(a, a, out=powers[..., 2])
+    np.multiply(a2, a, out=powers[..., 3])
+    np.multiply(a2, a2, out=powers[..., 4])
+    kv = np.concatenate([np.matmul(w, powers), np.matmul(cells.rho_sq, powers),
+                         np.matmul(rw, powers)], axis=2)
+    forms = np.matmul(powers.transpose(0, 2, 1), kv)   # [l1, K, l2] per slice
+    t_ii1, t_ii2 = (forms.reshape(size, 1, 75) * _II_WEIGHTS).sum(axis=2).T
+    t_ii1 = t_ii1 + sum_c2.sum(axis=1) / float(n) ** 2
+    t_iii = (t_value - cells.half_signal) - t_i - (t_ii1 + t_ii2)
+    residual = np.abs(t_value - cells.half_signal - (t_i + t_ii1 + t_ii2 + t_iii))
     fields = (t_value, t_i, t_ii1 + t_ii2, t_ii1, t_ii2, t_iii, residual)
     if single:
         fields = tuple(float(f[0]) for f in fields)

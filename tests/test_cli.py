@@ -78,16 +78,23 @@ def test_test_degenerate_column(tmp_path, capsys):
 def test_test_parse_errors(tmp_path, capsys):
     missing = run_cli("test", str(tmp_path / "nope.csv"))
     assert missing == 2
+    assert "error: cannot read data file" in capsys.readouterr().err
     single = tmp_path / "single.csv"
     write_csv(single, np.array([[1.0, 2.0]]))
     assert run_cli("test", str(single)) == 2   # n < 2
+    one_column = tmp_path / "one_column.csv"
+    write_csv(one_column, np.arange(5.0)[:, None])
     capsys.readouterr()
+    assert run_cli("test", str(one_column)) == 2
+    assert "error: invalid data: data needs at least" in capsys.readouterr().err
     holed = tmp_path / "holed.csv"
     values = np.arange(12.0).reshape(4, 3)
     values[2, 1] = np.nan
     write_csv(holed, values, header="a,b,c")
     assert run_cli("test", str(holed), "--header") == 2
-    assert "sample 2, variable 1 is nan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid data" in err and "sample 2, variable 1 is nan" in err
+    assert "cannot read" not in err
 
 
 def test_unknown_flag_exits_2(tmp_path):

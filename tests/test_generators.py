@@ -7,7 +7,7 @@ from hidim import (AlternativeFamily, CorrMatrix, DomainError,
                    ks_statistic_vs_normal, make_family_matrix,
                    sample_from_matrix, sample_gaussian, standard_normal_block,
                    standard_normal_blocks)
-from hidim.generators import _uniform_open
+from hidim.generators import _to_uniform, _uniform_open
 
 EQUI = AlternativeFamily.equicorrelation()
 
@@ -189,3 +189,10 @@ def test_uniform_open_bytes_below_the_top():
     top53 = (raw >> np.uint64(11)).astype(np.float64)
     assert top53.max() < 2.0 ** 53 - 1
     assert np.array_equal(_uniform_open(9, 4, 10000), (top53 + 0.5) * 2.0 ** -53)
+    # around 2^52, where the float64 spacing reaches 1, and at the top
+    ks = [0, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1]
+    low_bits = np.uint64(2 ** 11 - 1)   # dropped by the shift
+    u = _to_uniform(np.array([(k << 11) for k in ks], dtype=np.uint64) | low_bits)
+    expected = [(min(k, 2 ** 53 - 2) + 0.5) * 2.0 ** -53 for k in ks]
+    assert u.tolist() == expected
+    assert u[1] < u[2] < u[3] < 1.0 and u[4] == u[5]

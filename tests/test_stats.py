@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hidim import (CorrMatrix, CovMode, DataMatrix, DegenerateColumn,
-                   DimensionMismatch, DomainError, Seed, cholesky, decompose,
-                   f_partial, martingale_differences, max_statistic,
-                   rao_score_test, sample_gaussian, statistic_t, term_i,
-                   report_from_statistic, normal_quantile)
-from hidim.stats import _cov_matrix
+from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix,
+                   DegenerateColumn, DimensionMismatch, DomainError, Seed,
+                   cholesky, decompose, f_partial, make_family_matrix,
+                   martingale_differences, max_statistic, rao_score_test,
+                   sample_gaussian, statistic_t, term_i, report_from_statistic,
+                   normal_quantile)
+from hidim.stats import _Cells, _cov_matrix
 from conftest import random_corr
 
 ZM = CovMode.KNOWN_ZERO_MEAN
@@ -277,6 +278,63 @@ def test_term_ii_matches_taylor_oracle(rng):
         assert abs(decompose(data, r).term_ii - oracle) <= 1e-12 * magnitude
 
 
+def _per_pair_taylor(x: np.ndarray, rs):
+    """T, I, II1, II2 and III of a (B, n, m) stack pair by pair: the Taylor
+    terms on the m(m-1)/2 pair vectors, with G_k built by the recurrence
+    h_j = -u h_{j-1} + (-v)^j over the complete homogeneous sums, and III
+    the per-pair leftover (rho_hat^2 - rho^2) - i - ii.  T and I use the
+    same operations as decompose; II and III are summed differently."""
+    n, m = x.shape[1], x.shape[2]
+    p, q = np.triu_indices(m, 1)
+    flat = p * m + q
+    take = lambda a, idx: np.take(a, idx, axis=1)
+    upper = lambda mats: take(mats.reshape(len(mats), m * m), flat)
+    rhos = np.stack([r.rho for r in rs])
+    rho = upper(rhos)
+    g = np.matmul(x.transpose(0, 2, 1), x)
+    sq = x * x
+    g_pairs = upper(g)
+    sum_c = g_pairs - n * rho
+    sum_c2 = (upper(np.matmul(sq.transpose(0, 2, 1), sq)) - 2.0 * rho * g_pairs
+              + n * rho * rho)
+    d = np.diagonal(g, axis1=1, axis2=2) / n
+    s = g_pairs / n
+    r2_hat = (s * s) / (take(d, p) * take(d, q))
+    n2 = float(n) ** 2
+    i_pairs = (np.zeros_like(sum_c) if n == 1
+               else (sum_c * sum_c - sum_c2) / n2)
+    neg_diag = -(d - np.diagonal(rhos, axis1=1, axis2=2))
+    sbar = s - rho
+    neg_u, neg_v = take(neg_diag, p), take(neg_diag, q)
+    u, v = -neg_u, -neg_v
+    w2 = sbar * sbar
+    rho2 = rho * rho
+    h = g_k = np.ones_like(rho)
+    for j in range(1, 5):
+        g3 = g_k
+        h = neg_u * h + take(neg_diag ** j, q)
+        g_k = g_k + h
+    ii1 = sum_c2 / n2 + (neg_u - v + u * u + v * v) * w2
+    ii2 = u * v * w2 + rho2 * (g_k - 1.0) + 2.0 * rho * sbar * g3
+    iii = (r2_hat - rho2) - i_pairs - (ii1 + ii2)
+    return tuple(a.sum(axis=1) for a in (r2_hat, i_pairs, ii1, ii2, iii))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 40])
+def test_decompose_matches_the_per_pair_taylor_recurrence(rng, m):
+    equi = make_family_matrix(AlternativeFamily.equicorrelation(), 0.3, m)
+    rs = [CorrMatrix.identity(m), equi, random_corr(rng, m)]
+    for n in (1, 2, 80):
+        z = rng.standard_normal((n, m))
+        stack = np.stack([z @ cholesky(r).lower.T for r in rs])
+        dec = decompose(stack, rs)
+        t, t_i, ii1, ii2, iii = _per_pair_taylor(stack, rs)
+        assert np.array_equal(dec.t_value, t) and np.array_equal(dec.term_i, t_i)
+        tol = 1e-13 * np.maximum(1.0, np.abs(t))
+        for name, oracle in (("term_ii1", ii1), ("term_ii2", ii2), ("term_iii", iii)):
+            assert np.all(np.abs(getattr(dec, name) - oracle) <= tol), (name, n)
+
+
 def test_decompose_identity(rng):
     worst = 0.0
     for _ in range(100):
@@ -341,6 +399,12 @@ def test_decompose_stack_equals_its_slices(rng):
         for field in dataclasses.fields(one):
             assert getattr(dec, field.name)[k] == getattr(one, field.name), field.name
     assert dec.t_value[1] == dec.t_value[3]
+    # constants built once: for every matrix, or from one R for every slice
+    built = decompose(stack, _Cells.of(rs))
+    shared = decompose(stack[[1, 3]], _Cells.of([r]))
+    for field in dataclasses.fields(dec):
+        assert np.array_equal(getattr(built, field.name), getattr(dec, field.name))
+        assert np.array_equal(getattr(shared, field.name), getattr(dec, field.name)[[1, 3]])
 
 
 def test_decompose_stack_errors(rng):
@@ -356,6 +420,10 @@ def test_decompose_stack_errors(rng):
         decompose(stack, [rs[0], CorrMatrix.identity(m + 1)])
     with pytest.raises(DimensionMismatch):
         decompose(stack, rs[:1])
+    with pytest.raises(DimensionMismatch):
+        decompose(stack, _Cells.of(rs + rs[:1]))
+    with pytest.raises(DimensionMismatch):
+        decompose(stack, _Cells.of([CorrMatrix.identity(m + 1)]))
     bad = stack.copy()
     bad[0, 4, 2] = np.nan
     with pytest.raises(ValueError, match="slice 0, sample 4, variable 2 is nan"):
