@@ -310,8 +310,9 @@ def _run_verify(which: str, args) -> int:
             failures.append(chk.name)
 
     if args.report:
-        cfg = {"which": which, "seed": seed.master, "m": args.m, "n": args.n,
-               "trials": args.trials, "rho": args.rho}
+        # every option of the run, so the report replays it
+        cfg = {key: value for key, value in vars(args).items()
+               if key not in ("command", "func", "report")}
         with open(args.report, "w") as handle:
             handle.write(verification_report_json(checks, cfg) + "\n")
 

@@ -49,7 +49,8 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, TooLarge
-from .moments import pair_partitions
+from .matrix import CorrMatrix
+from .moments import isserlis_moment
 
 KERNELS = {
     # (1/(4n)) * sum_a B(a)^2
@@ -192,20 +193,7 @@ def _factor_poly(f, rho, swapped):
 @lru_cache(maxsize=None)
 def _wick_xy_moment(a: int, b: int, rho: float) -> float:
     """E[X^a Y^b] for a standard bivariate normal pair with correlation rho."""
-    total_deg = a + b
-    if total_deg % 2 == 1:
-        return 0.0
-    if total_deg == 0:
-        return 1.0
-    idx = (0,) * a + (1,) * b
-    cov = ((1.0, rho), (rho, 1.0))
-    total = 0.0
-    for partition in pair_partitions(total_deg // 2):
-        prod = 1.0
-        for i, j in partition:
-            prod *= cov[idx[i]][idx[j]]
-        total += prod
-    return total
+    return float(isserlis_moment((0,) * a + (1,) * b, CorrMatrix([[1.0, rho], [rho, 1.0]])))
 
 
 def expectation_by_expansion(name: str, rho: float, n: int, swapped: bool = False) -> float:

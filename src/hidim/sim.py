@@ -31,8 +31,8 @@ from .generators import (AlternativeFamily, Seed, _uniform_open,
 from . import generators as _generators
 from .matrix import CholeskyFactor, CorrMatrix, cholesky
 from .moments import expected_ii1, kernel_expectations, var_i_exact
-from .stats import (CovMode, DataMatrix, Decomposition, _Cells, decompose,
-                    statistic_t, term_i)
+from .stats import (CovMode, Decomposition, _Cells, decompose,
+                    report_from_statistic, statistic_t, term_i)
 from .theory import asymptotic_power, normal_cdf, normal_quantile
 from . import kernels as _kernels
 
@@ -214,6 +214,19 @@ def _gated_decompose(data, r) -> Decomposition:
     return dec
 
 
+def _t_values(rs: Sequence[CorrMatrix],
+              mode: CovMode) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from a (B, n, m) stack of samples of the matrices ``rs``
+    (B of them, or one for every slice) to T of each slice.  In the
+    zero-mean convention the decomposition identity is written in, T comes
+    from the gated ``decompose``, with the matrices' constants built here
+    once for all trials; otherwise from ``statistic_t``."""
+    if mode is CovMode.KNOWN_ZERO_MEAN:
+        cells = _Cells.of(rs)
+        return lambda stack: _gated_decompose(stack, cells).t_value
+    return lambda stack: statistic_t(stack, mode)
+
+
 def ks_statistic_vs_normal(values: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of a sample against the standard normal."""
     z = np.sort(np.asarray(values, dtype=float))
@@ -228,32 +241,21 @@ def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullRep
     of the standardized statistic n (T - m(m-1)/(2n)) / m to the normal."""
     config.validate()
     m, n = config.m, config.n
-    zero_mean = config.cov_mode is CovMode.KNOWN_ZERO_MEAN
-    # decompose's constants of R = I, built once for all trials
-    identity = _Cells.of([CorrMatrix.identity(m)]) if zero_mean else None
+    t_of = _t_values([CorrMatrix.identity(m)], config.cov_mode)
 
-    def one(trial: int) -> float:
+    def one(trial: int) -> np.ndarray:
         # Under the null the normals are the sample; looked up on the module,
         # where a wrapper placed on it sees the call.
-        data = DataMatrix(_generators.standard_normal_block(config.seed, trial, n, m))
-        # The decomposition identity is enforced whenever the zero-mean
-        # convention it is written in applies.
-        if zero_mean:
-            return _gated_decompose(data, identity).t_value
-        return statistic_t(data, config.cov_mode)
+        return t_of(_generators.standard_normal_block(config.seed, trial, n, m)[None])
 
-    t_values = np.array(_map_trials(one, config.trials, config.workers))
-    centering = m * (m - 1) / (2.0 * n)
-    z_values = n * (t_values - centering) / m
-    z_alpha = normal_quantile(config.alpha)
-    rejections = (t_values - centering) > (m / n) * z_alpha
-    empirical_size = float(np.mean(rejections))
-    ks = ks_statistic_vs_normal(z_values)
+    t_values = np.concatenate(_map_trials(one, config.trials, config.workers))
+    report = report_from_statistic(t_values, n, m, config.alpha)
+    z_values = report.z_value
     if z_samples_path is not None:
         np.savetxt(z_samples_path, z_values, fmt="%.17g")
     return NullReport(
-        empirical_size=empirical_size,
-        ks_statistic=ks,
+        empirical_size=float(np.mean(report.reject)),
+        ks_statistic=ks_statistic_vs_normal(z_values),
         z_samples_path=z_samples_path,
         config=config,
         z_values=z_values,
@@ -271,8 +273,6 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     """
     config.validate()
     m, n = config.m, config.n
-    z_alpha = normal_quantile(config.alpha)
-    centering = m * (m - 1) / (2.0 * n)
     cells: List[Optional[CorrMatrix]] = []
     for b in config.b_grid:
         try:
@@ -285,22 +285,15 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     if live:
         # Transposed views, so each slice is multiplied exactly as z @ L'.
         lower_t = np.stack([cholesky(r).lower for r in live]).transpose(0, 2, 1)
-        zero_mean = config.cov_mode is CovMode.KNOWN_ZERO_MEAN
-        # decompose's constants of every live cell, built once for all trials
-        live_cells = _Cells.of(live) if zero_mean else None
+        t_of = _t_values(live, config.cov_mode)
 
         def one(trial: int) -> np.ndarray:
             # Looked up on the module, where a wrapper placed on it sees the call.
             z = _generators.standard_normal_block(config.seed, trial, n, m)
-            stack = np.matmul(z, lower_t)
-            if zero_mean:
-                t_values = _gated_decompose(stack, live_cells).t_value
-            else:
-                t_values = np.array([statistic_t(DataMatrix(x), config.cov_mode)
-                                     for x in stack])
-            return (t_values - centering) > (m / n) * z_alpha
+            return t_of(np.matmul(z, lower_t))
 
-        rejections = np.array(_map_trials(one, config.trials, config.workers), dtype=bool)
+        t_values = np.array(_map_trials(one, config.trials, config.workers))
+        rejections = report_from_statistic(t_values, n, m, config.alpha).reject
         live_power = iter(np.mean(rejections, axis=0))
         power = [None if r is None else float(next(live_power)) for r in cells]
     points: List[PowerPoint] = []

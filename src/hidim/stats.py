@@ -26,8 +26,9 @@ class CovMode(enum.Enum):
     subtract column means, divisor n - 1 (the usual Pearson form).  Under
     independent normal columns each squared correlation is
     Beta(1/2, (n-1)/2), mean 1/n, for zero-mean data and Beta(1/2, (n-2)/2),
-    mean 1/(n-1), for centered data.  ``report_from_statistic`` centers T at
-    the zero-mean mean m(m-1)/(2n) in both conventions.
+    mean 1/(n-1), for centered data.  ``report_from_statistic``, the one
+    place T is centered, centers it at the zero-mean mean m(m-1)/(2n) in
+    both conventions.
     """
 
     KNOWN_ZERO_MEAN = "zero-mean"
@@ -115,27 +116,19 @@ class Decomposition:
 
 
 def _cov_matrix(values: np.ndarray, mode: CovMode) -> np.ndarray:
-    n = values.shape[0]
+    """Covariance matrices of the (..., n, m) samples ``values``."""
+    n = values.shape[-2]
     if mode is CovMode.KNOWN_ZERO_MEAN:
-        return values.T @ values / n
+        return np.matmul(np.swapaxes(values, -1, -2), values) / n
     if n < 2:
         raise DomainError("centered covariances need at least 2 samples")
-    centered = values - values.mean(axis=0)
-    return centered.T @ centered / (n - 1)
+    centered = values - values.mean(axis=-2, keepdims=True)
+    return np.matmul(np.swapaxes(centered, -1, -2), centered) / (n - 1)
 
 
 def _check_dims(columns: int, m: int) -> None:
     if columns != m:
         raise DimensionMismatch(f"data has {columns} columns, matrix is {m} x {m}")
-
-
-def _squared_correlations(s: np.ndarray) -> np.ndarray:
-    """Matrix of S_pq^2 / (S_pp S_qq) from a covariance matrix S."""
-    d = np.diag(s)
-    bad = np.flatnonzero(d == 0.0)
-    if bad.size:
-        raise DegenerateColumn(bad)
-    return (s * s) / np.outer(d, d)
 
 
 @functools.lru_cache(maxsize=16)
@@ -156,35 +149,69 @@ def _upper(mats: np.ndarray) -> np.ndarray:
     return np.take(mats.reshape(b, m * m), _pair_offsets(m), axis=1)
 
 
-def statistic_t(data: DataMatrix, mode: CovMode) -> float:
-    """Sum of squared sample correlations over all pairs p < q."""
-    r2 = _squared_correlations(_cov_matrix(data.values, mode))
-    return float(np.sum(np.take(r2, _pair_offsets(data.m))))
+def _squared_correlations(s: np.ndarray):
+    """The (B, m(m-1)/2) squared correlations S_pq^2 / (S_pp S_qq), p < q, of
+    a (B, m, m) covariance stack S, and a copy of its (B, m) diagonal.  A
+    zero variance raises DegenerateColumn naming the columns of the first
+    slice that has one."""
+    d = np.diagonal(s, axis1=1, axis2=2).copy()
+    slices, columns = np.nonzero(d == 0.0)
+    if slices.size:
+        raise DegenerateColumn(columns[slices == slices[0]])
+    pairs = _upper(s)
+    return pairs * pairs / _upper(d[:, :, None] * d[:, None, :]), d
+
+
+def _as_stack(data: Union[DataMatrix, np.ndarray]):
+    """The (B, n, m) stack of ``data`` and the function that shapes a
+    length-B result for the caller: a float for one DataMatrix (B = 1),
+    the array itself for a stack."""
+    if isinstance(data, DataMatrix):
+        return data.values[None], lambda values: float(values[0])
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] < 2:
+        raise ValueError("a data stack must be a (B, n, m) array with n >= 1 and m >= 2")
+    if not np.all(np.isfinite(x)):
+        raise _non_finite(x)
+    return x, lambda values: values
+
+
+def statistic_t(data: Union[DataMatrix, np.ndarray], mode: CovMode):
+    """Sum of squared sample correlations over all pairs p < q.
+
+    A float for one DataMatrix; for a (B, n, m) stack, a length-B array
+    whose k-th entry equals statistic_t(DataMatrix(data[k]), mode).
+    """
+    x, shape = _as_stack(data)
+    return shape(_squared_correlations(_cov_matrix(x, mode))[0].sum(axis=1))
 
 
 def max_statistic(data: DataMatrix, mode: CovMode) -> float:
     """Largest squared sample correlation over all pairs p < q."""
-    r2 = _squared_correlations(_cov_matrix(data.values, mode))
-    return float(np.max(np.take(r2, _pair_offsets(data.m))))
+    return float(_squared_correlations(_cov_matrix(data.values[None], mode))[0].max())
 
 
-def report_from_statistic(t_value: float, n: int, m: int, alpha: float) -> TestReport:
+def report_from_statistic(t_value, n: int, m: int, alpha: float) -> TestReport:
     """Build the level-alpha report from an already-computed statistic.
 
-    Rejects iff T - m(m-1)/(2n) strictly exceeds (m/n) z_alpha.
+    Rejects iff T - m(m-1)/(2n) strictly exceeds (m/n) z_alpha.  This is
+    the one place that centers T and decides.  For an array of T values
+    every field but alpha is the elementwise array; a scalar T gives float
+    fields and a bool decision.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie strictly inside (0, 1)")
     z_alpha = theory.normal_quantile(alpha)
     centered = t_value - m * (m - 1) / (2.0 * n)
     z_value = n * centered / m
+    reject = centered > (m / n) * z_alpha
     return TestReport(
         t_value=t_value,
         centered=centered,
         z_value=z_value,
         p_value=theory.normal_tail(z_value),
         alpha=alpha,
-        reject=bool(centered > (m / n) * z_alpha),
+        reject=reject if np.ndim(reject) else bool(reject),
     )
 
 
@@ -195,8 +222,8 @@ def rao_score_test(data: DataMatrix, alpha: float, mode: CovMode) -> TestReport:
 
 def _pair_sums(x: np.ndarray, rho: np.ndarray, two_rho: np.ndarray):
     """For a (B, n, m) stack, its (B, m(m-1)/2) pair correlations and their
-    doubles: the Gram matrices X'X, their pair entries, and per pair the
-    sums of c_i = X_pi X_qi - rho_pq and of c_i^2."""
+    doubles: the Gram matrices X'X and per pair the sums of
+    c_i = X_pi X_qi - rho_pq and of c_i^2."""
     n = x.shape[1]
     g = np.matmul(x.transpose(0, 2, 1), x)
     sq = x * x
@@ -204,7 +231,7 @@ def _pair_sums(x: np.ndarray, rho: np.ndarray, two_rho: np.ndarray):
     sum_c = g_pairs - n * rho
     sum_c2 = (_upper(np.matmul(sq.transpose(0, 2, 1), sq)) - two_rho * g_pairs
               + n * rho * rho)
-    return g, g_pairs, sum_c, sum_c2
+    return g, sum_c, sum_c2
 
 
 def _cross_sample(sum_c: np.ndarray, sum_c2: np.ndarray, n: int) -> np.ndarray:
@@ -222,13 +249,11 @@ def term_i(data: Union[DataMatrix, np.ndarray], r: CorrMatrix):
     of samples from the same R, a length-B array whose k-th entry equals
     term_i(DataMatrix(data[k]), r).
     """
-    single = isinstance(data, DataMatrix)
-    x = data.values[None] if single else _checked_stack(data)
+    x, shape = _as_stack(data)
     _check_dims(x.shape[2], r.m)
     rho = _upper(r.rho[None])
-    _, _, sum_c, sum_c2 = _pair_sums(x, rho, 2.0 * rho)
-    values = _cross_sample(sum_c, sum_c2, x.shape[1]).sum(axis=1)
-    return float(values[0]) if single else values
+    _, sum_c, sum_c2 = _pair_sums(x, rho, 2.0 * rho)
+    return shape(_cross_sample(sum_c, sum_c2, x.shape[1]).sum(axis=1))
 
 
 def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
@@ -250,15 +275,6 @@ def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
             y[i] = scale * float(ci @ running)
         running += ci
     return y
-
-
-def _checked_stack(data) -> np.ndarray:
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] < 2:
-        raise ValueError("a data stack must be a (B, n, m) array with n >= 1 and m >= 2")
-    if not np.all(np.isfinite(x)):
-        raise _non_finite(x)
-    return x
 
 
 def _ii_weights() -> np.ndarray:
@@ -286,16 +302,13 @@ class _Cells:
     """The constants ``decompose`` needs of C correlation matrices, built
     once per run: the (C, m, m) matrices R and P = R * R (P with a zero
     diagonal), the (C, m(m-1)/2) pair correlations rho and 2 rho,
-    ||R - I||_F^2 / 2, and the pair indices p < q.  With C = 1 they serve
-    every slice of a stack."""
+    and ||R - I||_F^2 / 2.  With C = 1 they serve every slice of a stack."""
 
     rhos: np.ndarray
     rho_sq: np.ndarray
     rho: np.ndarray
     two_rho: np.ndarray
     half_signal: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
 
     @classmethod
     def of(cls, rs: Sequence[CorrMatrix]) -> "_Cells":
@@ -305,9 +318,8 @@ class _Cells:
         rho_sq.reshape(len(rs), m * m)[:, ::m + 1] = 0.0
         rho = _upper(rhos)
         signal = off_diagonal_norm(rhos)
-        p, q = np.divmod(_pair_offsets(m), m)
         return cls(rhos=rhos, rho_sq=rho_sq, rho=rho, two_rho=2.0 * rho,
-                   half_signal=0.5 * signal * signal, p=p, q=q)
+                   half_signal=0.5 * signal * signal)
 
 
 def decompose(data: Union[DataMatrix, np.ndarray],
@@ -345,8 +357,7 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     ``r`` may also be the matrices' ``_Cells``, built once per run; built
     from one CorrMatrix, they serve every slice of a stack.
     """
-    single = isinstance(data, DataMatrix)
-    x = data.values[None] if single else _checked_stack(data)
+    x, shape = _as_stack(data)
     size, n, m = x.shape
     if isinstance(r, _Cells):
         cells = r
@@ -354,26 +365,20 @@ def decompose(data: Union[DataMatrix, np.ndarray],
             raise DimensionMismatch(f"{size} samples, {len(cells.rho)} matrices")
         _check_dims(m, cells.rhos.shape[-1])
     else:
-        rs = [r] if single else list(r)
+        rs = [r] if isinstance(r, CorrMatrix) else list(r)
         if len(rs) != size:
             raise DimensionMismatch(f"{size} samples, {len(rs)} matrices")
         for rk in rs:
             _check_dims(m, rk.m)
         cells = _Cells.of(rs)
-    g, g_pairs, sum_c, sum_c2 = _pair_sums(x, cells.rho, cells.two_rho)
-    d = np.diagonal(g, axis1=1, axis2=2) / n       # S_pp per variable
-    slices, columns = np.nonzero(d == 0.0)
-    if slices.size:
-        raise DegenerateColumn(columns[slices == slices[0]])
-    s = g_pairs / n
-    # np.take gathers C-contiguous arrays, unlike d[:, p]
-    r2_hat = (s * s) / (np.take(d, cells.p, axis=1) * np.take(d, cells.q, axis=1))
+    g, sum_c, sum_c2 = _pair_sums(x, cells.rho, cells.two_rho)
+    s = np.divide(g, n, out=g)       # S overwrites the spent Gram matrices
+    r2_hat, d = _squared_correlations(s)           # d: S_pp per variable
     t_value = r2_hat.sum(axis=1)
     t_i = _cross_sample(sum_c, sum_c2, n).sum(axis=1)
 
-    # Sbar and then RW overwrite the Gram matrices, which are spent.
-    sbar = np.divide(g, n, out=g)
-    sbar -= cells.rhos
+    # Sbar and then RW overwrite S, which is spent.
+    sbar = np.subtract(s, cells.rhos, out=s)
     sbar.reshape(size, m * m)[:, ::m + 1] = 0.0
     w = sbar * sbar
     rw = np.multiply(sbar, cells.rhos, out=sbar)
@@ -390,7 +395,5 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     t_ii1 = t_ii1 + sum_c2.sum(axis=1) / float(n) ** 2
     t_iii = (t_value - cells.half_signal) - t_i - (t_ii1 + t_ii2)
     residual = np.abs(t_value - cells.half_signal - (t_i + t_ii1 + t_ii2 + t_iii))
-    fields = (t_value, t_i, t_ii1 + t_ii2, t_ii1, t_ii2, t_iii, residual)
-    if single:
-        fields = tuple(float(f[0]) for f in fields)
-    return Decomposition(*fields)
+    return Decomposition(*map(shape, (t_value, t_i, t_ii1 + t_ii2, t_ii1, t_ii2,
+                                      t_iii, residual)))

@@ -246,3 +246,20 @@ def test_verify_kernels_quick(capsys, tmp_path):
     obj = json.loads(report.read_text())
     assert obj["all_passed"] is True
     assert len(obj["checks"]) == 5
+
+
+def test_verify_report_replays_the_run(tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    run_cli("verify", "e-ii1", "--m-ii1", "6", "--n-ii1", "25", "--trials", "200",
+            "--seed", "3", "--workers", "2", "--n-kernels", "12",
+            "--trials-kernels", "500", "--report", str(first))
+    config = json.loads(first.read_text())["config"]
+    assert config == {"which": "e-ii1", "seed": 3, "workers": 2, "m": 5, "n": 30,
+                      "trials": 200, "m_ii1": 6, "n_ii1": 25, "rho": 0.5,
+                      "n_kernels": 12, "trials_kernels": 500}
+    argv = ["verify", config.pop("which"), "--report", str(second)]
+    for key, value in config.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    run_cli(*argv)
+    capsys.readouterr()
+    assert second.read_text() == first.read_text()

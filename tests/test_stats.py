@@ -152,6 +152,19 @@ def test_report_boundary_and_median():
     assert not report_from_statistic(centering + threshold * 0.99, n, m, 0.05).reject
     with pytest.raises(DomainError):
         report_from_statistic(1.0, n, m, 0.0)
+    # an array of T is decided elementwise, exactly as each scalar; the
+    # second entry sits exactly on the alpha = 0.5 threshold
+    t = centering + np.array([-0.3, 0.0, 1e-9, threshold * 0.99, threshold * 1.01])
+    for alpha in (0.5, 0.05):
+        many = report_from_statistic(t, n, m, alpha)
+        assert many.reject.dtype == bool and many.alpha == alpha
+        for k, tk in enumerate(t):
+            one = report_from_statistic(float(tk), n, m, alpha)
+            assert isinstance(one.reject, bool)
+            assert ((many.t_value[k], many.centered[k], many.z_value[k], many.p_value[k],
+                     many.reject[k]) ==
+                    (one.t_value, one.centered, one.z_value, one.p_value, one.reject))
+    assert not report_from_statistic(t, n, m, 0.5).reject[1]
 
 
 def test_report_consistency(rng):
@@ -399,6 +412,13 @@ def test_decompose_stack_equals_its_slices(rng):
         for field in dataclasses.fields(one):
             assert getattr(dec, field.name)[k] == getattr(one, field.name), field.name
     assert dec.t_value[1] == dec.t_value[3]
+    # the statistics of a stack are those of its slices, in both conventions
+    assert np.array_equal(statistic_t(stack, ZM), dec.t_value)
+    for mode in (ZM, SC):
+        t = statistic_t(stack, mode)
+        assert t.shape == (len(rs),)
+        for k in range(len(rs)):
+            assert t[k] == statistic_t(DataMatrix(stack[k]), mode)
     # constants built once: for every matrix, or from one R for every slice
     built = decompose(stack, _Cells.of(rs))
     shared = decompose(stack[[1, 3]], _Cells.of([r]))
@@ -416,6 +436,13 @@ def test_decompose_stack_errors(rng):
     with pytest.raises(DegenerateColumn) as info:
         decompose(zeroed, rs)
     assert info.value.columns == (3,)
+    # the error names the columns of the first degenerate slice only
+    later = np.concatenate([zeroed, stack[:1]])
+    later[2][:, [0, 4]] = 0.0
+    for mode in (ZM, SC):
+        with pytest.raises(DegenerateColumn) as info:
+            statistic_t(later, mode)
+        assert info.value.columns == (3,)
     with pytest.raises(DimensionMismatch):
         decompose(stack, [rs[0], CorrMatrix.identity(m + 1)])
     with pytest.raises(DimensionMismatch):
@@ -428,6 +455,9 @@ def test_decompose_stack_errors(rng):
     bad[0, 4, 2] = np.nan
     with pytest.raises(ValueError, match="slice 0, sample 4, variable 2 is nan"):
         decompose(bad, rs)
+    for mode in (ZM, SC):
+        with pytest.raises(ValueError, match="slice 0, sample 4, variable 2 is nan"):
+            statistic_t(bad, mode)
 
 
 def test_term_i_stack_equals_its_slices(rng):
