@@ -27,9 +27,11 @@ from .matrix import CorrMatrix
 from .moments import (central_pair_moment, central_product_moment,
                       f_partial, kernel_expectations, pair_partitions, s_sum)
 from .stats import CovMode, DataMatrix, max_statistic, rao_score_test
-from .sim import (MomentCheck, SimConfig, run_null, run_power_curve,
-                  verification_report_json, verify_e_ii1, verify_kernels,
-                  verify_var_i, write_power_csv)
+# verify_var_i and verify_e_ii1 are not called here, but bench/tracing.py
+# wraps them at this lookup site, so the names stay bound.
+from .sim import (MomentCheck, SimConfig, e_ii1_check, run_checks, run_null,
+                  run_power_curve, var_i_check, verification_report_json,
+                  verify_e_ii1, verify_kernels, verify_var_i, write_power_csv)
 from . import kernels as _kernels
 
 _EXIT_OK = 0
@@ -39,13 +41,17 @@ _EXIT_DEGENERATE = 3
 
 
 def _workers_default() -> int:
+    """Worker count when --workers is not given: HIDIM_WORKERS if set, else 1."""
     env = os.environ.get("HIDIM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"HIDIM_WORKERS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _cov_mode(text: str) -> CovMode:
@@ -286,21 +292,16 @@ def _run_verify(which: str, args) -> int:
     if which in ("all", "kernels"):
         checks.extend(verify_kernels(args.rho, args.n_kernels, args.trials_kernels, seed))
 
+    moment_checks = []
     if which in ("all", "var-i"):
-        identity = CorrMatrix.identity(args.m)
-        checks.append(verify_var_i(identity, args.n, args.trials, seed,
-                                   workers=args.workers))
-        equi = AlternativeFamily.equicorrelation()
-        r_alt = make_family_matrix(equi, 0.2, args.m)
-        chk = verify_var_i(r_alt, args.n, args.trials, seed, workers=args.workers)
-        checks.append(MomentCheck("var_i_equi", chk.mc_value, chk.exact,
-                                  chk.stderr, chk.z_score))
-
+        equi = make_family_matrix(AlternativeFamily.equicorrelation(), 0.2, args.m)
+        moment_checks += [var_i_check(CorrMatrix.identity(args.m), args.n),
+                          var_i_check(equi, args.n, name="var_i_equi")]
     if which in ("all", "e-ii1"):
-        identity = CorrMatrix.identity(args.m_ii1)
-        ii1, e_i = verify_e_ii1(identity, args.n_ii1, args.trials, seed,
-                                workers=args.workers)
-        checks.extend([ii1, e_i])
+        moment_checks.append(e_ii1_check(CorrMatrix.identity(args.m_ii1), args.n_ii1))
+    if moment_checks:
+        for results in run_checks(moment_checks, args.trials, seed, workers=args.workers):
+            checks.extend(results)
 
     for chk in checks:
         status = "pass" if chk.passed else "FAIL"
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_power.add_argument("--trials", type=int, default=1000)
     p_power.add_argument("--alpha", type=float, default=0.05)
     p_power.add_argument("--seed", type=int, default=0)
-    p_power.add_argument("--workers", type=int, default=_workers_default())
+    p_power.add_argument("--workers", type=int)
     p_power.add_argument("--family", default="equicorrelation")
     p_power.add_argument("--b-grid", default="0,1,2,3")
     p_power.add_argument("--cov-mode", choices=["zero-mean", "centered"],
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument("--trials", type=int, default=1000)
     p_null.add_argument("--alpha", type=float, default=0.05)
     p_null.add_argument("--seed", type=int, default=0)
-    p_null.add_argument("--workers", type=int, default=_workers_default())
+    p_null.add_argument("--workers", type=int)
     p_null.add_argument("--family", default="equicorrelation")
     p_null.add_argument("--cov-mode", choices=["zero-mean", "centered"],
                         default="zero-mean")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification gates")
     p_verify.add_argument("which", choices=["all", "isserlis", "kernels", "var-i", "e-ii1"])
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=int, default=_workers_default())
+    p_verify.add_argument("--workers", type=int)
     p_verify.add_argument("--m", type=int, default=5, help="dimension for var-i")
     p_verify.add_argument("--n", type=int, default=30, help="sample size for var-i")
     p_verify.add_argument("--trials", type=int, default=20000,
@@ -408,6 +409,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) is None:
+            args.workers = _workers_default()
         return args.func(args)
     except HidimError as exc:
         print(f"error: {exc}", file=sys.stderr)

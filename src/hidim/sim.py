@@ -5,8 +5,10 @@ Trials are embarrassingly parallel: each is a pure function of the config
 and its trial index (counter-based streams).  A unit of work is one trial
 (null and power runs) or one chunk of consecutive trials (the moment
 checks, whose samples are small enough that per-call overhead would
-dominate).  Chunk bounds depend only on the trial count and the sample
-size, results land in pre-sized slots indexed by trial or chunk, and
+dominate).  The moment checks of one run share their chunks: each trial's
+stream is drawn once, and each check reads its own sample size from the
+front of it.  Chunk bounds depend only on the trial count and the largest
+sample size, results land in pre-sized slots indexed by trial or chunk, and
 reductions run in fixed trial order, so reports are bitwise identical for
 any worker count.
 """
@@ -179,27 +181,6 @@ def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
     return out
 
 
-def _map_chunks(reduce: Callable[[np.ndarray], np.ndarray], factor: CholeskyFactor,
-                n: int, trials: int, seed: Seed, workers: int) -> np.ndarray:
-    """``reduce`` of the (B, n, m) sample stacks of consecutive chunks of
-    trials 0..trials-1, concatenated along the last axis in trial order.
-    Slice k of a chunk starting at trial t is the sample of trial t + k."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    if trials < 2:
-        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
-    size = max(1, _CHUNK_BYTES // (8 * n * factor.m))
-    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    lower_t = factor.lower.T
-
-    def one(chunk: int) -> np.ndarray:
-        # Looked up on the module, where a wrapper placed on it sees the call.
-        z = _generators.standard_normal_blocks(seed, chunks[chunk], n, factor.m)
-        return reduce(np.matmul(z, lower_t))
-
-    return np.concatenate(_map_trials(one, len(chunks), workers), axis=-1)
-
-
 def _gated_decompose(data, r) -> Decomposition:
     """``decompose`` of one sample or a stack, with every reconstruction
     residual held to _RESIDUAL_RTOL relative to max(1, |T|)."""
@@ -351,35 +332,95 @@ def _moment_check(name: str, samples: np.ndarray, exact: float) -> MomentCheck:
                        z_score=_z_score(mean, exact, stderr))
 
 
-def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,
-                 workers: int = 1) -> MomentCheck:
+@dataclass(frozen=True)
+class ChunkCheck:
+    """A Monte Carlo moment check over samples of n rows with correlation
+    factor.lower @ factor.lower.T: ``reduce`` maps a (B, n, m) stack of
+    consecutive trials' samples to per-trial values along its last axis,
+    and ``finish`` maps every trial's values to the check's results."""
+
+    factor: CholeskyFactor
+    n: int
+    reduce: Callable[[np.ndarray], np.ndarray]
+    finish: Callable[[np.ndarray], List[MomentCheck]]
+
+
+def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
     """Monte Carlo variance of the cross-sample term against its exact value.
 
     The z-score uses the large-sample standard error of a sample variance,
     sqrt((m4 - var^2) / trials) with m4 the fourth central moment.
     """
-    values = _map_chunks(lambda x: term_i(x, r), cholesky(r), n, trials, seed, workers)
-    mc_var = float(np.var(values, ddof=1))
-    exact = var_i_exact(r, n)
-    m4 = float(np.mean((values - values.mean()) ** 4))
-    stderr = float(np.sqrt(max(m4 - mc_var ** 2, 0.0) / trials))
-    return MomentCheck(name="var_i", mc_value=mc_var, exact=exact,
-                       stderr=stderr, z_score=_z_score(mc_var, exact, stderr))
+    def finish(values: np.ndarray) -> List[MomentCheck]:
+        mc_var = float(np.var(values, ddof=1))
+        exact = var_i_exact(r, n)
+        m4 = float(np.mean((values - values.mean()) ** 4))
+        stderr = float(np.sqrt(max(m4 - mc_var ** 2, 0.0) / values.size))
+        return [MomentCheck(name=name, mc_value=mc_var, exact=exact, stderr=stderr,
+                            z_score=_z_score(mc_var, exact, stderr))]
+
+    return ChunkCheck(cholesky(r), n, lambda x: term_i(x, r), finish)
 
 
-def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
-                 workers: int = 1):
+def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
     """Monte Carlo means of the same-sample component II1 (against its exact
     closed form) and of the cross-sample term (against zero)."""
     cells = _Cells.of([r])   # decompose's constants, shared by every chunk
 
-    def one(x: np.ndarray) -> np.ndarray:
+    def reduce(x: np.ndarray) -> np.ndarray:
         dec = _gated_decompose(x, cells)
         return np.stack([dec.term_ii1, dec.term_i])
 
-    ii1, t_i = _map_chunks(one, cholesky(r), n, trials, seed, workers)
-    return (_moment_check("e_ii1", ii1, expected_ii1(r, n)),
-            _moment_check("e_i", t_i, 0.0))
+    def finish(values: np.ndarray) -> List[MomentCheck]:
+        ii1, t_i = values
+        return [_moment_check("e_ii1", ii1, expected_ii1(r, n)),
+                _moment_check("e_i", t_i, 0.0)]
+
+    return ChunkCheck(cholesky(r), n, reduce, finish)
+
+
+def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
+               workers: int = 1) -> List[List[MomentCheck]]:
+    """Each check's results over the samples of trials 0..trials-1 of
+    ``seed``, every check equal to its own run.
+
+    Consecutive trials are reduced as one (B, n, m) stack per chunk, whose
+    size comes from the longest block any check needs.  A chunk draws each
+    trial's stream once, at that length, and a check reads the first n*m
+    normals of it: the stream is consumed in order and mapped to normals
+    elementwise, so that prefix is standard_normal_block(seed, trial, n, m).
+    """
+    if any(check.n < 1 for check in checks):
+        raise DomainError("n must be a positive integer")
+    if trials < 2:
+        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
+    width = max(check.n * check.factor.m for check in checks)
+    size = max(1, _CHUNK_BYTES // (8 * width))
+    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+    def one(chunk: int) -> list:
+        # Looked up on the module, where a wrapper placed on it sees the call.
+        z = _generators.standard_normal_blocks(seed, chunks[chunk], 1, width)[:, 0]
+        return [check.reduce(np.matmul(
+                    z[:, :check.n * check.factor.m].reshape(-1, check.n, check.factor.m),
+                    check.factor.lower.T))
+                for check in checks]
+
+    per_chunk = _map_trials(one, len(chunks), workers)
+    return [check.finish(np.concatenate(values, axis=-1))
+            for check, values in zip(checks, zip(*per_chunk))]
+
+
+def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,
+                 workers: int = 1) -> MomentCheck:
+    """``var_i_check`` run on its own."""
+    return run_checks([var_i_check(r, n)], trials, seed, workers)[0][0]
+
+
+def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
+                 workers: int = 1):
+    """``e_ii1_check`` run on its own: the (e_ii1, e_i) checks."""
+    return tuple(run_checks([e_ii1_check(r, n)], trials, seed, workers)[0])
 
 
 def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCheck]:

@@ -73,14 +73,24 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of the level-alpha independence test."""
+    """Outcome of the level-alpha independence test on n samples of m
+    variables.  The z and p values are derived from ``centered`` when read,
+    so a caller that needs only the decision computes neither."""
 
     t_value: float
     centered: float
-    z_value: float
-    p_value: float
     alpha: float
     reject: bool
+    n: int
+    m: int
+
+    @property
+    def z_value(self):
+        return self.n * self.centered / self.m
+
+    @property
+    def p_value(self):
+        return theory.normal_tail(self.z_value)
 
     def to_json_obj(self) -> dict:
         return {
@@ -196,22 +206,21 @@ def report_from_statistic(t_value, n: int, m: int, alpha: float) -> TestReport:
 
     Rejects iff T - m(m-1)/(2n) strictly exceeds (m/n) z_alpha.  This is
     the one place that centers T and decides.  For an array of T values
-    every field but alpha is the elementwise array; a scalar T gives float
-    fields and a bool decision.
+    the statistic, z and p values and decision are elementwise arrays; a
+    scalar T gives floats and a bool decision.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie strictly inside (0, 1)")
     z_alpha = theory.normal_quantile(alpha)
     centered = t_value - m * (m - 1) / (2.0 * n)
-    z_value = n * centered / m
     reject = centered > (m / n) * z_alpha
     return TestReport(
         t_value=t_value,
         centered=centered,
-        z_value=z_value,
-        p_value=theory.normal_tail(z_value),
         alpha=alpha,
         reject=reject if np.ndim(reject) else bool(reject),
+        n=n,
+        m=m,
     )
 
 

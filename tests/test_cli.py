@@ -200,16 +200,19 @@ def test_gen_unachievable(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_workers_env_fallback(monkeypatch):
-    from hidim.cli import build_parser
+def test_workers_env_fallback(monkeypatch, capsys):
+    null = ("null", "--m", "6", "--n", "20", "--trials", "100", "--seed", "1")
     monkeypatch.setenv("HIDIM_WORKERS", "3")
-    args = build_parser().parse_args(
-        ["null", "--m", "6", "--n", "20", "--trials", "100", "--seed", "1"])
-    assert args.workers == 3
-    monkeypatch.setenv("HIDIM_WORKERS", "junk")
-    args = build_parser().parse_args(
-        ["null", "--m", "6", "--n", "20", "--trials", "100", "--seed", "1"])
-    assert args.workers == 1
+    assert run_cli(*null) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["workers"] == 3
+    for bad in ("junk", "0", "-2"):
+        monkeypatch.setenv("HIDIM_WORKERS", bad)
+        assert run_cli(*null) == 2
+        assert capsys.readouterr().err == (
+            f"error: HIDIM_WORKERS must be a positive integer, got '{bad}'\n")
+    # an explicit --workers never reads the variable
+    assert run_cli(*null, "--workers", "2") == 0
+    assert json.loads(capsys.readouterr().out)["config"]["workers"] == 2
 
 
 def test_verify_isserlis(capsys):

@@ -12,6 +12,7 @@ from hidim import (AlternativeFamily, ConfigError, CorrMatrix, CovMode,
                    statistic_t, term_i, verify_e_ii1, verify_kernels,
                    verify_var_i, write_power_csv)
 from hidim import sim
+from hidim import theory
 
 EQUI = AlternativeFamily.equicorrelation()
 
@@ -137,6 +138,34 @@ def test_power_grid_matches_independent_recount(mode):
     assert buf1.getvalue() == buf3.getvalue()
 
 
+def test_simulation_runs_take_no_p_values(monkeypatch):
+    # run_null reads only the decisions and z-values of its report and
+    # run_power_curve only the decisions, so neither takes a tail probability
+    # over its trials; the one tail left is each cell's scalar prediction.
+    tail = theory.normal_tail
+
+    def scalar_tail(x):
+        if np.ndim(x):
+            raise AssertionError("a tail probability was taken over the trials")
+        return tail(x)
+
+    monkeypatch.setattr(theory, "normal_tail", scalar_tail)
+    cfg = small_config(m=6, n=25, trials=120, b_grid=(0.0, 1.0))
+    m, n = cfg.m, cfg.n
+    null = run_null(cfg)
+    points = run_power_curve(cfg)
+    threshold = (m / n) * normal_quantile(cfg.alpha)
+    for point, b in zip(points, cfg.b_grid):
+        r = CorrMatrix.identity(m) if b == 0.0 else calibrate_to_theta(EQUI, b, m, n)
+        centered = np.array([statistic_t(sample_gaussian(cholesky(r), n, cfg.seed, t),
+                                         cfg.cov_mode) for t in range(cfg.trials)])
+        centered -= m * (m - 1) / (2.0 * n)
+        assert point.empirical_power == np.mean(centered > threshold)
+        if b == 0.0:
+            assert np.array_equal(null.z_values, n * centered / m)
+            assert null.empirical_size == point.empirical_power
+
+
 def test_power_csv_format(tmp_path):
     points = run_power_curve(small_config(m=6, n=25, trials=120, b_grid=(0.0,)))
     path = tmp_path / "power.csv"
@@ -204,6 +233,28 @@ def test_chunked_verify_loops_match_a_per_trial_recount(monkeypatch):
                 *verify_e_ii1(r, n, trials, seed, workers=3)]
     assert (sim.verification_report_json(threaded, {})
             == sim.verification_report_json([var_i, *e_ii1], {}))
+    # One run of var-i at R = I and at r plus e-ii1 draws each trial's stream
+    # once, at the longest block, and every check equals its own run; e-ii1's
+    # block is shorter (20 x 40) and longer (40 x 100, 32-trial chunks) than
+    # var-i's 40 x 80.
+    identity = CorrMatrix.identity(m)
+    for m_ii1, n_ii1 in ((20, 40), (40, 100)):
+        separate = [verify_var_i(identity, n, trials, seed), verify_var_i(r, n, trials, seed),
+                    *verify_e_ii1(CorrMatrix.identity(m_ii1), n_ii1, trials, seed)]
+        for workers in (1, 3):
+            drawn = []
+
+            def recording(seed, chunk, *shape, blocks=sim._generators.standard_normal_blocks):
+                drawn.extend(chunk)
+                return blocks(seed, chunk, *shape)
+
+            monkeypatch.setattr(sim._generators, "standard_normal_blocks", recording)
+            shared = sim.run_checks([sim.var_i_check(identity, n), sim.var_i_check(r, n),
+                                     sim.e_ii1_check(CorrMatrix.identity(m_ii1), n_ii1)],
+                                    trials, seed, workers)
+            monkeypatch.undo()
+            assert [check for results in shared for check in results] == separate
+            assert sorted(drawn) == list(range(trials))
 
 
 def test_verify_loops_reject_bad_sizes():
