@@ -3,18 +3,20 @@ the asymptotic prediction, and oracle checks of the exact moment formulas.
 
 Trials are embarrassingly parallel: each is a pure function of the config
 and its trial index (counter-based streams).  A unit of work is one trial
-(null and power runs) or one chunk of consecutive trials (the moment
-checks, whose samples are small enough that per-call overhead would
-dominate).  The moment checks of one run share their chunks: each trial's
-stream is drawn once, and each check reads its own sample size from the
-front of it.  Chunk bounds depend only on the trial count and the largest
-sample size, results land in pre-sized slots indexed by trial or chunk, and
+(null runs, bound by sampling at scale) or one chunk of consecutive trials
+(power curves and the moment checks, whose samples are small enough that
+per-call overhead would dominate).  The checks of one run, the b cells of a
+power curve or the moment checks of ``verify``, share their chunks: each
+trial's stream is drawn once, and each check reads its own sample size from
+the front of it.  Chunk bounds depend only on the trial count and the
+checks' sample sizes, results are kept in trial or chunk order, and
 reductions run in fixed trial order, so reports are bitwise identical for
 any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -39,9 +41,11 @@ from .theory import asymptotic_power, normal_cdf, normal_quantile
 from . import kernels as _kernels
 
 _RESIDUAL_RTOL = 1e-9
-# Bound on the bytes of one chunk's (B, n, m) float64 sample stack: 873
-# trials at m=5/n=30, 40 at m=40/n=80, and one trial once n*m > 65536.
-# The kernel checks chunk their draws by it too: 16384 draws of x and y.
+# Bound on the bytes of the (B, n, m) float64 stacks that all the checks of
+# one chunk hold together, so that they stay in cache: 10 trials for 4 power
+# cells at m=40/n=80, 344 for ``verify all`` at its defaults, one once the
+# n*m sum passes 65536.  The kernel checks chunk their draws by it too:
+# 16384 draws of x and y.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -170,15 +174,10 @@ class MomentCheck:
 
 
 def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
-    out = [None] * trials
     if workers <= 1:
-        for t in range(trials):
-            out[t] = fn(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for t, value in enumerate(pool.map(fn, range(trials))):
-                out[t] = value
-    return out
+        return [fn(t) for t in range(trials)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(trials)))
 
 
 def _gated_decompose(data, r) -> Decomposition:
@@ -246,11 +245,12 @@ def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullRep
 def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     """Empirical power across the b grid against the asymptotic prediction.
 
-    Unachievable grid points are reported as skipped, not fatal.  Every
-    cell uses the same (seed, trial) normals, so each trial draws them once
-    and multiplies them by every cell's Cholesky factor in one stack.  The
-    prediction is an m, n -> infinity limit; finite-sample agreement
-    windows are engineering tolerances, not derived error bounds.
+    Unachievable grid points are reported as skipped, not fatal.  Each live
+    cell is a ``ChunkCheck`` of one ``run_checks`` call: every cell uses the
+    same (seed, trial) normals, so each chunk of trials draws them once and
+    multiplies them by every cell's Cholesky factor.  The prediction is an
+    m, n -> infinity limit; finite-sample agreement windows are engineering
+    tolerances, not derived error bounds.
     """
     config.validate()
     m, n = config.m, config.n
@@ -261,24 +261,16 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
                          else calibrate_to_theta(config.family, b, m, n))
         except Unachievable:
             cells.append(None)
-    live = [r for r in cells if r is not None]
-    power: List[Optional[float]] = [None] * len(cells)
-    if live:
-        # Transposed views, so each slice is multiplied exactly as z @ L'.
-        lower_t = np.stack([cholesky(r).lower for r in live]).transpose(0, 2, 1)
-        t_of = _t_values(live, config.cov_mode)
 
-        def one(trial: int) -> np.ndarray:
-            # Looked up on the module, where a wrapper placed on it sees the call.
-            z = _generators.standard_normal_block(config.seed, trial, n, m)
-            return t_of(np.matmul(z, lower_t))
+    def rate(t_values: np.ndarray) -> float:
+        return float(np.mean(report_from_statistic(t_values, n, m, config.alpha).reject))
 
-        t_values = np.array(_map_trials(one, config.trials, config.workers))
-        rejections = report_from_statistic(t_values, n, m, config.alpha).reject
-        live_power = iter(np.mean(rejections, axis=0))
-        power = [None if r is None else float(next(live_power)) for r in cells]
+    live = [ChunkCheck(cholesky(r), n, _t_values([r], config.cov_mode), rate)
+            for r in cells if r is not None]
+    rates = iter(run_checks(live, config.trials, config.seed, config.workers) if live else ())
     points: List[PowerPoint] = []
-    for b, p_hat in zip(config.b_grid, power):
+    for b, r in zip(config.b_grid, cells):
+        p_hat = None if r is None else next(rates)
         stderr = (None if p_hat is None
                   else float(np.sqrt(p_hat * (1.0 - p_hat) / config.trials)))
         points.append(PowerPoint(
@@ -295,13 +287,8 @@ def write_power_csv(points: Sequence[PowerPoint], path) -> None:
     def fmt(value) -> str:
         return "" if value is None else repr(float(value))
 
-    close = False
-    if isinstance(path, (str, bytes)):
-        handle = open(path, "w", newline="")
-        close = True
-    else:
-        handle = path
-    try:
+    with (open(path, "w", newline="") if isinstance(path, (str, bytes))
+          else contextlib.nullcontext(path)) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["b", "m", "n", "trials", "empirical_power",
                          "mc_stderr", "predicted_power", "skipped"])
@@ -310,9 +297,6 @@ def write_power_csv(points: Sequence[PowerPoint], path) -> None:
                              fmt(pt.empirical_power), fmt(pt.mc_stderr),
                              repr(float(pt.predicted_power)),
                              "true" if pt.skipped else "false"])
-    finally:
-        if close:
-            handle.close()
 
 
 def _z_score(estimate: float, exact: float, stderr: float) -> float:
@@ -334,15 +318,17 @@ def _moment_check(name: str, samples: np.ndarray, exact: float) -> MomentCheck:
 
 @dataclass(frozen=True)
 class ChunkCheck:
-    """A Monte Carlo moment check over samples of n rows with correlation
+    """A Monte Carlo check over samples of n rows with correlation
     factor.lower @ factor.lower.T: ``reduce`` maps a (B, n, m) stack of
     consecutive trials' samples to per-trial values along its last axis,
-    and ``finish`` maps every trial's values to the check's results."""
+    and ``finish`` maps every trial's values to the check's results: a
+    list of MomentChecks for a moment check, the rejection rate for a
+    power cell."""
 
     factor: CholeskyFactor
     n: int
     reduce: Callable[[np.ndarray], np.ndarray]
-    finish: Callable[[np.ndarray], List[MomentCheck]]
+    finish: Callable[[np.ndarray], object]
 
 
 def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
@@ -380,14 +366,15 @@ def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
 
 
 def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
-               workers: int = 1) -> List[List[MomentCheck]]:
+               workers: int = 1) -> list:
     """Each check's results over the samples of trials 0..trials-1 of
     ``seed``, every check equal to its own run.
 
-    Consecutive trials are reduced as one (B, n, m) stack per chunk, whose
-    size comes from the longest block any check needs.  A chunk draws each
-    trial's stream once, at that length, and a check reads the first n*m
-    normals of it: the stream is consumed in order and mapped to normals
+    Consecutive trials are reduced as one (B, n, m) stack per check and
+    chunk, with B set so that the stacks of all the checks fit in
+    _CHUNK_BYTES together.  A chunk draws each trial's stream once, at the
+    longest block any check needs, and a check reads the first n*m normals
+    of it: the stream is consumed in order and mapped to normals
     elementwise, so that prefix is standard_normal_block(seed, trial, n, m).
     """
     if any(check.n < 1 for check in checks):
@@ -395,7 +382,7 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     width = max(check.n * check.factor.m for check in checks)
-    size = max(1, _CHUNK_BYTES // (8 * width))
+    size = max(1, _CHUNK_BYTES // (8 * sum(check.n * check.factor.m for check in checks)))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
     def one(chunk: int) -> list:

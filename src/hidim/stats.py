@@ -126,14 +126,20 @@ class Decomposition:
 
 
 def _cov_matrix(values: np.ndarray, mode: CovMode) -> np.ndarray:
-    """Covariance matrices of the (..., n, m) samples ``values``."""
-    n = values.shape[-2]
+    """Covariance matrices of the (..., n, m) samples ``values``.  Centering
+    leaves a constant column with rounding noise of up to n eps |mean|; a
+    centered variance within the square of that is set to exactly 0."""
+    n, m = values.shape[-2:]
     if mode is CovMode.KNOWN_ZERO_MEAN:
         return np.matmul(np.swapaxes(values, -1, -2), values) / n
     if n < 2:
         raise DomainError("centered covariances need at least 2 samples")
-    centered = values - values.mean(axis=-2, keepdims=True)
-    return np.matmul(np.swapaxes(centered, -1, -2), centered) / (n - 1)
+    mean = values.mean(axis=-2, keepdims=True)
+    centered = values - mean
+    s = np.matmul(np.swapaxes(centered, -1, -2), centered) / (n - 1)
+    var = s.reshape(*s.shape[:-2], m * m)[..., ::m + 1]
+    var[np.sqrt(var) <= n * np.finfo(float).eps * np.abs(mean[..., 0, :])] = 0.0
+    return s
 
 
 def _check_dims(columns: int, m: int) -> None:
@@ -193,7 +199,11 @@ def statistic_t(data: Union[DataMatrix, np.ndarray], mode: CovMode):
     whose k-th entry equals statistic_t(DataMatrix(data[k]), mode).
     """
     x, shape = _as_stack(data)
-    return shape(_squared_correlations(_cov_matrix(x, mode))[0].sum(axis=1))
+    t_value = _squared_correlations(_cov_matrix(x, mode))[0].sum(axis=1)
+    if not np.all(np.isfinite(t_value)):
+        raise DomainError(f"T is {t_value[~np.isfinite(t_value)][0]}: the covariances "
+                          "overflow or underflow float64; rescale the columns")
+    return shape(t_value)
 
 
 def max_statistic(data: DataMatrix, mode: CovMode) -> float:

@@ -75,6 +75,26 @@ def test_test_degenerate_column(tmp_path, capsys):
     assert "column" in err and "0" in err
 
 
+def test_test_near_constant_centered_column_exits_3(tmp_path, capsys):
+    path = tmp_path / "near.csv"
+    values = np.random.default_rng(4).standard_normal((30, 3))
+    values[:, 1] = 0.1
+    write_csv(path, values)
+    assert run_cli("test", str(path), "--cov-mode", "centered") == 3
+    assert "column(s): 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["zero-mean", "centered"])
+def test_test_overflowing_column_exits_2(tmp_path, capsys, mode):
+    path = tmp_path / "huge.csv"
+    values = np.random.default_rng(5).standard_normal((30, 3))
+    values[:, 0] *= 1e200
+    write_csv(path, values)
+    with np.errstate(all="ignore"):
+        assert run_cli("test", str(path), "--cov-mode", mode) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_test_parse_errors(tmp_path, capsys):
     missing = run_cli("test", str(tmp_path / "nope.csv"))
     assert missing == 2

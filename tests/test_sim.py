@@ -138,6 +138,34 @@ def test_power_grid_matches_independent_recount(mode):
     assert buf1.getvalue() == buf3.getvalue()
 
 
+@pytest.mark.parametrize("mode", [CovMode.KNOWN_ZERO_MEAN, CovMode.SAMPLE_CENTERED])
+def test_power_csv_bytes_do_not_depend_on_chunking(monkeypatch, mode):
+    # 1-trial chunks, the default chunks and one chunk of all 120 trials, each
+    # at 1, 2 and 3 workers; b = 60 is unachievable at m=6/n=25
+    cfg = small_config(m=6, n=25, trials=120, b_grid=(0.0, 1.0, 3.0, 60.0), cov_mode=mode)
+    blocks = sim._generators.standard_normal_blocks
+    texts = set()
+    for chunk_bytes, sizes in ((1, {1}), (sim._CHUNK_BYTES, None), (1 << 40, {120})):
+        monkeypatch.setattr(sim, "_CHUNK_BYTES", chunk_bytes)
+        for workers in (1, 2, 3):
+            rows = []
+
+            def recording(seed, chunk, *shape):
+                rows.append(len(chunk))
+                return blocks(seed, chunk, *shape)
+
+            monkeypatch.setattr(sim._generators, "standard_normal_blocks", recording)
+            points = run_power_curve(dataclasses.replace(cfg, workers=workers))
+            # one draw per trial index serves every cell
+            assert sum(rows) == cfg.trials
+            assert sizes is None or set(rows) == sizes
+            buf = io.StringIO()
+            write_power_csv(points, buf)
+            texts.add(buf.getvalue())
+    assert len(texts) == 1
+    assert [p.skipped for p in points] == [False, False, False, True]
+
+
 def test_simulation_runs_take_no_p_values(monkeypatch):
     # run_null reads only the decisions and z-values of its report and
     # run_power_curve only the decisions, so neither takes a tail probability
@@ -235,7 +263,7 @@ def test_chunked_verify_loops_match_a_per_trial_recount(monkeypatch):
             == sim.verification_report_json([var_i, *e_ii1], {}))
     # One run of var-i at R = I and at r plus e-ii1 draws each trial's stream
     # once, at the longest block, and every check equals its own run; e-ii1's
-    # block is shorter (20 x 40) and longer (40 x 100, 32-trial chunks) than
+    # block is shorter (20 x 40) and longer (40 x 100, 12-trial chunks) than
     # var-i's 40 x 80.
     identity = CorrMatrix.identity(m)
     for m_ii1, n_ii1 in ((20, 40), (40, 100)):

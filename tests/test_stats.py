@@ -83,6 +83,30 @@ def test_rho_hat_sq_degenerate():
         statistic_t(const, SC)
 
 
+def test_centered_near_constant_column_is_degenerate():
+    # 0.1 has no exact binary form: centering leaves rounding noise, not 0
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((30, 4))
+    values[:, 2] = 0.1
+    assert np.any(values[:, 2] - values[:, 2].mean() != 0.0)
+    for data in (DataMatrix(values), np.stack([values, values])):
+        with pytest.raises(DegenerateColumn) as info:
+            statistic_t(data, SC)
+        assert info.value.columns == (2,)
+    assert statistic_t(DataMatrix(values), ZM) > 0.0
+    # a small spread on a large mean is still data
+    values[:, 2] = 1e6 + 1e-3 * rng.standard_normal(30)
+    assert np.isfinite(statistic_t(DataMatrix(values), SC))
+
+
+@pytest.mark.parametrize("mode", [ZM, SC])
+def test_overflowing_column_fails_clearly(mode):
+    values = np.random.default_rng(9).standard_normal((30, 4))
+    values[:, 1] *= 1e200
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="T is nan: .*overflow"):
+        statistic_t(DataMatrix(values), mode)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scale=st.floats(0.01, 100.0), flip=st.booleans(),
        seed=st.integers(0, 10 ** 6))
