@@ -182,11 +182,12 @@ def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
 
 def _gated_decompose(data, r) -> Decomposition:
     """``decompose`` of one sample or a stack, with every reconstruction
-    residual held to _RESIDUAL_RTOL relative to max(1, |T|)."""
+    residual held to _RESIDUAL_RTOL relative to max(1, |T|); a NaN residual
+    or T (covariances that overflow float64) fails the gate too."""
     dec = decompose(data, r)
     residual, t_abs = np.broadcast_arrays(np.ravel(dec.residual),
                                           np.abs(np.ravel(dec.t_value)))
-    bad = np.flatnonzero(residual > _RESIDUAL_RTOL * np.maximum(1.0, t_abs))
+    bad = np.flatnonzero(~(residual <= _RESIDUAL_RTOL * np.maximum(1.0, t_abs)))
     if bad.size:
         raise RuntimeError(
             f"decomposition identity violated: residual {residual[bad[0]]:.3e} "

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -165,17 +165,28 @@ def _upper(mats: np.ndarray) -> np.ndarray:
     return np.take(mats.reshape(b, m * m), _pair_offsets(m), axis=1)
 
 
-def _squared_correlations(s: np.ndarray):
+def _squared_correlations(s: np.ndarray, pairs: Optional[np.ndarray] = None):
     """The (B, m(m-1)/2) squared correlations S_pq^2 / (S_pp S_qq), p < q, of
-    a (B, m, m) covariance stack S, and a copy of its (B, m) diagonal.  A
-    zero variance raises DegenerateColumn naming the columns of the first
-    slice that has one."""
+    a (B, m, m) covariance stack S, and a copy of its (B, m) diagonal.
+    ``pairs`` is _upper(S) when the caller has it already.  A zero variance
+    raises DegenerateColumn naming the columns of the first slice that has
+    one."""
     d = np.diagonal(s, axis1=1, axis2=2).copy()
     slices, columns = np.nonzero(d == 0.0)
     if slices.size:
         raise DegenerateColumn(columns[slices == slices[0]])
-    pairs = _upper(s)
+    if pairs is None:
+        pairs = _upper(s)
     return pairs * pairs / _upper(d[:, :, None] * d[:, None, :]), d
+
+
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    """``values``, unless one of them is not finite: then the DomainError
+    that names it, as covariances that overflow or underflow float64."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{name} is {values[~np.isfinite(values)][0]}: the covariances "
+                          "overflow or underflow float64; rescale the columns")
+    return values
 
 
 def _as_stack(data: Union[DataMatrix, np.ndarray]):
@@ -200,15 +211,13 @@ def statistic_t(data: Union[DataMatrix, np.ndarray], mode: CovMode):
     """
     x, shape = _as_stack(data)
     t_value = _squared_correlations(_cov_matrix(x, mode))[0].sum(axis=1)
-    if not np.all(np.isfinite(t_value)):
-        raise DomainError(f"T is {t_value[~np.isfinite(t_value)][0]}: the covariances "
-                          "overflow or underflow float64; rescale the columns")
-    return shape(t_value)
+    return shape(_finite(t_value, "T"))
 
 
 def max_statistic(data: DataMatrix, mode: CovMode) -> float:
     """Largest squared sample correlation over all pairs p < q."""
-    return float(_squared_correlations(_cov_matrix(data.values[None], mode))[0].max())
+    r2_hat = _squared_correlations(_cov_matrix(data.values[None], mode))[0]
+    return float(_finite(r2_hat.max(axis=1), "the largest squared correlation")[0])
 
 
 def report_from_statistic(t_value, n: int, m: int, alpha: float) -> TestReport:
@@ -239,40 +248,51 @@ def rao_score_test(data: DataMatrix, alpha: float, mode: CovMode) -> TestReport:
     return report_from_statistic(statistic_t(data, mode), data.n, data.m, alpha)
 
 
-def _pair_sums(x: np.ndarray, rho: np.ndarray, two_rho: np.ndarray):
-    """For a (B, n, m) stack, its (B, m(m-1)/2) pair correlations and their
-    doubles: the Gram matrices X'X and per pair the sums of
-    c_i = X_pi X_qi - rho_pq and of c_i^2."""
-    n = x.shape[1]
+def _pair_sums(x: np.ndarray, rho: np.ndarray):
+    """For a (B, n, m) stack with (B, m(m-1)/2) pair correlations rho: the
+    Gram matrices X'X, their pair entries G_pq, the pair sums sum_i c_i of
+    c_i = X_pi X_qi - rho_pq, and per slice the total of sum_i c_i^2 over
+    the pairs.  That total needs no fourth-moment Gram matrix:
+    sum_{p<q} sum_i X_pi^2 X_qi^2 = (sum_i s_i^2 - sum_{i,p} X_pi^4) / 2 with
+    the row sums s_i = sum_p X_pi^2, and sum_{p<q} rho (n rho - 2 G_pq) is
+    added.  When one column's scale dominates the others, the two quartic
+    sums nearly cancel and the total loses the digits of that ratio."""
+    size, n, m = x.shape
     g = np.matmul(x.transpose(0, 2, 1), x)
-    sq = x * x
     g_pairs = _upper(g)
     sum_c = g_pairs - n * rho
-    sum_c2 = (_upper(np.matmul(sq.transpose(0, 2, 1), sq)) - two_rho * g_pairs
-              + n * rho * rho)
-    return g, sum_c, sum_c2
+    sq = x * x
+    rows = (sq.reshape(size * n, m) @ np.ones(m)).reshape(size, 1, n)
+    flat = sq.reshape(size, 1, n * m)
+    # per-slice dot products, as (1, k) @ (k, 1) products
+    quartic = (np.matmul(rows, rows.transpose(0, 2, 1))
+               - np.matmul(flat, flat.transpose(0, 2, 1)))[:, 0, 0]
+    total = 0.5 * quartic - (rho * (g_pairs + sum_c)).sum(axis=1)
+    return g, g_pairs, sum_c, total
 
 
 def _cross_sample(sum_c: np.ndarray, sum_c2: np.ndarray, n: int) -> np.ndarray:
-    """Per-pair cross-sample term ((sum_i c_i)^2 - sum_i c_i^2) / n^2."""
+    """Per-slice cross-sample term (sum_pairs (sum_i c_i)^2 - sum_c2) / n^2,
+    with sum_c2 the slice's total of sum_i c_i^2 over the pairs."""
     if n == 1:
-        return np.zeros_like(sum_c)  # empty cross-sample sum
-    return (sum_c * sum_c - sum_c2) / float(n) ** 2
+        return np.zeros(len(sum_c))  # empty cross-sample sum
+    return ((sum_c * sum_c).sum(axis=1) - sum_c2) / float(n) ** 2
 
 
 def term_i(data: Union[DataMatrix, np.ndarray], r: CorrMatrix):
     """Cross-sample component: (2/n^2) sum_{p<q} sum_{i<j} c_i c_j.
 
-    Computed as ((sum_i c_i)^2 - sum_i c_i^2) / n^2 per pair, avoiding the
-    O(n^2) double loop.  A float for one DataMatrix; for a (B, n, m) stack
-    of samples from the same R, a length-B array whose k-th entry equals
+    Computed as sum_{p<q} ((sum_i c_i)^2 - sum_i c_i^2) / n^2, avoiding the
+    O(n^2) double loop; the second total comes from row sums (``_pair_sums``).
+    A float for one DataMatrix; for a (B, n, m) stack of samples from the
+    same R, a length-B array whose k-th entry equals
     term_i(DataMatrix(data[k]), r).
     """
     x, shape = _as_stack(data)
     _check_dims(x.shape[2], r.m)
     rho = _upper(r.rho[None])
-    _, sum_c, sum_c2 = _pair_sums(x, rho, 2.0 * rho)
-    return shape(_cross_sample(sum_c, sum_c2, x.shape[1]).sum(axis=1))
+    _, _, sum_c, sum_c2 = _pair_sums(x, rho)
+    return shape(_cross_sample(sum_c, sum_c2, x.shape[1]))
 
 
 def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
@@ -320,13 +340,12 @@ _II_WEIGHTS = _ii_weights()
 class _Cells:
     """The constants ``decompose`` needs of C correlation matrices, built
     once per run: the (C, m, m) matrices R and P = R * R (P with a zero
-    diagonal), the (C, m(m-1)/2) pair correlations rho and 2 rho,
-    and ||R - I||_F^2 / 2.  With C = 1 they serve every slice of a stack."""
+    diagonal), the (C, m(m-1)/2) pair correlations rho and
+    ||R - I||_F^2 / 2.  With C = 1 they serve every slice of a stack."""
 
     rhos: np.ndarray
     rho_sq: np.ndarray
     rho: np.ndarray
-    two_rho: np.ndarray
     half_signal: np.ndarray
 
     @classmethod
@@ -337,7 +356,7 @@ class _Cells:
         rho_sq.reshape(len(rs), m * m)[:, ::m + 1] = 0.0
         rho = _upper(rhos)
         signal = off_diagonal_norm(rhos)
-        return cls(rhos=rhos, rho_sq=rho_sq, rho=rho, two_rho=2.0 * rho,
+        return cls(rhos=rhos, rho_sq=rho_sq, rho=rho,
                    half_signal=0.5 * signal * signal)
 
 
@@ -363,8 +382,11 @@ def decompose(data: Union[DataMatrix, np.ndarray],
         sum_{p<q} rho^2 (G_4 - 1)          = sum_{1 <= l1 + l2 <= 4} M_P[l1, l2] / 2
         sum_{p<q} 2 rho w G_3              = sum_{l1 + l2 <= 3} M_RW[l1, l2]
 
-    T, term I and sum_i c_i^2 / n^2 are computed on the m(m-1)/2 pairs, so
-    t_value equals statistic_t bit for bit.  The third term is the exact
+    T is computed on the m(m-1)/2 pairs, so t_value equals statistic_t bit
+    for bit.  Term I takes its pair sums sum_i c_i from the Gram matrix
+    X'X and, like II1, the total of sum_i c_i^2 over the pairs from the
+    O(nm) row sums of X^2 and the sum of X^4 (``_pair_sums``), which lose
+    digits when one column's scale dominates the others.  The third term is the exact
     aggregate residual (T - ||R - I||_F^2 / 2) - I - II, so the identity
     holds by construction; ``residual`` reports the floating-point defect
     of T - ||R - I||_F^2 / 2 - (I + II + III).  One Gram matrix feeds every
@@ -390,11 +412,12 @@ def decompose(data: Union[DataMatrix, np.ndarray],
         for rk in rs:
             _check_dims(m, rk.m)
         cells = _Cells.of(rs)
-    g, sum_c, sum_c2 = _pair_sums(x, cells.rho, cells.two_rho)
-    s = np.divide(g, n, out=g)       # S overwrites the spent Gram matrices
-    r2_hat, d = _squared_correlations(s)           # d: S_pp per variable
-    t_value = r2_hat.sum(axis=1)
-    t_i = _cross_sample(sum_c, sum_c2, n).sum(axis=1)
+    g, g_pairs, sum_c, sum_c2 = _pair_sums(x, cells.rho)
+    # S and its pairs overwrite the spent Gram matrices and their pairs.
+    s = np.divide(g, n, out=g)
+    r2_hat, d = _squared_correlations(s, np.divide(g_pairs, n, out=g_pairs))
+    t_value = r2_hat.sum(axis=1)                   # d: S_pp per variable
+    t_i = _cross_sample(sum_c, sum_c2, n)
 
     # Sbar and then RW overwrite S, which is spent.
     sbar = np.subtract(s, cells.rhos, out=s)
@@ -411,7 +434,7 @@ def decompose(data: Union[DataMatrix, np.ndarray],
                          np.matmul(rw, powers)], axis=2)
     forms = np.matmul(powers.transpose(0, 2, 1), kv)   # [l1, K, l2] per slice
     t_ii1, t_ii2 = (forms.reshape(size, 1, 75) * _II_WEIGHTS).sum(axis=2).T
-    t_ii1 = t_ii1 + sum_c2.sum(axis=1) / float(n) ** 2
+    t_ii1 = t_ii1 + sum_c2 / float(n) ** 2
     t_iii = (t_value - cells.half_signal) - t_i - (t_ii1 + t_ii2)
     residual = np.abs(t_value - cells.half_signal - (t_i + t_ii1 + t_ii2 + t_iii))
     return Decomposition(*map(shape, (t_value, t_i, t_ii1 + t_ii2, t_ii1, t_ii2,

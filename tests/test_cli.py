@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -90,9 +91,12 @@ def test_test_overflowing_column_exits_2(tmp_path, capsys, mode):
     values = np.random.default_rng(5).standard_normal((30, 3))
     values[:, 0] *= 1e200
     write_csv(path, values)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy warning reaches the user
         assert run_cli("test", str(path), "--cov-mode", mode) == 2
-    assert "overflow" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: T is nan") and "overflow" in err
+    assert err.count("\n") == 1
 
 
 def test_test_parse_errors(tmp_path, capsys):

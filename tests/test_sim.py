@@ -377,6 +377,17 @@ def test_in_trial_gate_fires(monkeypatch):
         verify_e_ii1(CorrMatrix.identity(4), 12, 100, Seed(5))
 
 
+def test_in_trial_gate_fails_an_overflowing_column():
+    # the squares of a 1e160 column overflow, so every field of the slice is NaN
+    stack = np.random.default_rng(8).standard_normal((1, 30, 4))
+    stack[0, :, 2] *= 1e160
+    r = [CorrMatrix.identity(4)]
+    with np.errstate(all="ignore"):
+        assert np.isnan(decompose(stack, r).residual[0])
+        with pytest.raises(RuntimeError, match=r"residual nan for \|T\| = nan"):
+            sim._gated_decompose(stack, r)
+
+
 def test_centered_null_skips_decompose(monkeypatch):
     calls = []
     monkeypatch.setattr(sim, "decompose", lambda data, r: calls.append(1))

@@ -105,6 +105,9 @@ def test_overflowing_column_fails_clearly(mode):
     values[:, 1] *= 1e200
     with np.errstate(all="ignore"), pytest.raises(DomainError, match="T is nan: .*overflow"):
         statistic_t(DataMatrix(values), mode)
+    with np.errstate(all="ignore"), pytest.raises(
+            DomainError, match="largest squared correlation is nan: .*overflow"):
+        max_statistic(DataMatrix(values), mode)
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,8 +322,9 @@ def _per_pair_taylor(x: np.ndarray, rs):
     """T, I, II1, II2 and III of a (B, n, m) stack pair by pair: the Taylor
     terms on the m(m-1)/2 pair vectors, with G_k built by the recurrence
     h_j = -u h_{j-1} + (-v)^j over the complete homogeneous sums, and III
-    the per-pair leftover (rho_hat^2 - rho^2) - i - ii.  T and I use the
-    same operations as decompose; II and III are summed differently."""
+    the per-pair leftover (rho_hat^2 - rho^2) - i - ii.  T uses the same
+    operations as decompose; I, II and III are summed differently, the
+    sums of c_i^2 from the per-pair fourth-moment Gram (X*X)'(X*X)."""
     n, m = x.shape[1], x.shape[2]
     p, q = np.triu_indices(m, 1)
     flat = p * m + q
@@ -366,9 +370,10 @@ def test_decompose_matches_the_per_pair_taylor_recurrence(rng, m):
         stack = np.stack([z @ cholesky(r).lower.T for r in rs])
         dec = decompose(stack, rs)
         t, t_i, ii1, ii2, iii = _per_pair_taylor(stack, rs)
-        assert np.array_equal(dec.t_value, t) and np.array_equal(dec.term_i, t_i)
+        assert np.array_equal(dec.t_value, t)
         tol = 1e-13 * np.maximum(1.0, np.abs(t))
-        for name, oracle in (("term_ii1", ii1), ("term_ii2", ii2), ("term_iii", iii)):
+        for name, oracle in (("term_i", t_i), ("term_ii1", ii1), ("term_ii2", ii2),
+                             ("term_iii", iii)):
             assert np.all(np.abs(getattr(dec, name) - oracle) <= tol), (name, n)
 
 
