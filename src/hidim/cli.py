@@ -6,7 +6,8 @@ verify-moments (exact-identity and Monte Carlo oracle gates), gen
 (sample synthetic data from a calibrated alternative).
 
 Exit codes: 0 success, 1 verification gate failure, 2 usage/config/parse
-error, 3 degenerate data (zero-variance column).
+error or a memory request the OS refuses, 3 degenerate data (zero-variance
+column).
 """
 
 from __future__ import annotations
@@ -267,6 +268,8 @@ def cmd_verify_moments(args) -> int:
 
 
 def _run_verify(which: str, args) -> int:
+    if args.workers < 1:
+        raise ConfigError("workers must be a positive integer")
     failures = []
     checks: list[MomentCheck] = []
     seed = Seed(args.seed)
@@ -414,7 +417,8 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) is None:
             args.workers = _workers_default()
         return args.func(args)
-    except HidimError as exc:
+    except (HidimError, MemoryError) as exc:
+        # numpy's MemoryError names the size and shape it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

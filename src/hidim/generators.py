@@ -171,10 +171,15 @@ _TOP = np.uint64(2 ** 53 - 2)
 _ZERO_WORDS = (0, 0, 0, 0)
 
 
-def _philox_raw(master: int, streams: range, count: int) -> np.ndarray:
-    """`count` raw 64-bit draws from each stream (master, s), s in `streams`,
-    as a (len(streams), count) array.  One generator serves every stream: it
-    is built for the first and re-keyed through its state for the others."""
+def _philox_raw(master: int, streams: range, count: int, start: int = 0) -> np.ndarray:
+    """Raw 64-bit draws start .. start+count-1 of each stream (master, s), s
+    in `streams`, as a (len(streams), count) array.  One generator serves
+    every stream: it is built for the first and re-keyed through its state
+    for the others.  Each counter step yields four draws, so every stream
+    skips its first start // 4 steps; start must be a nonnegative multiple
+    of 4."""
+    if start < 0 or start % 4:
+        raise DomainError(f"stream offset must be a nonnegative multiple of 4, got {start}")
     raw = np.empty((len(streams), count), dtype=np.uint64)
     bits = None
     for row, stream in enumerate(streams):
@@ -185,6 +190,8 @@ def _philox_raw(master: int, streams: range, count: int) -> np.ndarray:
                           "state": {"counter": _ZERO_WORDS, "key": (master, stream)},
                           "buffer": _ZERO_WORDS, "buffer_pos": 4,
                           "has_uint32": 0, "uinteger": 0}
+        if start:
+            bits.advance(start // 4)
         raw[row] = bits.random_raw(count)
     return raw
 
@@ -200,9 +207,12 @@ def _to_uniform(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _uniform_open(master: int, stream: int, count: int) -> np.ndarray:
-    """`count` uniforms in the open interval (0,1) from stream (master, stream)."""
-    return _to_uniform(_philox_raw(master, range(stream, stream + 1), count))[0]
+def _uniform_open(master: int, stream: int, count: int, start: int = 0) -> np.ndarray:
+    """Uniforms start .. start+count-1, in the open interval (0,1), of stream
+    (master, stream): a slice of one fixed sequence, so consecutive calls
+    that cover a range give the bytes of one call over it.  start must be a
+    nonnegative multiple of 4, or DomainError is raised."""
+    return _to_uniform(_philox_raw(master, range(stream, stream + 1), count, start))[0]
 
 
 def standard_normal_blocks(seed: Seed, trials: range, rows: int, cols: int) -> np.ndarray:

@@ -44,7 +44,7 @@ _RESIDUAL_RTOL = 1e-9
 # Bound on the bytes of the (B, n, m) float64 stacks that all the checks of
 # one chunk hold together, so that they stay in cache: 10 trials for 4 power
 # cells at m=40/n=80, 344 for ``verify all`` at its defaults, one once the
-# n*m sum passes 65536.  The kernel checks chunk their draws by it too:
+# n*m sum passes 65536.  The kernel checks draw and evaluate by it too:
 # 16384 draws of x and y.
 _CHUNK_BYTES = 1 << 20
 
@@ -415,30 +415,31 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
     """Kernel means over i.i.d. draws of four bivariate normal vectors,
     including the mirrored variants, against the closed forms.
 
-    All variants are evaluated in one call per chunk of consecutive draws
-    whose x and y columns (64 bytes per draw) fit in _CHUNK_BYTES; the
-    per-draw values are the same as over one batch, and each check reduces
-    them all at once."""
+    Draws are made and evaluated one chunk of consecutive draws at a time,
+    the chunk's x and y (64 bytes per draw) filling _CHUNK_BYTES: draws
+    lo..lo+count-1 take uniforms 8*lo .. 8*(lo+count)-1 of stream 0, and
+    all variants are evaluated in one call per chunk.  The stream is read
+    in order and mapped elementwise, so the per-draw values are the same as
+    over one batch of all draws; only they (40 bytes per draw) outlive a
+    chunk, and each check reduces them all at once."""
     if abs(rho) >= 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
-    # Neither the uniforms nor their quantiles outlive the draw.  x and y
-    # are the two halves of one C-contiguous (coordinate, sample slot, draw)
-    # array, so a chunk of draws is a contiguous run of each of the eight
-    # rows; y is correlated in place.
-    q = normal_quantile(_uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
-    x, y = np.negative(q.transpose(2, 1, 0), order="C")
-    del q
-    y *= np.sqrt(1.0 - rho * rho)
-    y += rho * x
     exact = kernel_expectations(rho, n)
     targets = {"h1": exact.e_h1, "h2": exact.e_h2, "h3": exact.e_h3}
     size = _CHUNK_BYTES // (2 * 4 * 8)
     values = np.empty((len(_kernels.VARIANTS), trials))
     for lo in range(0, trials, size):
-        values[:, lo:lo + size] = _kernels.evaluate_variants(
-            x[:, lo:lo + size], y[:, lo:lo + size], rho, n)
+        count = min(size, trials - lo)
+        q = normal_quantile(_uniform_open(seed.master, 0, 8 * count, 8 * lo))
+        # x and y are the two halves of one C-contiguous (coordinate, sample
+        # slot, draw) array; y is correlated in place.
+        x, y = np.negative(q.reshape(count, 4, 2).transpose(2, 1, 0), order="C")
+        del q
+        y *= np.sqrt(1.0 - rho * rho)
+        y += rho * x
+        values[:, lo:lo + count] = _kernels.evaluate_variants(x, y, rho, n)
     return [_moment_check(name + ("_bar" if swapped else ""), out, targets[name])
             for out, (name, swapped) in zip(values, _kernels.VARIANTS)]
 

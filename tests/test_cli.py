@@ -257,6 +257,33 @@ def test_verify_bad_sizes(capsys):
         assert "at least 2 trials" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_non_positive_worker_count(capsys):
+    for workers in ("0", "-4"):
+        for which in ("kernels", "var-i", "all"):
+            assert run_cli("verify", which, "--workers", workers) == 2
+            assert capsys.readouterr().err == "error: workers must be a positive integer\n"
+
+
+@pytest.mark.parametrize("argv, module, attr", [
+    (("verify", "kernels", "--trials-kernels", "1000"), "hidim.sim", "_uniform_open"),
+    (("null", "--m", "6", "--n", "20", "--trials", "100"),
+     "hidim.generators", "standard_normal_block"),
+    (("verify", "var-i", "--trials", "100"), "hidim.generators", "standard_normal_blocks"),
+])
+def test_a_refused_memory_request_exits_2(monkeypatch, capsys, argv, module, attr):
+    # stands in for numpy's MemoryError on a size the OS refuses, without
+    # allocating it
+    message = ("Unable to allocate 59.6 GiB for an array with shape "
+               "(8000000000,) and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"{module}.{attr}", refuse)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_moments_table(capsys):
     assert run_cli("verify-moments") == 0
     out = capsys.readouterr().out

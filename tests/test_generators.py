@@ -7,7 +7,7 @@ from hidim import (AlternativeFamily, CorrMatrix, DomainError,
                    ks_statistic_vs_normal, make_family_matrix,
                    sample_from_matrix, sample_gaussian, standard_normal_block,
                    standard_normal_blocks)
-from hidim.generators import _to_uniform, _uniform_open
+from hidim.generators import _philox_raw, _to_uniform, _uniform_open
 
 EQUI = AlternativeFamily.equicorrelation()
 
@@ -196,3 +196,16 @@ def test_uniform_open_bytes_below_the_top():
     expected = [(min(k, 2 ** 53 - 2) + 0.5) * 2.0 ** -53 for k in ks]
     assert u.tolist() == expected
     assert u[1] < u[2] < u[3] < 1.0 and u[4] == u[5]
+
+
+def test_uniform_open_from_an_offset_is_a_slice_of_the_stream():
+    full = _uniform_open(9, 4, 1000)
+    for start in (0, 4, 8, 100, 996, 1000):
+        assert np.array_equal(_uniform_open(9, 4, 1000 - start, start), full[start:])
+    assert np.array_equal(_uniform_open(9, 4, 10, 400), full[400:410])
+    # the offset applies to every stream, not only the first
+    raw = _philox_raw(9, range(3, 7), 300)
+    assert np.array_equal(_philox_raw(9, range(3, 7), 200, 100), raw[:, 100:])
+    for start in (1, 2, 3, 6, -4, -1):
+        with pytest.raises(DomainError, match="multiple of 4"):
+            _uniform_open(9, 4, 10, start)

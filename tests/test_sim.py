@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,21 +313,30 @@ def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
     assert off.z_score == -np.inf and not off.passed
 
 
-def test_verify_kernels_chunks_match_one_batch(monkeypatch):
-    # 16384 draws fill a chunk, so 16384 + 37 make two chunks, one a remainder
-    rho, n, trials, seed = 0.3, 8, 16384 + 37, Seed(19)
+@pytest.mark.parametrize("trials", [2, 16384, 16384 + 37, 2 * 16384 + 5])
+def test_verify_kernels_chunks_match_one_batch(monkeypatch, trials):
+    # 16384 draws fill a chunk; each chunk draws its own slice of the stream
+    rho, n, seed = 0.3, 8, Seed(19)
     evaluate = sim._kernels.evaluate
     evaluate_variants = sim._kernels.evaluate_variants
-    widths = []
+    uniform_open = sim._uniform_open
+    widths, draws = [], []
 
     def recording(x, y, *args, **kwargs):
         widths.append(x.shape[1])
         return evaluate_variants(x, y, *args, **kwargs)
 
+    def recording_draw(master, stream, count, start=0):
+        draws.append((stream, count, start))
+        return uniform_open(master, stream, count, start)
+
     monkeypatch.setattr(sim._kernels, "evaluate_variants", recording)
+    monkeypatch.setattr(sim, "_uniform_open", recording_draw)
     checks = verify_kernels(rho, n, trials, seed)
-    assert widths == [16384, 37]
-    z = -normal_quantile(sim._uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
+    los = range(0, trials, 16384)
+    assert widths == [min(16384, trials - lo) for lo in los]
+    assert draws == [(0, 8 * width, 8 * lo) for lo, width in zip(los, widths)]
+    z = -normal_quantile(uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
     x = z[:, :, 0].T
     y = rho * x + np.sqrt(1.0 - rho * rho) * z[:, :, 1].T
     exact = sim.kernel_expectations(rho, n)
@@ -338,6 +348,20 @@ def test_verify_kernels_chunks_match_one_batch(monkeypatch):
             recount.append(sim._moment_check(
                 name + "_bar", evaluate(name, x, y, rho, n, swapped=True), targets[name]))
     assert checks == recount
+
+
+def test_verify_kernels_memory_is_its_values_and_one_chunk():
+    # the per-draw values (5 variants, 8 bytes each) outlive the chunks;
+    # the normals of all draws at once (64 bytes a draw) would not fit
+    trials = 200_000
+    verify_kernels(0.5, 10, 1000, Seed(1))   # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        verify_kernels(0.5, 10, trials, Seed(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * trials + 8 * 2 ** 20
 
 
 def test_verify_kernels_sanity():
