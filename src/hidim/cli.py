@@ -1,27 +1,27 @@
 """Command-line interface.
 
 Subcommands: test (run the independence test on a CSV of observations),
-power (power curve over a b grid), null (null calibration), verify /
-verify-moments (exact-identity and Monte Carlo oracle gates), gen
-(sample synthetic data from a calibrated alternative).
+power (power curve over a b grid), null (null calibration), verify
+(exact-identity and Monte Carlo oracle gates), gen (sample synthetic data
+from a calibrated alternative).
 
 Exit codes: 0 success, 1 verification gate failure, 2 usage/config/parse
-error or a memory request the OS refuses, 3 degenerate data (zero-variance
-column).
+error, a file that cannot be read or written, or a memory request the OS
+refuses, 3 degenerate data (zero-variance column).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, DegenerateColumn, DomainError, HidimError,
-                     NotPositiveSemidefinite, Unachievable)
+from .errors import ConfigError, DegenerateColumn, DomainError, HidimError
 from .generators import (AlternativeFamily, Seed, calibrate_to_theta,
                          make_family_matrix, sample_from_matrix)
 from .matrix import CorrMatrix
@@ -55,10 +55,6 @@ def _workers_default() -> int:
     return workers
 
 
-def _cov_mode(text: str) -> CovMode:
-    return CovMode.KNOWN_ZERO_MEAN if text == "zero-mean" else CovMode.SAMPLE_CENTERED
-
-
 def _print_table(rows, header) -> None:
     widths = [max(len(str(r[i])) for r in ([header] + rows)) for i in range(len(header))]
     line = "  ".join(str(h).ljust(w) for h, w in zip(header, widths))
@@ -66,12 +62,6 @@ def _print_table(rows, header) -> None:
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-
-
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
 
 
 def cmd_test(args) -> int:
@@ -89,7 +79,7 @@ def cmd_test(args) -> int:
     if data.n < 2 or data.m < 2:
         print("error: need at least 2 rows and 2 columns", file=sys.stderr)
         return _EXIT_USAGE
-    mode = _cov_mode(args.cov_mode)
+    mode = CovMode(args.cov_mode)
     try:
         # an overflow surfaces as the DomainError below, not as numpy warnings
         with np.errstate(all="ignore"):
@@ -137,8 +127,9 @@ def _config_from_args(args) -> SimConfig:
         b_grid = tuple(float(v) for v in args.b_grid.split(","))
     return SimConfig(
         m=args.m, n=args.n, trials=args.trials, alpha=args.alpha,
-        seed=Seed(args.seed), family=AlternativeFamily.parse(args.family),
-        b_grid=b_grid, cov_mode=_cov_mode(args.cov_mode), workers=args.workers)
+        seed=Seed(args.seed),
+        family=AlternativeFamily.parse(getattr(args, "family", "equicorrelation")),
+        b_grid=b_grid, cov_mode=CovMode(args.cov_mode), workers=args.workers)
 
 
 def cmd_power(args) -> int:
@@ -148,21 +139,17 @@ def cmd_power(args) -> int:
         if not config.b_grid:
             raise ConfigError("power runs need a nonempty --b-grid")
         points = run_power_curve(config)
-    except (ConfigError, DomainError, ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    handle, close = _open_out(args.out)
-    try:
-        write_power_csv(points, handle)
-    finally:
-        if close:
-            handle.close()
+    to_stdout = args.out == "-"
+    write_power_csv(points, sys.stdout if to_stdout else args.out)
     live = [p for p in points if not p.skipped]
     gap = max((abs(p.empirical_power - p.predicted_power) for p in live), default=float("nan"))
     summary = (f"max |empirical - predicted| = {gap:.4g} over {len(live)} points "
                f"({len(points) - len(live)} skipped); predictions are asymptotic, "
                "agreement windows are engineering tolerances")
-    print(summary, file=sys.stderr if close is False else sys.stdout)
+    print(summary, file=sys.stderr if to_stdout else sys.stdout)
     return _EXIT_OK
 
 
@@ -170,7 +157,7 @@ def cmd_null(args) -> int:
     try:
         config = _config_from_args(args)
         report = run_null(config, z_samples_path=args.z_out)
-    except (ConfigError, DomainError, ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     text = json.dumps(report.to_json_obj(), indent=2)
@@ -183,21 +170,12 @@ def cmd_null(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        family = AlternativeFamily.parse(args.family)
-        r = calibrate_to_theta(family, args.b, args.m, args.n)
-        data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
-    except (Unachievable, NotPositiveSemidefinite, DomainError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    handle, close = _open_out(args.out)
-    try:
-        np.savetxt(handle, data.values, delimiter=",", fmt="%.17g")
-    finally:
-        if close:
-            handle.close()
+    r = calibrate_to_theta(AlternativeFamily.parse(args.family), args.b, args.m, args.n)
+    data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
+    np.savetxt(sys.stdout if args.out == "-" else args.out, data.values,
+               delimiter=",", fmt="%.17g")
     r_out = args.r_out
-    if r_out is None and args.out and args.out != "-":
+    if r_out is None and args.out != "-":
         r_out = args.out + ".r.json"
     if r_out:
         with open(r_out, "w") as handle:
@@ -205,46 +183,45 @@ def cmd_gen(args) -> int:
     return _EXIT_OK
 
 
+def _random_corr(rng, m: int) -> CorrMatrix:
+    """The correlation matrix of a random m x m Wishart draw with m + 3
+    degrees of freedom."""
+    a = rng.standard_normal((m, m + 3))
+    cov = a @ a.T
+    d = np.sqrt(np.diag(cov))
+    return CorrMatrix(cov / np.outer(d, d))
+
+
 def _exact_identity_rows():
-    """(quantity, closed form, oracle value, |relative error|) rows for the
-    fast deterministic identity gates."""
+    """(quantity, error label, error) rows for the fast deterministic
+    identity gates, each held to 1e-12."""
     rng = np.random.default_rng(20240817)
     rows = []
 
     for k in range(1, 7):
-        import math
         closed = math.factorial(2 * k) // (2 ** k * math.factorial(k))
         oracle = len(pair_partitions(k))
-        rows.append((f"partition count k={k}", closed, oracle,
-                     abs(closed - oracle) / closed))
+        rows.append((f"partition count k={k}", "|rel err|", abs(closed - oracle) / closed))
 
     worst = 0.0
     for _ in range(200):
-        m = int(rng.integers(2, 8))
-        a = rng.standard_normal((m, m + 3))
-        cov = a @ a.T
-        d = np.sqrt(np.diag(cov))
-        r = CorrMatrix(cov / np.outer(d, d))
-        idx = rng.integers(0, m, size=4)
+        r = _random_corr(rng, int(rng.integers(2, 8)))
+        idx = rng.integers(0, r.m, size=4)
         closed = central_pair_moment(*(int(i) for i in idx), r)
         oracle = central_product_moment([(int(idx[0]), int(idx[1])),
                                          (int(idx[2]), int(idx[3]))], r)
         scale = max(abs(closed), abs(oracle), 1e-12)
         worst = max(worst, abs(closed - oracle) / scale)
-    rows.append(("pair moment identity (200 random)", "-", "-", worst))
+    rows.append(("pair moment identity (200 random)", "|rel err|", worst))
 
     worst = 0.0
     for _ in range(25):
-        m = int(rng.integers(2, 15))
-        a = rng.standard_normal((m, m + 3))
-        cov = a @ a.T
-        d = np.sqrt(np.diag(cov))
-        r = CorrMatrix(cov / np.outer(d, d))
-        off = r.rho[np.triu_indices(m, 1)]
+        r = _random_corr(rng, int(rng.integers(2, 15)))
+        off = r.rho[np.triu_indices(r.m, 1)]
         closed = float(np.sum(1.0 + 2.0 * off ** 2 + off ** 4))
         oracle = s_sum(2, r)
         worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
-    rows.append(("S(2) closed form (25 random)", "-", "-", worst))
+    rows.append(("S(2) closed form (25 random)", "|rel err|", worst))
 
     worst = 0.0
     for rho in (-0.8, -0.3, 0.0, 0.4, 0.9):
@@ -254,17 +231,14 @@ def _exact_identity_rows():
                                  ("h3", exact.e_h3)):
                 oracle = _kernels.expectation_by_expansion(name, rho, n)
                 worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
-    rows.append(("kernel means vs expansion (grid)", "-", "-", worst))
+    rows.append(("kernel means vs expansion (grid)", "|rel err|", worst))
+
+    # partial-derivative spot identities at a few exactly-known points
+    for name, got, want in (("f(1,1,rho)", f_partial((0, 0, 0), 1.0, 1.0, 0.7), 0.49),
+                            ("d2f/du3^2", f_partial((0, 0, 2), 1.0, 1.0, 0.7), 2.0),
+                            ("d2f/du1du3", f_partial((1, 0, 1), 1.0, 1.0, 0.7), -1.4)):
+        rows.append((name, "|err|", abs(got - want)))
     return rows
-
-
-def cmd_verify_moments(args) -> int:
-    rows = _exact_identity_rows()
-    printable = [(q, str(c), str(o), f"{err:.3e}") for q, c, o, err in rows]
-    _print_table(printable, ("quantity", "closed form", "oracle", "|rel err|"))
-    ok = all(err <= 1e-12 for _, _, _, err in rows)
-    print("all identities pass" if ok else "IDENTITY FAILURE", file=sys.stderr)
-    return _EXIT_OK if ok else _EXIT_GATE
 
 
 def _run_verify(which: str, args) -> int:
@@ -275,24 +249,11 @@ def _run_verify(which: str, args) -> int:
     seed = Seed(args.seed)
 
     if which in ("all", "isserlis"):
-        rows = _exact_identity_rows()
-        for quantity, _, _, err in rows:
+        for quantity, label, err in _exact_identity_rows():
             status = "pass" if err <= 1e-12 else "FAIL"
-            print(f"{status}  {quantity}: |rel err| = {err:.3e}")
+            print(f"{status}  {quantity}: {label} = {err:.3e}")
             if err > 1e-12:
                 failures.append(quantity)
-        # partial-derivative spot identities at a few exactly-known points
-        spots = [
-            (("f(1,1,rho)"), f_partial((0, 0, 0), 1.0, 1.0, 0.7), 0.49),
-            (("d2f/du3^2"), f_partial((0, 0, 2), 1.0, 1.0, 0.7), 2.0),
-            (("d2f/du1du3"), f_partial((1, 0, 1), 1.0, 1.0, 0.7), -1.4),
-        ]
-        for name, got, want in spots:
-            err = abs(got - want)
-            status = "pass" if err <= 1e-12 else "FAIL"
-            print(f"{status}  {name}: |err| = {err:.3e}")
-            if err > 1e-12:
-                failures.append(name)
 
     if which in ("all", "kernels"):
         checks.extend(verify_kernels(args.rho, args.n_kernels, args.trials_kernels, seed))
@@ -367,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument("--alpha", type=float, default=0.05)
     p_null.add_argument("--seed", type=int, default=0)
     p_null.add_argument("--workers", type=int)
-    p_null.add_argument("--family", default="equicorrelation")
     p_null.add_argument("--cov-mode", choices=["zero-mean", "centered"],
                         default="zero-mean")
     p_null.add_argument("--out", default="-", help="JSON report path ('-' = stdout)")
@@ -391,10 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", default=None, help="optional JSON report path")
     p_verify.set_defaults(func=lambda args: _run_verify(args.which, args))
 
-    p_vm = sub.add_parser("verify-moments",
-                          help="table of exact moment identities vs oracles")
-    p_vm.set_defaults(func=cmd_verify_moments)
-
     p_gen = sub.add_parser("gen", help="sample synthetic data from a calibrated alternative")
     p_gen.add_argument("--family", default="equicorrelation")
     p_gen.add_argument("--b", type=float, required=True)
@@ -417,8 +373,9 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) is None:
             args.workers = _workers_default()
         return args.func(args)
-    except (HidimError, MemoryError) as exc:
-        # numpy's MemoryError names the size and shape it could not allocate
+    except (HidimError, MemoryError, OSError) as exc:
+        # numpy's MemoryError names the size and shape it could not allocate,
+        # an OSError the file it could not open
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

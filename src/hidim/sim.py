@@ -195,15 +195,14 @@ def _gated_decompose(data, r) -> Decomposition:
     return dec
 
 
-def _t_values(rs: Sequence[CorrMatrix],
-              mode: CovMode) -> Callable[[np.ndarray], np.ndarray]:
-    """The function from a (B, n, m) stack of samples of the matrices ``rs``
-    (B of them, or one for every slice) to T of each slice.  In the
-    zero-mean convention the decomposition identity is written in, T comes
-    from the gated ``decompose``, with the matrices' constants built here
-    once for all trials; otherwise from ``statistic_t``."""
+def _t_values(r: CorrMatrix, mode: CovMode) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from a (B, n, m) stack of samples of the one matrix
+    ``r`` to T of each slice.  In the zero-mean convention the decomposition
+    identity is written in, T comes from the gated ``decompose``, with the
+    matrix's constants built here once for all trials; otherwise from
+    ``statistic_t``."""
     if mode is CovMode.KNOWN_ZERO_MEAN:
-        cells = _Cells.of(rs)
+        cells = _Cells.of(r)
         return lambda stack: _gated_decompose(stack, cells).t_value
     return lambda stack: statistic_t(stack, mode)
 
@@ -222,7 +221,7 @@ def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullRep
     of the standardized statistic n (T - m(m-1)/(2n)) / m to the normal."""
     config.validate()
     m, n = config.m, config.n
-    t_of = _t_values([CorrMatrix.identity(m)], config.cov_mode)
+    t_of = _t_values(CorrMatrix.identity(m), config.cov_mode)
 
     def one(trial: int) -> np.ndarray:
         # Under the null the normals are the sample; looked up on the module,
@@ -266,7 +265,7 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     def rate(t_values: np.ndarray) -> float:
         return float(np.mean(report_from_statistic(t_values, n, m, config.alpha).reject))
 
-    live = [ChunkCheck(cholesky(r), n, _t_values([r], config.cov_mode), rate)
+    live = [ChunkCheck(cholesky(r), n, _t_values(r, config.cov_mode), rate)
             for r in cells if r is not None]
     rates = iter(run_checks(live, config.trials, config.seed, config.workers) if live else ())
     points: List[PowerPoint] = []
@@ -352,7 +351,7 @@ def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
 def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
     """Monte Carlo means of the same-sample component II1 (against its exact
     closed form) and of the cross-sample term (against zero)."""
-    cells = _Cells.of([r])   # decompose's constants, shared by every chunk
+    cells = _Cells.of(r)   # decompose's constants, shared by every chunk
 
     def reduce(x: np.ndarray) -> np.ndarray:
         dec = _gated_decompose(x, cells)

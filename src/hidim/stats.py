@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -249,7 +249,7 @@ def rao_score_test(data: DataMatrix, alpha: float, mode: CovMode) -> TestReport:
 
 
 def _pair_sums(x: np.ndarray, rho: np.ndarray):
-    """For a (B, n, m) stack with (B, m(m-1)/2) pair correlations rho: the
+    """For a (B, n, m) stack with the m(m-1)/2 pair correlations rho: the
     Gram matrices X'X, their pair entries G_pq, the pair sums sum_i c_i of
     c_i = X_pi X_qi - rho_pq, and per slice the total of sum_i c_i^2 over
     the pairs.  That total needs no fourth-moment Gram matrix:
@@ -338,30 +338,26 @@ _II_WEIGHTS = _ii_weights()
 
 @dataclass(frozen=True)
 class _Cells:
-    """The constants ``decompose`` needs of C correlation matrices, built
-    once per run: the (C, m, m) matrices R and P = R * R (P with a zero
-    diagonal), the (C, m(m-1)/2) pair correlations rho and
-    ||R - I||_F^2 / 2.  With C = 1 they serve every slice of a stack."""
+    """The constants ``decompose`` needs of one correlation matrix, built
+    once per run: R and P = R * R (P with a zero diagonal) as (m, m)
+    arrays, the m(m-1)/2 pair correlations rho and ||R - I||_F^2 / 2."""
 
-    rhos: np.ndarray
+    matrix: np.ndarray
     rho_sq: np.ndarray
     rho: np.ndarray
-    half_signal: np.ndarray
+    half_signal: float
 
     @classmethod
-    def of(cls, rs: Sequence[CorrMatrix]) -> "_Cells":
-        rhos = np.stack([r.rho for r in rs])
-        m = rhos.shape[-1]
-        rho_sq = rhos * rhos
-        rho_sq.reshape(len(rs), m * m)[:, ::m + 1] = 0.0
-        rho = _upper(rhos)
-        signal = off_diagonal_norm(rhos)
-        return cls(rhos=rhos, rho_sq=rho_sq, rho=rho,
-                   half_signal=0.5 * signal * signal)
+    def of(cls, r: CorrMatrix) -> "_Cells":
+        rho_sq = r.rho * r.rho
+        np.fill_diagonal(rho_sq, 0.0)
+        signal = off_diagonal_norm(r.rho)
+        return cls(matrix=r.rho, rho_sq=rho_sq, rho=_upper(r.rho[None])[0],
+                   half_signal=float(0.5 * signal * signal))
 
 
 def decompose(data: Union[DataMatrix, np.ndarray],
-              r: Union[CorrMatrix, Sequence[CorrMatrix]]) -> Decomposition:
+              r: Union[CorrMatrix, _Cells]) -> Decomposition:
     """Exact decomposition of the centered statistic around a known R.
 
     Per pair, with u = Sbar_pp, v = Sbar_qq and w = Sbar_pq for
@@ -392,26 +388,15 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     of T - ||R - I||_F^2 / 2 - (I + II + III).  One Gram matrix feeds every
     term and T itself.
 
-    ``data`` is one DataMatrix with one CorrMatrix, giving float fields, or
-    a (B, n, m) stack of samples with B CorrMatrix, giving length-B arrays
-    whose k-th entries equal those of decompose(DataMatrix(data[k]), r[k]).
-    ``r`` may also be the matrices' ``_Cells``, built once per run; built
-    from one CorrMatrix, they serve every slice of a stack.
+    ``data`` is one DataMatrix, giving float fields, or a (B, n, m) stack
+    of samples, giving length-B arrays whose k-th entries equal those of
+    decompose(DataMatrix(data[k]), r).  One matrix ``r`` serves every
+    slice; it may also be given as its ``_Cells``, built once per run.
     """
     x, shape = _as_stack(data)
     size, n, m = x.shape
-    if isinstance(r, _Cells):
-        cells = r
-        if len(cells.rho) not in (1, size):
-            raise DimensionMismatch(f"{size} samples, {len(cells.rho)} matrices")
-        _check_dims(m, cells.rhos.shape[-1])
-    else:
-        rs = [r] if isinstance(r, CorrMatrix) else list(r)
-        if len(rs) != size:
-            raise DimensionMismatch(f"{size} samples, {len(rs)} matrices")
-        for rk in rs:
-            _check_dims(m, rk.m)
-        cells = _Cells.of(rs)
+    cells = r if isinstance(r, _Cells) else _Cells.of(r)
+    _check_dims(m, len(cells.matrix))
     g, g_pairs, sum_c, sum_c2 = _pair_sums(x, cells.rho)
     # S and its pairs overwrite the spent Gram matrices and their pairs.
     s = np.divide(g, n, out=g)
@@ -420,10 +405,10 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     t_i = _cross_sample(sum_c, sum_c2, n)
 
     # Sbar and then RW overwrite S, which is spent.
-    sbar = np.subtract(s, cells.rhos, out=s)
+    sbar = np.subtract(s, cells.matrix, out=s)
     sbar.reshape(size, m * m)[:, ::m + 1] = 0.0
     w = sbar * sbar
-    rw = np.multiply(sbar, cells.rhos, out=sbar)
+    rw = np.multiply(sbar, cells.matrix, out=sbar)
     powers = np.empty((size, m, 5))                # V per variable
     powers[..., 0] = 1.0
     a = np.subtract(1.0, d, out=powers[..., 1])

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -217,6 +218,53 @@ def test_gen_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_power_to_stdout_matches_the_file(tmp_path, capsys):
+    args = ["power", "--m", "6", "--n", "25", "--trials", "120", "--seed", "3",
+            "--b-grid", "0,1"]
+    out = tmp_path / "p.csv"
+    assert run_cli(*args, "--out", str(out)) == 0
+    to_file = capsys.readouterr()
+    assert run_cli(*args, "--out", "-") == 0
+    to_stdout = capsys.readouterr()
+    assert to_stdout.out.encode() == out.read_bytes()
+    # the summary goes to stderr when stdout carries the CSV
+    assert to_file.err == ""
+    assert to_stdout.err == to_file.out
+    assert to_stdout.err.startswith("max |empirical - predicted| = ")
+
+
+def test_gen_to_stdout_matches_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["gen", "--family", "banded:2", "--b", "1.5", "--m", "8", "--n", "20",
+            "--seed", "3"]
+    assert run_cli(*args, "--out", "data.csv") == 0
+    assert run_cli(*args, "--out", "-") == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "data.csv").read_bytes()
+    # only the file run writes a matrix JSON
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.r.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("power", "--m", "6", "--n", "25", "--trials", "100", "--b-grid", "0", "--out"),
+    ("null", "--m", "6", "--n", "20", "--trials", "100", "--out"),
+    ("null", "--m", "6", "--n", "20", "--trials", "100", "--z-out"),
+    ("gen", "--b", "1", "--m", "5", "--n", "10", "--out"),
+    ("gen", "--b", "1", "--m", "5", "--n", "10", "--r-out"),
+    ("verify", "e-ii1", "--trials", "100", "--report"),
+], ids=["power", "null", "null-z-out", "gen", "gen-r-out", "verify"])
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing" / "out")
+    assert run_cli(*argv, missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+
+
+def test_null_has_no_family_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli("null", "--m", "6", "--n", "20", "--trials", "100", "--family", "banded:2")
+    assert info.value.code == 2
+
+
 def test_gen_unachievable(capsys):
     code = run_cli("gen", "--family", "sparse-pairs:1", "--b", "99", "--m", "10",
                    "--n", "10", "--seed", "0", "--out", "-")
@@ -284,10 +332,23 @@ def test_a_refused_memory_request_exits_2(monkeypatch, capsys, argv, module, att
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_verify_moments_table(capsys):
-    assert run_cli("verify-moments") == 0
-    out = capsys.readouterr().out
-    assert "closed form" in out and "oracle" in out
+_IDENTITY_GATES = [f"partition count k={k}" for k in range(1, 7)] + [
+    "pair moment identity (200 random)", "S(2) closed form (25 random)",
+    "kernel means vs expansion (grid)", "f(1,1,rho)", "d2f/du3^2", "d2f/du1du3"]
+
+
+def test_verify_isserlis_prints_the_twelve_identity_gates(capsys):
+    assert run_cli("verify", "isserlis") == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [re.fullmatch(r"pass  (.*): (\|rel err\||\|err\|) = \d\.\d{3}e[+-]\d\d", line)
+            for line in lines]
+    assert all(rows), lines
+    assert [row.group(1) for row in rows] == _IDENTITY_GATES
+    assert [row.group(2) for row in rows] == ["|rel err|"] * 9 + ["|err|"] * 3
+    # the identity gates have one command
+    with pytest.raises(SystemExit) as info:
+        run_cli("verify-moments")
+    assert info.value.code == 2
 
 
 def test_verify_kernels_quick(capsys, tmp_path):

@@ -405,7 +405,7 @@ def test_in_trial_gate_fails_an_overflowing_column():
     # the squares of a 1e160 column overflow, so every field of the slice is NaN
     stack = np.random.default_rng(8).standard_normal((1, 30, 4))
     stack[0, :, 2] *= 1e160
-    r = [CorrMatrix.identity(4)]
+    r = CorrMatrix.identity(4)
     with np.errstate(all="ignore"):
         assert np.isnan(decompose(stack, r).residual[0])
         with pytest.raises(RuntimeError, match=r"residual nan for \|T\| = nan"):

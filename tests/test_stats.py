@@ -318,19 +318,20 @@ def test_term_ii_matches_taylor_oracle(rng):
         assert abs(decompose(data, r).term_ii - oracle) <= 1e-12 * magnitude
 
 
-def _per_pair_taylor(x: np.ndarray, rs):
-    """T, I, II1, II2 and III of a (B, n, m) stack pair by pair: the Taylor
-    terms on the m(m-1)/2 pair vectors, with G_k built by the recurrence
-    h_j = -u h_{j-1} + (-v)^j over the complete homogeneous sums, and III
-    the per-pair leftover (rho_hat^2 - rho^2) - i - ii.  T uses the same
-    operations as decompose; I, II and III are summed differently, the
-    sums of c_i^2 from the per-pair fourth-moment Gram (X*X)'(X*X)."""
+def _per_pair_taylor(x: np.ndarray, r):
+    """T, I, II1, II2 and III of a (B, n, m) stack of samples of R pair by
+    pair: the Taylor terms on the m(m-1)/2 pair vectors, with G_k built by
+    the recurrence h_j = -u h_{j-1} + (-v)^j over the complete homogeneous
+    sums, and III the per-pair leftover (rho_hat^2 - rho^2) - i - ii.  T
+    uses the same operations as decompose; I, II and III are summed
+    differently, the sums of c_i^2 from the per-pair fourth-moment Gram
+    (X*X)'(X*X)."""
     n, m = x.shape[1], x.shape[2]
     p, q = np.triu_indices(m, 1)
     flat = p * m + q
     take = lambda a, idx: np.take(a, idx, axis=1)
     upper = lambda mats: take(mats.reshape(len(mats), m * m), flat)
-    rhos = np.stack([r.rho for r in rs])
+    rhos = r.rho[None]
     rho = upper(rhos)
     g = np.matmul(x.transpose(0, 2, 1), x)
     sq = x * x
@@ -367,14 +368,15 @@ def test_decompose_matches_the_per_pair_taylor_recurrence(rng, m):
     rs = [CorrMatrix.identity(m), equi, random_corr(rng, m)]
     for n in (1, 2, 80):
         z = rng.standard_normal((n, m))
-        stack = np.stack([z @ cholesky(r).lower.T for r in rs])
-        dec = decompose(stack, rs)
-        t, t_i, ii1, ii2, iii = _per_pair_taylor(stack, rs)
-        assert np.array_equal(dec.t_value, t)
-        tol = 1e-13 * np.maximum(1.0, np.abs(t))
-        for name, oracle in (("term_i", t_i), ("term_ii1", ii1), ("term_ii2", ii2),
-                             ("term_iii", iii)):
-            assert np.all(np.abs(getattr(dec, name) - oracle) <= tol), (name, n)
+        for r in rs:
+            stack = (z @ cholesky(r).lower.T)[None]
+            dec = decompose(stack, r)
+            t, t_i, ii1, ii2, iii = _per_pair_taylor(stack, r)
+            assert np.array_equal(dec.t_value, t)
+            tol = 1e-13 * np.maximum(1.0, np.abs(t))
+            for name, oracle in (("term_i", t_i), ("term_ii1", ii1), ("term_ii2", ii2),
+                                 ("term_iii", iii)):
+                assert np.all(np.abs(getattr(dec, name) - oracle) <= tol), (name, n)
 
 
 def test_decompose_identity(rng):
@@ -432,12 +434,11 @@ def test_decompose_i_dominates_under_null():
 def test_decompose_stack_equals_its_slices(rng):
     m, n = 7, 30
     r = random_corr(rng, m)
-    rs = [CorrMatrix.identity(m), r, random_corr(rng, m), r]
-    z = rng.standard_normal((n, m))
-    stack = np.stack([z @ cholesky(rk).lower.T for rk in rs])
-    dec = decompose(stack, rs)
-    for k, rk in enumerate(rs):
-        one = decompose(DataMatrix(stack[k]), rk)
+    z = rng.standard_normal((3, n, m))
+    stack = np.concatenate([z, z[1:2]]) @ cholesky(r).lower.T
+    dec = decompose(stack, r)
+    for k in range(len(stack)):
+        one = decompose(DataMatrix(stack[k]), r)
         for field in dataclasses.fields(one):
             assert getattr(dec, field.name)[k] == getattr(one, field.name), field.name
     assert dec.t_value[1] == dec.t_value[3]
@@ -445,12 +446,13 @@ def test_decompose_stack_equals_its_slices(rng):
     assert np.array_equal(statistic_t(stack, ZM), dec.t_value)
     for mode in (ZM, SC):
         t = statistic_t(stack, mode)
-        assert t.shape == (len(rs),)
-        for k in range(len(rs)):
+        assert t.shape == (len(stack),)
+        for k in range(len(stack)):
             assert t[k] == statistic_t(DataMatrix(stack[k]), mode)
-    # constants built once: for every matrix, or from one R for every slice
-    built = decompose(stack, _Cells.of(rs))
-    shared = decompose(stack[[1, 3]], _Cells.of([r]))
+    # the constants of R, built once, serve any stack of its samples
+    cells = _Cells.of(r)
+    built = decompose(stack, cells)
+    shared = decompose(stack[[1, 3]], cells)
     for field in dataclasses.fields(dec):
         assert np.array_equal(getattr(built, field.name), getattr(dec, field.name))
         assert np.array_equal(getattr(shared, field.name), getattr(dec, field.name)[[1, 3]])
@@ -458,12 +460,12 @@ def test_decompose_stack_equals_its_slices(rng):
 
 def test_decompose_stack_errors(rng):
     m, n = 5, 20
-    rs = [CorrMatrix.identity(m), random_corr(rng, m)]
+    r = random_corr(rng, m)
     stack = rng.standard_normal((2, n, m))
     zeroed = stack.copy()
     zeroed[1, :, 3] = 0.0
     with pytest.raises(DegenerateColumn) as info:
-        decompose(zeroed, rs)
+        decompose(zeroed, r)
     assert info.value.columns == (3,)
     # the error names the columns of the first degenerate slice only
     later = np.concatenate([zeroed, stack[:1]])
@@ -473,17 +475,13 @@ def test_decompose_stack_errors(rng):
             statistic_t(later, mode)
         assert info.value.columns == (3,)
     with pytest.raises(DimensionMismatch):
-        decompose(stack, [rs[0], CorrMatrix.identity(m + 1)])
+        decompose(stack, CorrMatrix.identity(m + 1))
     with pytest.raises(DimensionMismatch):
-        decompose(stack, rs[:1])
-    with pytest.raises(DimensionMismatch):
-        decompose(stack, _Cells.of(rs + rs[:1]))
-    with pytest.raises(DimensionMismatch):
-        decompose(stack, _Cells.of([CorrMatrix.identity(m + 1)]))
+        decompose(stack, _Cells.of(CorrMatrix.identity(m + 1)))
     bad = stack.copy()
     bad[0, 4, 2] = np.nan
     with pytest.raises(ValueError, match="slice 0, sample 4, variable 2 is nan"):
-        decompose(bad, rs)
+        decompose(bad, r)
     for mode in (ZM, SC):
         with pytest.raises(ValueError, match="slice 0, sample 4, variable 2 is nan"):
             statistic_t(bad, mode)
