@@ -55,6 +55,17 @@ def _workers_default() -> int:
     return workers
 
 
+def _check_writable(*paths) -> None:
+    """Open each output path (None and '-' excepted) for appending and close
+    it, so that one that cannot be written raises its OSError (exit 2)
+    before the run rather than after it.  A missing file is created empty;
+    an existing one is left as it is until the run writes it."""
+    for path in paths:
+        if path is not None and path != "-":
+            with open(path, "a"):
+                pass
+
+
 def _print_table(rows, header) -> None:
     widths = [max(len(str(r[i])) for r in ([header] + rows)) for i in range(len(header))]
     line = "  ".join(str(h).ljust(w) for h, w in zip(header, widths))
@@ -138,6 +149,7 @@ def cmd_power(args) -> int:
         config.validate()
         if not config.b_grid:
             raise ConfigError("power runs need a nonempty --b-grid")
+        _check_writable(args.out)
         points = run_power_curve(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -156,6 +168,8 @@ def cmd_power(args) -> int:
 def cmd_null(args) -> int:
     try:
         config = _config_from_args(args)
+        config.validate()
+        _check_writable(args.out, args.z_out)
         report = run_null(config, z_samples_path=args.z_out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -244,6 +258,7 @@ def _exact_identity_rows():
 def _run_verify(which: str, args) -> int:
     if args.workers < 1:
         raise ConfigError("workers must be a positive integer")
+    _check_writable(args.report)
     failures = []
     checks: list[MomentCheck] = []
     seed = Seed(args.seed)

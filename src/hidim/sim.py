@@ -44,9 +44,14 @@ _RESIDUAL_RTOL = 1e-9
 # Bound on the bytes of the (B, n, m) float64 stacks that all the checks of
 # one chunk hold together, so that they stay in cache: 10 trials for 4 power
 # cells at m=40/n=80, 344 for ``verify all`` at its defaults, one once the
-# n*m sum passes 65536.  The kernel checks draw and evaluate by it too:
-# 16384 draws of x and y.
+# n*m sum passes 65536.
 _CHUNK_BYTES = 1 << 20
+# Draws per chunk of the kernel check, sized by what a draw holds live while
+# its chunk is evaluated: 30 float64 rows (x and y 8, the shared factors 12,
+# the five variant rows and their accumulators 10), taken as 32 so that
+# 8192 draws fill two _CHUNK_BYTES, a 2 MiB L2.  On ``verify all`` 4096 and
+# 16384 draws were both slower.
+_KERNEL_CHUNK = 2 * _CHUNK_BYTES // (8 * 32)
 
 
 @dataclass(frozen=True)
@@ -410,27 +415,45 @@ def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
     return tuple(run_checks([e_ii1_check(r, n)], trials, seed, workers)[0])
 
 
+def _row_moments(values: np.ndarray):
+    """(count, mean, M2) of each row of a (rows, count) array, M2 the sum of
+    squared deviations from the row's mean; ``values`` is overwritten."""
+    mean = values.mean(axis=1)
+    values -= mean[:, None]
+    return values.shape[1], mean, np.square(values, out=values).sum(axis=1)
+
+
+def _merge_moments(a, b):
+    """The (count, mean, M2) of two samples joined, from each one's: the
+    pairwise update of Chan, Golub & LeVeque (1983)."""
+    (count_a, mean_a, m2_a), (count_b, mean_b, m2_b) = a, b
+    count = count_a + count_b
+    delta = mean_b - mean_a
+    return (count, mean_a + delta * (count_b / count),
+            m2_a + m2_b + delta * delta * (count_a * count_b / count))
+
+
 def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCheck]:
     """Kernel means over i.i.d. draws of four bivariate normal vectors,
     including the mirrored variants, against the closed forms.
 
-    Draws are made and evaluated one chunk of consecutive draws at a time,
-    the chunk's x and y (64 bytes per draw) filling _CHUNK_BYTES: draws
-    lo..lo+count-1 take uniforms 8*lo .. 8*(lo+count)-1 of stream 0, and
-    all variants are evaluated in one call per chunk.  The stream is read
+    Draws are made, evaluated and reduced one chunk of _KERNEL_CHUNK
+    consecutive draws at a time: draws lo..lo+count-1 take uniforms
+    8*lo .. 8*(lo+count)-1 of stream 0, all variants are evaluated in one
+    call per chunk, and each variant's values are reduced to (count, mean,
+    M2) and merged into the draws before them in order.  The stream is read
     in order and mapped elementwise, so the per-draw values are the same as
-    over one batch of all draws; only they (40 bytes per draw) outlive a
-    chunk, and each check reduces them all at once."""
+    over one batch of all draws; none outlives its chunk, so memory does
+    not grow with ``trials``."""
     if abs(rho) >= 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     exact = kernel_expectations(rho, n)
     targets = {"h1": exact.e_h1, "h2": exact.e_h2, "h3": exact.e_h3}
-    size = _CHUNK_BYTES // (2 * 4 * 8)
-    values = np.empty((len(_kernels.VARIANTS), trials))
-    for lo in range(0, trials, size):
-        count = min(size, trials - lo)
+    moments = (0, 0.0, 0.0)   # no draws: merged into, a chunk keeps its own bits
+    for lo in range(0, trials, _KERNEL_CHUNK):
+        count = min(_KERNEL_CHUNK, trials - lo)
         q = normal_quantile(_uniform_open(seed.master, 0, 8 * count, 8 * lo))
         # x and y are the two halves of one C-contiguous (coordinate, sample
         # slot, draw) array; y is correlated in place.
@@ -438,9 +461,17 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
         del q
         y *= np.sqrt(1.0 - rho * rho)
         y += rho * x
-        values[:, lo:lo + count] = _kernels.evaluate_variants(x, y, rho, n)
-    return [_moment_check(name + ("_bar" if swapped else ""), out, targets[name])
-            for out, (name, swapped) in zip(values, _kernels.VARIANTS)]
+        moments = _merge_moments(
+            moments, _row_moments(_kernels.evaluate_variants(x, y, rho, n)))
+    _, means, m2 = moments
+    checks = []
+    for mean, sq_dev, (name, swapped) in zip(means, m2, _kernels.VARIANTS):
+        mean = float(mean)
+        stderr = math.sqrt(sq_dev / (trials - 1)) / math.sqrt(trials)
+        checks.append(MomentCheck(name=name + ("_bar" if swapped else ""), mc_value=mean,
+                                  exact=targets[name], stderr=stderr,
+                                  z_score=_z_score(mean, targets[name], stderr)))
+    return checks
 
 
 def verification_report_json(checks: Sequence[MomentCheck], config_obj: dict) -> str:

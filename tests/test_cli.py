@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hidim import SimConfig
+from hidim import cli
 from hidim.cli import main
 
 
@@ -257,6 +258,26 @@ def test_an_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert run_cli(*argv, missing) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (("power", "--trials", "4000", "--out"), "run_power_curve"),
+    (("null", "--trials", "4000", "--out"), "run_null"),
+    (("null", "--trials", "4000", "--z-out"), "run_null"),
+    (("verify", "all", "--report"), "verify_kernels"),
+], ids=["power", "null", "null-z-out", "verify"])
+def test_an_unwritable_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                        argv, entry):
+    def entered(*args, **kwargs):
+        raise AssertionError(f"{entry} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, entry, entered)
+    missing = str(tmp_path / "missing" / "out")
+    assert run_cli(*argv, missing) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and missing in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_null_has_no_family_option(capsys):

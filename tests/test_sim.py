@@ -313,18 +313,23 @@ def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
     assert off.z_score == -np.inf and not off.passed
 
 
-@pytest.mark.parametrize("trials", [2, 16384, 16384 + 37, 2 * 16384 + 5])
+CHUNK = sim._KERNEL_CHUNK
+
+
+@pytest.mark.parametrize("trials", [2, CHUNK, CHUNK + 37, 2 * CHUNK + 5])
 def test_verify_kernels_chunks_match_one_batch(monkeypatch, trials):
-    # 16384 draws fill a chunk; each chunk draws its own slice of the stream
+    # each chunk of _KERNEL_CHUNK draws takes its own slice of the stream,
+    # and its values are reduced before the next chunk is drawn
     rho, n, seed = 0.3, 8, Seed(19)
     evaluate = sim._kernels.evaluate
     evaluate_variants = sim._kernels.evaluate_variants
     uniform_open = sim._uniform_open
-    widths, draws = [], []
+    chunks, draws = [], []
 
     def recording(x, y, *args, **kwargs):
-        widths.append(x.shape[1])
-        return evaluate_variants(x, y, *args, **kwargs)
+        values = evaluate_variants(x, y, *args, **kwargs)
+        chunks.append(values.copy())
+        return values
 
     def recording_draw(master, stream, count, start=0):
         draws.append((stream, count, start))
@@ -333,27 +338,31 @@ def test_verify_kernels_chunks_match_one_batch(monkeypatch, trials):
     monkeypatch.setattr(sim._kernels, "evaluate_variants", recording)
     monkeypatch.setattr(sim, "_uniform_open", recording_draw)
     checks = verify_kernels(rho, n, trials, seed)
-    los = range(0, trials, 16384)
-    assert widths == [min(16384, trials - lo) for lo in los]
+    los = range(0, trials, CHUNK)
+    widths = [values.shape[1] for values in chunks]
+    assert widths == [min(CHUNK, trials - lo) for lo in los]
     assert draws == [(0, 8 * width, 8 * lo) for lo, width in zip(los, widths)]
     z = -normal_quantile(uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
     x = z[:, :, 0].T
     y = rho * x + np.sqrt(1.0 - rho * rho) * z[:, :, 1].T
     exact = sim.kernel_expectations(rho, n)
-    targets = {"h1": exact.e_h1, "h2": exact.e_h2, "h3": exact.e_h3}
-    recount = []
-    for name in ("h1", "h2", "h3"):
-        recount.append(sim._moment_check(name, evaluate(name, x, y, rho, n), targets[name]))
-        if name != "h1":
-            recount.append(sim._moment_check(
-                name + "_bar", evaluate(name, x, y, rho, n, swapped=True), targets[name]))
-    assert checks == recount
+    values = np.concatenate(chunks, axis=1)
+    assert [check.name for check in checks] == ["h1", "h2", "h2_bar", "h3", "h3_bar"]
+    for row, check, (name, swapped) in zip(values, checks, sim._kernels.VARIANTS):
+        one_batch = evaluate(name, x, y, rho, n, swapped=swapped)
+        assert np.array_equal(row, one_batch)
+        recount = sim._moment_check(check.name, one_batch, getattr(exact, "e_" + name))
+        assert check.exact == recount.exact
+        for got, want in ((check.mc_value, recount.mc_value), (check.stderr, recount.stderr)):
+            assert abs(got - want) <= 1e-15 * abs(want)
+        assert check.z_score == sim._z_score(check.mc_value, check.exact, check.stderr)
 
 
-def test_verify_kernels_memory_is_its_values_and_one_chunk():
-    # the per-draw values (5 variants, 8 bytes each) outlive the chunks;
-    # the normals of all draws at once (64 bytes a draw) would not fit
-    trials = 200_000
+@pytest.mark.parametrize("trials", [200_000, 1_000_000])
+def test_verify_kernels_memory_does_not_grow_with_its_size(trials):
+    # one chunk's draws and evaluation are live at a time (2.4 MiB at
+    # 8192 draws); 40 bytes a draw kept to the end would pass 4 MiB at
+    # 200k draws and reach 40 MB at 1M
     verify_kernels(0.5, 10, 1000, Seed(1))   # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -361,7 +370,7 @@ def test_verify_kernels_memory_is_its_values_and_one_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * trials + 8 * 2 ** 20
+    assert peak <= 4 * 2 ** 20
 
 
 def test_verify_kernels_sanity():
