@@ -12,10 +12,9 @@ from .errors import (ConfigError, DegenerateColumn, DimensionMismatch,
                      DomainError, HidimError, IndexOutOfRange,
                      NotPositiveSemidefinite, TooLarge, Unachievable)
 from .matrix import CholeskyFactor, CorrMatrix, cholesky, frobenius_signal
-from .moments import (KernelExpectations, central_pair_moment,
-                      central_product_moment, expected_ii1, f_partial,
-                      isserlis_moment, kernel_expectations, pair_partitions,
-                      s_sum, var_i_exact)
+from .moments import (central_pair_moment, central_product_moment,
+                      expected_ii1, f_partial, isserlis_moment,
+                      kernel_expectations, pair_partitions, s_sum, var_i_exact)
 from .stats import (CovMode, DataMatrix, Decomposition, TestReport,
                     decompose, martingale_differences, max_statistic,
                     rao_score_test, report_from_statistic, statistic_t, term_i)
@@ -38,9 +37,9 @@ __all__ = [
     # matrix
     "CholeskyFactor", "CorrMatrix", "cholesky", "frobenius_signal",
     # moments
-    "KernelExpectations", "central_pair_moment", "central_product_moment",
-    "expected_ii1", "f_partial", "isserlis_moment", "kernel_expectations",
-    "pair_partitions", "s_sum", "var_i_exact",
+    "central_pair_moment", "central_product_moment", "expected_ii1",
+    "f_partial", "isserlis_moment", "kernel_expectations", "pair_partitions",
+    "s_sum", "var_i_exact",
     # stats
     "CovMode", "DataMatrix", "Decomposition", "TestReport", "decompose",
     "martingale_differences", "max_statistic", "rao_score_test",

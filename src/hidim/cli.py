@@ -39,6 +39,7 @@ _EXIT_OK = 0
 _EXIT_GATE = 1
 _EXIT_USAGE = 2
 _EXIT_DEGENERATE = 3
+_IDENTITY_BOUND = 1e-12
 
 
 def _workers_default() -> int:
@@ -208,7 +209,7 @@ def _random_corr(rng, m: int) -> CorrMatrix:
 
 def _exact_identity_rows():
     """(quantity, error label, error) rows for the fast deterministic
-    identity gates, each held to 1e-12."""
+    identity gates, each held to _IDENTITY_BOUND."""
     rng = np.random.default_rng(20240817)
     rows = []
 
@@ -240,9 +241,7 @@ def _exact_identity_rows():
     worst = 0.0
     for rho in (-0.8, -0.3, 0.0, 0.4, 0.9):
         for n in (4, 6, 10, 25):
-            exact = kernel_expectations(rho, n)
-            for name, closed in (("h1", exact.e_h1), ("h2", exact.e_h2),
-                                 ("h3", exact.e_h3)):
+            for name, closed in kernel_expectations(rho, n).items():
                 oracle = _kernels.expectation_by_expansion(name, rho, n)
                 worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
     rows.append(("kernel means vs expansion (grid)", "|rel err|", worst))
@@ -255,20 +254,38 @@ def _exact_identity_rows():
     return rows
 
 
-def _run_verify(which: str, args) -> int:
+def _check_verify_options(args) -> None:
+    """Raise ConfigError for the first verify option that its check cannot
+    take, before any gate runs; a NaN fails its comparison too."""
     if args.workers < 1:
         raise ConfigError("workers must be a positive integer")
+    two_trials = "a Monte Carlo moment check needs at least 2 trials"
+    for key, ok, why in (
+            ("m", args.m >= 2, "m must be at least 2"),
+            ("n", args.n >= 1, "n must be a positive integer"),
+            ("trials", args.trials >= 2, two_trials),
+            ("m_ii1", args.m_ii1 >= 2, "m must be at least 2"),
+            ("n_ii1", args.n_ii1 >= 1, "n must be a positive integer"),
+            ("rho", abs(args.rho) < 1.0, "rho must lie strictly inside (-1, 1)"),
+            ("n_kernels", args.n_kernels >= 4, "kernels have degree 4, so n >= 4 is required"),
+            ("trials_kernels", args.trials_kernels >= 2, two_trials)):
+        if not ok:
+            raise ConfigError(f"--{key.replace('_', '-')} {getattr(args, key)}: {why}")
+
+
+def _run_verify(which: str, args) -> int:
+    _check_verify_options(args)
     _check_writable(args.report)
-    failures = []
+    identities = []
     checks: list[MomentCheck] = []
     seed = Seed(args.seed)
 
     if which in ("all", "isserlis"):
         for quantity, label, err in _exact_identity_rows():
-            status = "pass" if err <= 1e-12 else "FAIL"
-            print(f"{status}  {quantity}: {label} = {err:.3e}")
-            if err > 1e-12:
-                failures.append(quantity)
+            passed = bool(err <= _IDENTITY_BOUND)
+            print(f"{'pass' if passed else 'FAIL'}  {quantity}: {label} = {err:.3e}")
+            identities.append({"name": quantity, "error": err, "bound": _IDENTITY_BOUND,
+                               "passed": passed})
 
     if which in ("all", "kernels"):
         checks.extend(verify_kernels(args.rho, args.n_kernels, args.trials_kernels, seed))
@@ -288,16 +305,16 @@ def _run_verify(which: str, args) -> int:
         status = "pass" if chk.passed else "FAIL"
         print(f"{status}  {chk.name}: mc = {chk.mc_value:.6g}, exact = {chk.exact:.6g}, "
               f"|z| = {abs(chk.z_score):.2f}")
-        if not chk.passed:
-            failures.append(chk.name)
 
     if args.report:
         # every option of the run, so the report replays it
         cfg = {key: value for key, value in vars(args).items()
                if key not in ("command", "func", "report")}
         with open(args.report, "w") as handle:
-            handle.write(verification_report_json(checks, cfg) + "\n")
+            handle.write(verification_report_json(checks, cfg, identities) + "\n")
 
+    failures = [gate["name"] for gate in identities if not gate["passed"]]
+    failures += [chk.name for chk in checks if not chk.passed]
     if failures:
         print("failed gates: " + ", ".join(failures), file=sys.stderr)
         return _EXIT_GATE

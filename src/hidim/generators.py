@@ -148,6 +148,8 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
     """
     if b < 0.0:
         raise DomainError("b must be nonnegative")
+    if m < 2 or n < 1:
+        raise DomainError(f"need m >= 2 and n >= 1, got m = {m} and n = {n}")
     target = b * np.sqrt(m / n)
     rho = target / family.signal_coefficient(m)
     try:

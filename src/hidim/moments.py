@@ -13,9 +13,8 @@ themselves and the independent expansion-based oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -206,33 +205,24 @@ def var_i_exact(r: CorrMatrix, n: int) -> float:
     return 2.0 * n * (n - 1) / float(n) ** 4 * float(total)
 
 
-@dataclass(frozen=True)
-class KernelExpectations:
-    """Closed-form means of the three degree-4 kernels at a given (rho, n)."""
-
-    e_h1: float
-    e_h2: float
-    e_h3: float
-
-
-def kernel_expectations(rho: float, n: int) -> KernelExpectations:
-    """Closed forms: (1+rho^2)/n, 2(1+3 rho^2)/n^2, 2(4+n)(1+5 rho^2)/n^3.
+def kernel_expectations(rho: float, n: int) -> Dict[str, float]:
+    """Closed-form means of the three degree-4 kernels, keyed by kernel
+    name: h1 (1+rho^2)/n, h2 2(1+3 rho^2)/n^2, h3 2(4+n)(1+5 rho^2)/n^3.
 
     The independent oracle for these is
-    :func:`hidim.kernels.expectation_by_expansion`, which expands each
-    kernel's polynomial terms and evaluates them through the Wick sum.
+    :func:`hidim.kernels.expectation_by_expansion`, which takes the same
+    names, expands each kernel's polynomial terms and evaluates them
+    through the Wick sum.
     """
-    if abs(rho) > 1.0:
+    if not abs(rho) <= 1.0:
         raise DomainError("rho must lie in [-1, 1]")
     if n < 4:
         raise DomainError("kernels have degree 4, so n >= 4 is required")
     r2 = rho * rho
     nf = float(n)
-    return KernelExpectations(
-        e_h1=(1.0 + r2) / nf,
-        e_h2=2.0 * (1.0 + 3.0 * r2) / nf ** 2,
-        e_h3=2.0 * (4.0 + nf) * (1.0 + 5.0 * r2) / nf ** 3,
-    )
+    return {"h1": (1.0 + r2) / nf,
+            "h2": 2.0 * (1.0 + 3.0 * r2) / nf ** 2,
+            "h3": 2.0 * (4.0 + nf) * (1.0 + 5.0 * r2) / nf ** 3}
 
 
 def expected_ii1(r: CorrMatrix, n: int) -> float:
@@ -241,6 +231,8 @@ def expected_ii1(r: CorrMatrix, n: int) -> float:
     Sum over p < q of (16 + n^2 + (80 + 8n + n^2) rho_pq^2) / n^3; its
     n -> infinity limit is the centering constant m(m-1)/(2n).
     """
+    if n < 1:
+        raise DomainError("n must be a positive integer")
     nf = float(n)
     iu = np.triu_indices(r.m, 1)
     rho2 = r.rho[iu] ** 2

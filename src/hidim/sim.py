@@ -21,13 +21,13 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, List, Optional, Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, Unachievable
+from .errors import ConfigError, Unachievable
 # sample_gaussian is not called here, but bench/tracing.py wraps it at this
 # lookup site, so the name stays bound.
 from .generators import (AlternativeFamily, Seed, _uniform_open,
@@ -168,14 +168,7 @@ class MomentCheck:
         return abs(self.z_score) <= 3.0
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "mc_value": self.mc_value,
-            "exact": self.exact,
-            "stderr": self.stderr,
-            "z_score": self.z_score,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
@@ -314,11 +307,15 @@ def _z_score(estimate: float, exact: float, stderr: float) -> float:
     return math.copysign(math.inf, estimate - exact)
 
 
-def _moment_check(name: str, samples: np.ndarray, exact: float) -> MomentCheck:
-    mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / np.sqrt(samples.size))
-    return MomentCheck(name=name, mc_value=mean, exact=exact, stderr=stderr,
-                       z_score=_z_score(mean, exact, stderr))
+def _mean_checks(exact: Sequence[Tuple[str, float]], moments) -> List[MomentCheck]:
+    """One MomentCheck per row of per-trial values, from the rows' (count,
+    means, M2) as ``_row_moments`` and ``_merge_moments`` give them: the
+    row's mean against its (name, exact value), with the standard error of
+    a mean, sqrt(M2 / (count - 1) / count)."""
+    count, means, m2 = moments
+    stderrs = np.sqrt(m2 / (count - 1)) / math.sqrt(count)
+    return [MomentCheck(name, mean, value, stderr, _z_score(mean, value, stderr))
+            for (name, value), mean, stderr in zip(exact, means.tolist(), stderrs.tolist())]
 
 
 @dataclass(frozen=True)
@@ -337,20 +334,13 @@ class ChunkCheck:
 
 
 def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
-    """Monte Carlo variance of the cross-sample term against its exact value.
-
-    The z-score uses the large-sample standard error of a sample variance,
-    sqrt((m4 - var^2) / trials) with m4 the fourth central moment.
-    """
-    def finish(values: np.ndarray) -> List[MomentCheck]:
-        mc_var = float(np.var(values, ddof=1))
-        exact = var_i_exact(r, n)
-        m4 = float(np.mean((values - values.mean()) ** 4))
-        stderr = float(np.sqrt(max(m4 - mc_var ** 2, 0.0) / values.size))
-        return [MomentCheck(name=name, mc_value=mc_var, exact=exact, stderr=stderr,
-                            z_score=_z_score(mc_var, exact, stderr))]
-
-    return ChunkCheck(cholesky(r), n, lambda x: term_i(x, r), finish)
+    """Monte Carlo mean of the squared cross-sample term against its exact
+    variance.  E[I] = 0 exactly, so E[I^2] = Var(I): the check is a mean of
+    per-trial values like every other, with a mean's standard error, and
+    needs no fourth-moment formula for the error of a sample variance."""
+    exact = [(name, var_i_exact(r, n))]
+    return ChunkCheck(cholesky(r), n, lambda x: np.square(term_i(x, r))[None],
+                      lambda values: _mean_checks(exact, _row_moments(values)))
 
 
 def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
@@ -362,12 +352,9 @@ def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
         dec = _gated_decompose(x, cells)
         return np.stack([dec.term_ii1, dec.term_i])
 
-    def finish(values: np.ndarray) -> List[MomentCheck]:
-        ii1, t_i = values
-        return [_moment_check("e_ii1", ii1, expected_ii1(r, n)),
-                _moment_check("e_i", t_i, 0.0)]
-
-    return ChunkCheck(cholesky(r), n, reduce, finish)
+    exact = [("e_ii1", expected_ii1(r, n)), ("e_i", 0.0)]
+    return ChunkCheck(cholesky(r), n, reduce,
+                      lambda values: _mean_checks(exact, _row_moments(values)))
 
 
 def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
@@ -382,8 +369,6 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
     of it: the stream is consumed in order and mapped to normals
     elementwise, so that prefix is standard_normal_block(seed, trial, n, m).
     """
-    if any(check.n < 1 for check in checks):
-        raise DomainError("n must be a positive integer")
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     width = max(check.n * check.factor.m for check in checks)
@@ -435,7 +420,8 @@ def _merge_moments(a, b):
 
 def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCheck]:
     """Kernel means over i.i.d. draws of four bivariate normal vectors,
-    including the mirrored variants, against the closed forms.
+    including the mirrored variants, against the closed forms keyed by
+    kernel name (a mirrored variant has its kernel's mean).
 
     Draws are made, evaluated and reduced one chunk of _KERNEL_CHUNK
     consecutive draws at a time: draws lo..lo+count-1 take uniforms
@@ -445,12 +431,11 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
     in order and mapped elementwise, so the per-draw values are the same as
     over one batch of all draws; none outlives its chunk, so memory does
     not grow with ``trials``."""
-    if abs(rho) >= 1.0:
+    if not abs(rho) < 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     exact = kernel_expectations(rho, n)
-    targets = {"h1": exact.e_h1, "h2": exact.e_h2, "h3": exact.e_h3}
     moments = (0, 0.0, 0.0)   # no draws: merged into, a chunk keeps its own bits
     for lo in range(0, trials, _KERNEL_CHUNK):
         count = min(_KERNEL_CHUNK, trials - lo)
@@ -463,22 +448,18 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
         y += rho * x
         moments = _merge_moments(
             moments, _row_moments(_kernels.evaluate_variants(x, y, rho, n)))
-    _, means, m2 = moments
-    checks = []
-    for mean, sq_dev, (name, swapped) in zip(means, m2, _kernels.VARIANTS):
-        mean = float(mean)
-        stderr = math.sqrt(sq_dev / (trials - 1)) / math.sqrt(trials)
-        checks.append(MomentCheck(name=name + ("_bar" if swapped else ""), mc_value=mean,
-                                  exact=targets[name], stderr=stderr,
-                                  z_score=_z_score(mean, targets[name], stderr)))
-    return checks
+    return _mean_checks([(name + ("_bar" if swapped else ""), exact[name])
+                         for name, swapped in _kernels.VARIANTS], moments)
 
 
-def verification_report_json(checks: Sequence[MomentCheck], config_obj: dict) -> str:
-    """JSON report for verification runs, embedding config and version."""
+def verification_report_json(checks: Sequence[MomentCheck], config_obj: dict,
+                             identities: Sequence[dict] = ()) -> str:
+    """JSON report for verification runs, embedding config and version: the
+    identity gates (name, error, bound, passed) and the Monte Carlo checks."""
     return json.dumps({
         "version": __version__,
         "config": config_obj,
+        "identities": list(identities),
         "checks": [c.to_json_obj() for c in checks],
-        "all_passed": all(c.passed for c in checks),
+        "all_passed": all(c.passed for c in checks) and all(g["passed"] for g in identities),
     }, indent=2)

@@ -119,8 +119,7 @@ def test_c1f_kernel_closed_forms_vs_expansion():
     worst = 0.0
     for rho in (-0.9, -0.5, 0.0, 0.3, 0.8):
         for n in (4, 6, 12, 50):
-            ex = kernel_expectations(rho, n)
-            for name, closed in (("h1", ex.e_h1), ("h2", ex.e_h2), ("h3", ex.e_h3)):
+            for name, closed in kernel_expectations(rho, n).items():
                 for swapped in (False, True):
                     oracle = kernels.expectation_by_expansion(name, rho, n, swapped=swapped)
                     worst = max(worst, abs(closed - oracle) / abs(closed))
@@ -236,7 +235,7 @@ def test_c4_power_monotone():
 
 def _scaled_sd(values: np.ndarray, scale: float):
     """scale * sample sd and its standard error: the fourth-moment standard
-    error of a sample variance (as in verify_var_i) over 2 sd."""
+    error of a sample variance over 2 sd (the delta method)."""
     var = float(np.var(values, ddof=1))
     m4 = float(np.mean((values - values.mean()) ** 4))
     sd = math.sqrt(var)

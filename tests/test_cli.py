@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hidim import SimConfig
-from hidim import cli
+from hidim import cli, sim
 from hidim.cli import main
 
 
@@ -370,6 +370,61 @@ def test_verify_isserlis_prints_the_twelve_identity_gates(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli("verify-moments")
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("error", [1e-9, float("nan")])
+def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
+    report = tmp_path / "report.json"
+    assert run_cli("verify", "isserlis", "--report", str(report)) == 0
+    obj = json.loads(report.read_text())
+    assert [gate["name"] for gate in obj["identities"]] == _IDENTITY_GATES
+    assert all(gate["passed"] and 0.0 <= gate["error"] <= gate["bound"] == 1e-12
+               for gate in obj["identities"])
+    assert obj["checks"] == [] and obj["all_passed"] is True
+    # a failed identity fails the report as it fails the exit code
+    rows = cli._exact_identity_rows()
+    monkeypatch.setattr(cli, "_exact_identity_rows",
+                        lambda: rows[:-1] + [(*rows[-1][:2], error)])
+    assert run_cli("verify", "isserlis", "--report", str(report)) == 1
+    obj = json.loads(report.read_text())
+    assert [gate["passed"] for gate in obj["identities"]] == [True] * 11 + [False]
+    assert obj["all_passed"] is False
+    assert capsys.readouterr().err == "failed gates: d2f/du1du3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "e-ii1", "--m-ii1", "1"),
+    ("verify", "all", "--m", "1"),
+    ("verify", "all", "--n-ii1", "0"),
+    ("verify", "all", "--trials", "1"),
+    ("verify", "kernels", "--rho", "nan"),
+    ("verify", "all", "--rho=-inf"),
+    ("verify", "all", "--n-kernels", "3"),
+    ("gen", "--b", "1", "--m", "5", "--n", "0"),
+])
+def test_hostile_sizes_exit_2_before_any_gate(capsys, argv):
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]+\n", err), err
+
+
+def test_a_biased_exact_value_fails_its_check(monkeypatch, capsys, tmp_path):
+    # each exact value a Monte Carlo check is judged against, 25% too large,
+    # fails that check and no other at the default sizes
+    var_i_exact, expected_ii1 = sim.var_i_exact, sim.expected_ii1
+    kernel_expectations = sim.kernel_expectations
+    monkeypatch.setattr(sim, "var_i_exact", lambda r, n: 1.25 * var_i_exact(r, n))
+    monkeypatch.setattr(sim, "expected_ii1", lambda r, n: 1.25 * expected_ii1(r, n))
+    monkeypatch.setattr(sim, "kernel_expectations", lambda rho, n: {
+        **kernel_expectations(rho, n), "h1": 1.25 * kernel_expectations(rho, n)["h1"]})
+    report = tmp_path / "report.json"
+    for seed in range(3):
+        assert run_cli("verify", "all", "--seed", str(seed), "--report", str(report)) == 1
+        checks = json.loads(report.read_text())["checks"]
+        assert {c["name"] for c in checks if not c["passed"]} == {
+            "var_i", "var_i_equi", "e_ii1", "h1"}
+    capsys.readouterr()
 
 
 def test_verify_kernels_quick(capsys, tmp_path):

@@ -209,10 +209,12 @@ def test_var_i_exact_properties(rng):
 
 def test_kernel_expectation_examples():
     ex = kernel_expectations(0.0, 10)
-    assert (ex.e_h1, ex.e_h2, ex.e_h3) == pytest.approx((0.1, 0.02, 0.028), abs=1e-15)
-    assert kernel_expectations(0.5, 10).e_h1 == pytest.approx(0.125, abs=1e-15)
-    with pytest.raises(DomainError):
-        kernel_expectations(1.2, 10)
+    assert list(ex) == ["h1", "h2", "h3"]
+    assert (ex["h1"], ex["h2"], ex["h3"]) == pytest.approx((0.1, 0.02, 0.028), abs=1e-15)
+    assert kernel_expectations(0.5, 10)["h1"] == pytest.approx(0.125, abs=1e-15)
+    for rho in (1.2, float("nan")):
+        with pytest.raises(DomainError):
+            kernel_expectations(rho, 10)
     with pytest.raises(DomainError):
         kernel_expectations(0.2, 3)
 
@@ -221,8 +223,7 @@ def test_kernel_closed_forms_vs_expansion():
     # the expansion path is the trusted oracle replacing symbolic algebra
     for rho in (-0.9, -0.3, 0.0, 0.4, 0.8):
         for n in (4, 5, 10, 37):
-            ex = kernel_expectations(rho, n)
-            for name, closed in (("h1", ex.e_h1), ("h2", ex.e_h2), ("h3", ex.e_h3)):
+            for name, closed in kernel_expectations(rho, n).items():
                 oracle = kernels.expectation_by_expansion(name, rho, n)
                 mirrored = kernels.expectation_by_expansion(name, rho, n, swapped=True)
                 assert closed == pytest.approx(oracle, rel=1e-12)

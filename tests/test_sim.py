@@ -296,6 +296,9 @@ def test_verify_loops_reject_bad_sizes():
     for trials in (1, 0, -3):
         with pytest.raises(ConfigError, match="at least 2 trials"):
             verify_kernels(0.5, 10, trials, Seed(1))
+    for rho in (float("nan"), 1.0, -np.inf):
+        with pytest.raises(ConfigError, match="rho must lie strictly inside"):
+            verify_kernels(rho, 10, 100, Seed(1))
 
 
 def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
@@ -306,7 +309,7 @@ def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
     for check in (e_i, var_i):
         assert check.mc_value == check.exact == 0.0 and check.stderr == 0.0
         assert check.z_score == 0.0 and check.passed
-    off = sim._moment_check("x", np.zeros(5), 1.0)
+    off, = sim._mean_checks([("x", 1.0)], sim._row_moments(np.zeros((1, 5))))
     assert off.z_score == -np.inf and not off.passed
     monkeypatch.setattr(sim, "var_i_exact", lambda r, n: 0.5)
     off = verify_var_i(r, 1, 100, Seed(43))
@@ -351,7 +354,8 @@ def test_verify_kernels_chunks_match_one_batch(monkeypatch, trials):
     for row, check, (name, swapped) in zip(values, checks, sim._kernels.VARIANTS):
         one_batch = evaluate(name, x, y, rho, n, swapped=swapped)
         assert np.array_equal(row, one_batch)
-        recount = sim._moment_check(check.name, one_batch, getattr(exact, "e_" + name))
+        recount, = sim._mean_checks([(check.name, exact[name])],
+                                    sim._row_moments(one_batch[None].copy()))
         assert check.exact == recount.exact
         for got, want in ((check.mc_value, recount.mc_value), (check.stderr, recount.stderr)):
             assert abs(got - want) <= 1e-15 * abs(want)
