@@ -200,11 +200,14 @@ def cmd_gen(args) -> int:
 
 def _random_corr(rng, m: int) -> CorrMatrix:
     """The correlation matrix of a random m x m Wishart draw with m + 3
-    degrees of freedom."""
+    degrees of freedom.  The Gram matrix of m + 3 Gaussian columns is finite
+    and symmetric, and scaling it by its own diagonal leaves that diagonal
+    within rounding of 1, so the constructor's structure checks are
+    skipped."""
     a = rng.standard_normal((m, m + 3))
     cov = a @ a.T
-    d = np.sqrt(np.diag(cov))
-    return CorrMatrix(cov / np.outer(d, d))
+    d = np.sqrt(cov.diagonal())
+    return CorrMatrix._unchecked(cov / (d[:, None] * d))
 
 
 def _exact_identity_rows():

@@ -6,7 +6,11 @@ draws are a pure function of (seed, trial, i) no matter how trials are
 scheduled across workers.  Standard normals come from the inverse CDF
 applied to uniforms strictly inside (0, 1): the top 53 bits k of each raw
 64-bit draw map to (k + 1/2) 2^-53, with k capped at 2^53 - 2 because
-the top value would round to exactly 1.0.
+the top value would round to exactly 1.0.  The map runs in the output
+buffer: Philox writes k 2^-53 there (``Generator.random``), 2^-54 is added
+(one rounding of the same real number (k + 1/2) 2^-53) and the result is
+capped at 1 - 2^-52, the uniform of k = 2^53 - 2; the normal quantile then
+overwrites the uniforms.  A draw allocates its output and nothing else.
 """
 
 from __future__ import annotations
@@ -160,11 +164,11 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
             f"of {family.label}") from exc
 
 
-_SHIFT = np.uint64(11)
-_SCALE = float(2.0 ** -53)
-# (2^53 - 1) + 1/2 rounds to 2^53 in double precision, so the top 53-bit
-# value shares the uniform of the one below it instead of giving 1.0.
-_TOP = np.uint64(2 ** 53 - 2)
+# Generator.random gives the top 53 bits k of a raw draw as k 2^-53; adding
+# 2^-54 gives (k + 1/2) 2^-53, which rounds to 1.0 for k = 2^53 - 1, so that
+# draw is capped to the uniform of the one below it.
+_HALF_STEP = 2.0 ** -54
+_TOP = 1.0 - 2.0 ** -52
 
 
 # np.random.Philox(key=...) starts with its 4-word counter at zero and its
@@ -173,20 +177,22 @@ _TOP = np.uint64(2 ** 53 - 2)
 _ZERO_WORDS = (0, 0, 0, 0)
 
 
-def _philox_raw(master: int, streams: range, count: int, start: int = 0) -> np.ndarray:
-    """Raw 64-bit draws start .. start+count-1 of each stream (master, s), s
-    in `streams`, as a (len(streams), count) array.  One generator serves
-    every stream: it is built for the first and re-keyed through its state
-    for the others.  Each counter step yields four draws, so every stream
-    skips its first start // 4 steps; start must be a nonnegative multiple
-    of 4."""
+def _philox_uniforms(master: int, streams: range, count: int, start: int = 0) -> np.ndarray:
+    """Uniforms start .. start+count-1, in the open interval (0, 1), of each
+    stream (master, s), s in `streams`, as a (len(streams), count) array.
+    Each stream's doubles are written straight into its row by one generator,
+    built for the first stream and re-keyed through its state for the
+    others, and the whole array is then moved off 0 and capped below 1 in
+    place.  Each counter step yields four draws, so every stream skips its
+    first start // 4 steps; start must be a nonnegative multiple of 4."""
     if start < 0 or start % 4:
         raise DomainError(f"stream offset must be a nonnegative multiple of 4, got {start}")
-    raw = np.empty((len(streams), count), dtype=np.uint64)
-    bits = None
-    for row, stream in enumerate(streams):
+    u = np.empty((len(streams), count))
+    bits = gen = None
+    for row, stream in zip(u, streams):
         if bits is None:
             bits = np.random.Philox(key=np.array([master, stream], dtype=np.uint64))
+            gen = np.random.Generator(bits)
         else:
             bits.state = {"bit_generator": "Philox",
                           "state": {"counter": _ZERO_WORDS, "key": (master, stream)},
@@ -194,19 +200,9 @@ def _philox_raw(master: int, streams: range, count: int, start: int = 0) -> np.n
                           "has_uint32": 0, "uinteger": 0}
         if start:
             bits.advance(start // 4)
-        raw[row] = bits.random_raw(count)
-    return raw
-
-
-def _to_uniform(raw: np.ndarray) -> np.ndarray:
-    """(min(raw >> 11, _TOP) + 1/2) 2^-53, overwriting ``raw`` on the way.
-    The shifted draws are below 2^53, so their int64 view holds the same
-    values and converts to float64 faster than uint64 does, exactly."""
-    np.right_shift(raw, _SHIFT, out=raw)
-    u = np.minimum(raw, _TOP, out=raw).view(np.int64).astype(np.float64)
-    u += 0.5
-    u *= _SCALE
-    return u
+        gen.random(out=row)
+    u += _HALF_STEP
+    return np.minimum(u, _TOP, out=u)
 
 
 def _uniform_open(master: int, stream: int, count: int, start: int = 0) -> np.ndarray:
@@ -214,16 +210,17 @@ def _uniform_open(master: int, stream: int, count: int, start: int = 0) -> np.nd
     (master, stream): a slice of one fixed sequence, so consecutive calls
     that cover a range give the bytes of one call over it.  start must be a
     nonnegative multiple of 4, or DomainError is raised."""
-    return _to_uniform(_philox_raw(master, range(stream, stream + 1), count, start))[0]
+    return _philox_uniforms(master, range(stream, stream + 1), count, start)[0]
 
 
 def standard_normal_blocks(seed: Seed, trials: range, rows: int, cols: int) -> np.ndarray:
     """(len(trials), rows, cols) stack whose k-th slice is the block of
-    standard normals for (seed, trials[k]), drawn with one uniform transform
-    and one normal quantile over the whole range."""
+    standard normals for (seed, trials[k]): the uniforms are mapped to
+    normals in place, so the stack is the only array the draw allocates."""
     if len(trials) and min(trials[0], trials[-1]) < 0:
         raise DomainError("trial index must be nonnegative")
-    z = normal_quantile(_to_uniform(_philox_raw(seed.master, trials, rows * cols)))
+    z = _philox_uniforms(seed.master, trials, rows * cols)
+    normal_quantile(z, out=z)
     return np.negative(z, out=z).reshape(len(trials), rows, cols)
 
 

@@ -4,9 +4,9 @@ Each kernel is stored once as a structural description and everything else
 is derived from it: numeric evaluation on four bivariate samples (used by
 the Monte Carlo harness), the exact expectation via Wick expansion (the
 in-repo replacement for a symbolic-algebra step, and the trusted oracle
-for the closed forms in :func:`hidim.moments.kernel_expectations`), and
-the full U-statistic aggregation on small samples (used to validate the
-transcription against the centered-covariance power terms).
+for the closed forms in :func:`hidim.moments.kernel_expectations`).  The
+tests aggregate the evaluation into the full U-statistic on small samples
+to validate the transcription against the centered-covariance power terms.
 
 Structure
 ---------
@@ -48,7 +48,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError
 from .matrix import CorrMatrix
 from .moments import isserlis_moment
 
@@ -222,23 +222,3 @@ def expectation_by_expansion(name: str, rho: float, n: int, swapped: bool = Fals
             prod *= sum(c * _wick_xy_moment(a, b, rho) for (a, b), c in poly.items())
         total += _coef(n, power, r) * mult * n_assign * prod
     return total
-
-
-def u_statistic(name: str, x, y, rho: float, swapped: bool = False) -> float:
-    """C(n,4)^{-1}-weighted sum of the kernel over all sample quadruples.
-
-    Test-scale only (n <= 12 guard): reproduces the centered-covariance
-    power term the kernel represents, e.g. the h1 aggregate equals
-    n^{-2} sum_i (x_i y_i - rho)^2.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    if n < 4:
-        raise DomainError("need at least 4 samples")
-    if n > 12:
-        raise TooLarge("u_statistic enumeration limited to n <= 12")
-    total = 0.0
-    for quad in combinations(range(n), 4):
-        total += evaluate(name, x[list(quad)], y[list(quad)], rho, n, swapped=swapped)
-    return total / comb(n, 4)

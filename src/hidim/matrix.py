@@ -18,6 +18,15 @@ from .errors import NotPositiveSemidefinite
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 
+def _symmetrized(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of the square ``arr``, exactly symmetric and of unit
+    diagonal."""
+    arr = 0.5 * (arr + arr.T)
+    np.fill_diagonal(arr, 1.0)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class CorrMatrix:
     """An m x m correlation matrix with unit diagonal.
@@ -40,10 +49,17 @@ class CorrMatrix:
             raise ValueError("correlation matrix must be symmetric")
         if np.max(np.abs(np.diag(arr) - 1.0)) > 1e-12:
             raise ValueError("correlation matrix must have unit diagonal")
-        arr = 0.5 * (arr + arr.T)
-        np.fill_diagonal(arr, 1.0)
-        arr.flags.writeable = False
-        object.__setattr__(self, "rho", arr)
+        object.__setattr__(self, "rho", _symmetrized(arr))
+
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray) -> "CorrMatrix":
+        """The CorrMatrix the constructor would store for the float64 array
+        ``arr``, without its structure checks: only for an ``arr`` whose
+        construction makes it square, finite, symmetric and of unit
+        diagonal to 1e-12."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "rho", _symmetrized(arr))
+        return self
 
     @property
     def m(self) -> int:

@@ -52,6 +52,14 @@ _CHUNK_BYTES = 1 << 20
 # 8192 draws fill two _CHUNK_BYTES, a 2 MiB L2.  On ``verify all`` 4096 and
 # 16384 draws were both slower.
 _KERNEL_CHUNK = 2 * _CHUNK_BYTES // (8 * 32)
+# Trials whose per-trial values ``run_checks`` keeps before folding them into
+# each check's summary: blocks start at multiples of it, so the summaries do
+# not depend on the chunk size or the worker count, and memory does not grow
+# with the trial count.  The kernel check merges its means over the same
+# blocks of draws.
+_MERGE_TRIALS = _KERNEL_CHUNK
+# (count, mean, M2) of no values: merged into, a sample keeps its own bits.
+_NO_DRAWS = (0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -260,10 +268,12 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
         except Unachievable:
             cells.append(None)
 
-    def rate(t_values: np.ndarray) -> float:
-        return float(np.mean(report_from_statistic(t_values, n, m, config.alpha).reject))
+    def count_rejections(count: int, t_values: np.ndarray) -> int:
+        return count + int(np.count_nonzero(
+            report_from_statistic(t_values, n, m, config.alpha).reject))
 
-    live = [ChunkCheck(cholesky(r), n, _t_values(r, config.cov_mode), rate)
+    live = [ChunkCheck(cholesky(r), n, _t_values(r, config.cov_mode), 0, count_rejections,
+                       lambda count: count / config.trials)
             for r in cells if r is not None]
     rates = iter(run_checks(live, config.trials, config.seed, config.workers) if live else ())
     points: List[PowerPoint] = []
@@ -323,14 +333,28 @@ class ChunkCheck:
     """A Monte Carlo check over samples of n rows with correlation
     factor.lower @ factor.lower.T: ``reduce`` maps a (B, n, m) stack of
     consecutive trials' samples to per-trial values along its last axis,
-    and ``finish`` maps every trial's values to the check's results: a
-    list of MomentChecks for a moment check, the rejection rate for a
-    power cell."""
+    ``fold`` merges the values of the next block of trials into the summary
+    of the trials before it, starting from ``empty``, and ``finish`` maps
+    the summary of every trial to the check's results.  A moment check
+    summarizes by (count, mean, M2) and finishes with a list of
+    MomentChecks; a power cell counts rejections and finishes with the
+    rejection rate."""
 
     factor: CholeskyFactor
     n: int
     reduce: Callable[[np.ndarray], np.ndarray]
-    finish: Callable[[np.ndarray], object]
+    empty: object
+    fold: Callable[[object, np.ndarray], object]
+    finish: Callable[[object], object]
+
+
+def _mean_check(factor: CholeskyFactor, n: int, values: Callable[[np.ndarray], np.ndarray],
+                exact: Sequence[Tuple[str, float]]) -> ChunkCheck:
+    """The ChunkCheck of the means of the rows of per-trial ``values``
+    against their (name, exact value) pairs."""
+    return ChunkCheck(factor, n, values, _NO_DRAWS,
+                      lambda moments, block: _merge_moments(moments, _row_moments(block)),
+                      lambda moments: _mean_checks(exact, moments))
 
 
 def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
@@ -338,9 +362,8 @@ def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
     variance.  E[I] = 0 exactly, so E[I^2] = Var(I): the check is a mean of
     per-trial values like every other, with a mean's standard error, and
     needs no fourth-moment formula for the error of a sample variance."""
-    exact = [(name, var_i_exact(r, n))]
-    return ChunkCheck(cholesky(r), n, lambda x: np.square(term_i(x, r))[None],
-                      lambda values: _mean_checks(exact, _row_moments(values)))
+    return _mean_check(cholesky(r), n, lambda x: np.square(term_i(x, r))[None],
+                       [(name, var_i_exact(r, n))])
 
 
 def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
@@ -352,9 +375,8 @@ def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
         dec = _gated_decompose(x, cells)
         return np.stack([dec.term_ii1, dec.term_i])
 
-    exact = [("e_ii1", expected_ii1(r, n)), ("e_i", 0.0)]
-    return ChunkCheck(cholesky(r), n, reduce,
-                      lambda values: _mean_checks(exact, _row_moments(values)))
+    return _mean_check(cholesky(r), n, reduce,
+                       [("e_ii1", expected_ii1(r, n)), ("e_i", 0.0)])
 
 
 def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
@@ -368,24 +390,31 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
     longest block any check needs, and a check reads the first n*m normals
     of it: the stream is consumed in order and mapped to normals
     elementwise, so that prefix is standard_normal_block(seed, trial, n, m).
+    Chunks are mapped one block of _MERGE_TRIALS trials at a time, and each
+    check folds a block's values into its summary before the next block is
+    drawn.
     """
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     width = max(check.n * check.factor.m for check in checks)
     size = max(1, _CHUNK_BYTES // (8 * sum(check.n * check.factor.m for check in checks)))
-    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
-    def one(chunk: int) -> list:
+    def one(chunk: range) -> list:
         # Looked up on the module, where a wrapper placed on it sees the call.
-        z = _generators.standard_normal_blocks(seed, chunks[chunk], 1, width)[:, 0]
+        z = _generators.standard_normal_blocks(seed, chunk, 1, width)[:, 0]
         return [check.reduce(np.matmul(
                     z[:, :check.n * check.factor.m].reshape(-1, check.n, check.factor.m),
                     check.factor.lower.T))
                 for check in checks]
 
-    per_chunk = _map_trials(one, len(chunks), workers)
-    return [check.finish(np.concatenate(values, axis=-1))
-            for check, values in zip(checks, zip(*per_chunk))]
+    summaries = [check.empty for check in checks]
+    for block in range(0, trials, _MERGE_TRIALS):
+        end = min(block + _MERGE_TRIALS, trials)
+        chunks = [range(lo, min(lo + size, end)) for lo in range(block, end, size)]
+        per_chunk = _map_trials(lambda k: one(chunks[k]), len(chunks), workers)
+        summaries = [check.fold(summary, np.concatenate(values, axis=-1))
+                     for check, summary, values in zip(checks, summaries, zip(*per_chunk))]
+    return [check.finish(summary) for check, summary in zip(checks, summaries)]
 
 
 def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,
@@ -436,10 +465,11 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     exact = kernel_expectations(rho, n)
-    moments = (0, 0.0, 0.0)   # no draws: merged into, a chunk keeps its own bits
+    moments = _NO_DRAWS
     for lo in range(0, trials, _KERNEL_CHUNK):
         count = min(_KERNEL_CHUNK, trials - lo)
-        q = normal_quantile(_uniform_open(seed.master, 0, 8 * count, 8 * lo))
+        q = _uniform_open(seed.master, 0, 8 * count, 8 * lo)
+        normal_quantile(q, out=q)
         # x and y are the two halves of one C-contiguous (coordinate, sample
         # slot, draw) array; y is correlated in place.
         x, y = np.negative(q.reshape(count, 4, 2).transpose(2, 1, 0), order="C")

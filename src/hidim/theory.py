@@ -9,7 +9,8 @@ double range (far inside the 1e-10 absolute contract).
 ``normal_quantile`` returns the *upper-tail* inverse: the x solving
 tail(x) = p, as ``-scipy.special.ndtri(p)`` (Cephes' probit).  The tests
 hold it to 50-digit reference values and round-trip it through
-``normal_tail``.
+``normal_tail``.  With ``out=`` it writes ndtri into that array and negates
+it there, so the sampler maps a buffer of uniforms to normals in place.
 """
 
 from __future__ import annotations
@@ -39,14 +40,17 @@ def normal_tail(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def normal_quantile(p):
-    """Upper-tail quantile: the x with 1 - Phi(x) = p, for p in (0, 1)."""
+def normal_quantile(p, out=None):
+    """Upper-tail quantile: the x with 1 - Phi(x) = p, for p in (0, 1).
+
+    For an array, ``out`` (a float64 array of p's shape, possibly p itself)
+    receives the result, which is then computed without a temporary."""
     arr = np.asarray(p, dtype=float)
     # Two reductions and no boolean temporaries; a NaN fails both comparisons.
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    out = -ndtri(arr)
-    return float(out) if arr.ndim == 0 else out
+    result = ndtri(arr, out=out)
+    return -float(result) if arr.ndim == 0 else np.negative(result, out=result)
 
 
 @dataclass(frozen=True)

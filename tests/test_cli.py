@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hidim import SimConfig
+from hidim import CorrMatrix, SimConfig
 from hidim import cli, sim
 from hidim.cli import main
 
@@ -370,6 +370,32 @@ def test_verify_isserlis_prints_the_twelve_identity_gates(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli("verify-moments")
     assert info.value.code == 2
+
+
+def test_random_corr_stores_what_the_constructor_stores():
+    # the gates' matrices skip the structure checks, not the symmetrization
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(1000):
+        m = int(rng.integers(2, 15))
+        assert int(twin.integers(2, 15)) == m
+        got = cli._random_corr(rng, m)
+        a = twin.standard_normal((m, m + 3))
+        cov = a @ a.T
+        d = np.sqrt(np.diag(cov))
+        want = CorrMatrix(cov / np.outer(d, d))
+        assert got.rho.tobytes() == want.rho.tobytes()
+        assert not got.rho.flags.writeable
+
+
+def test_a_perturbed_pair_moment_fails_its_gate(monkeypatch, capsys):
+    central_pair_moment = cli.central_pair_moment
+    monkeypatch.setattr(cli, "central_pair_moment",
+                        lambda *args: central_pair_moment(*args) * (1.0 + 1e-9))
+    assert run_cli("verify", "isserlis") == 1
+    out, err = capsys.readouterr()
+    assert re.search(r"^FAIL  pair moment identity \(200 random\): ", out, re.M), out
+    assert out.count("FAIL") == 1
+    assert err == "failed gates: pair moment identity (200 random)\n"
 
 
 @pytest.mark.parametrize("error", [1e-9, float("nan")])

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from hidim import (AlternativeFamily, CorrMatrix, DomainError,
                    NotPositiveSemidefinite, Seed, Unachievable,
@@ -7,7 +10,7 @@ from hidim import (AlternativeFamily, CorrMatrix, DomainError,
                    ks_statistic_vs_normal, make_family_matrix,
                    sample_from_matrix, sample_gaussian, standard_normal_block,
                    standard_normal_blocks)
-from hidim.generators import _philox_raw, _to_uniform, _uniform_open
+from hidim.generators import _philox_uniforms, _uniform_open
 
 EQUI = AlternativeFamily.equicorrelation()
 
@@ -161,20 +164,26 @@ def test_standard_normal_blocks_equal_the_single_trial_blocks():
         standard_normal_blocks(Seed(1), range(-1, 3), 2, 2)
 
 
-class _FixedPhilox:
-    """Stands in for np.random.Philox with a fixed list of raw draws."""
+def _fixed_doubles(ks):
+    """Stands in for np.random.Generator: fills an output row with the
+    doubles k 2^-53 that Generator.random makes of raw draws whose top 53
+    bits are ks (numpy's map, held to the raw words by
+    test_draw_equals_the_raw_word_map)."""
 
-    raw = np.array([0, 2 ** 64 - 1, 2 ** 64 - 1 - 2 ** 11, 2 ** 63], dtype=np.uint64)
+    class FixedDoubles:
+        def __init__(self, bits):
+            pass
 
-    def __init__(self, key):
-        pass
+        def random(self, out):
+            out[:] = np.array(ks[:out.size], dtype=np.float64) * 2.0 ** -53
+            return out
 
-    def random_raw(self, count):
-        return self.raw[:count]
+    return FixedDoubles
 
 
 def test_uniform_open_stays_inside_the_unit_interval(monkeypatch):
-    monkeypatch.setattr(np.random, "Philox", _FixedPhilox)
+    monkeypatch.setattr(np.random, "Generator",
+                        _fixed_doubles([0, 2 ** 53 - 1, 2 ** 53 - 2, 2 ** 52]))
     u = _uniform_open(1, 0, 4)
     assert u[0] == 2.0 ** -54
     # the top 53-bit value would give (2^53 - 1/2) 2^-53, which rounds to 1.0
@@ -184,18 +193,18 @@ def test_uniform_open_stays_inside_the_unit_interval(monkeypatch):
     assert np.all(np.isfinite(z))
 
 
-def test_uniform_open_bytes_below_the_top():
+def test_uniform_open_bytes_below_the_top(monkeypatch):
     raw = np.random.Philox(key=np.array([9, 4], dtype=np.uint64)).random_raw(10000)
     top53 = (raw >> np.uint64(11)).astype(np.float64)
     assert top53.max() < 2.0 ** 53 - 1
     assert np.array_equal(_uniform_open(9, 4, 10000), (top53 + 0.5) * 2.0 ** -53)
     # around 2^52, where the float64 spacing reaches 1, and at the top
     ks = [0, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1]
-    low_bits = np.uint64(2 ** 11 - 1)   # dropped by the shift
-    u = _to_uniform(np.array([(k << 11) for k in ks], dtype=np.uint64) | low_bits)
+    monkeypatch.setattr(np.random, "Generator", _fixed_doubles(ks))
+    u = _philox_uniforms(9, range(4, 6), len(ks))
     expected = [(min(k, 2 ** 53 - 2) + 0.5) * 2.0 ** -53 for k in ks]
-    assert u.tolist() == expected
-    assert u[1] < u[2] < u[3] < 1.0 and u[4] == u[5]
+    assert u.tolist() == [expected, expected]
+    assert u[0, 1] < u[0, 2] < u[0, 3] < 1.0 and u[0, 4] == u[0, 5]
 
 
 def test_uniform_open_from_an_offset_is_a_slice_of_the_stream():
@@ -204,8 +213,45 @@ def test_uniform_open_from_an_offset_is_a_slice_of_the_stream():
         assert np.array_equal(_uniform_open(9, 4, 1000 - start, start), full[start:])
     assert np.array_equal(_uniform_open(9, 4, 10, 400), full[400:410])
     # the offset applies to every stream, not only the first
-    raw = _philox_raw(9, range(3, 7), 300)
-    assert np.array_equal(_philox_raw(9, range(3, 7), 200, 100), raw[:, 100:])
+    u = _philox_uniforms(9, range(3, 7), 300)
+    assert np.array_equal(_philox_uniforms(9, range(3, 7), 200, 100), u[:, 100:])
     for start in (1, 2, 3, 6, -4, -1):
         with pytest.raises(DomainError, match="multiple of 4"):
             _uniform_open(9, 4, 10, start)
+
+
+def _raw_word_uniforms(master, stream, count, start=0):
+    """(min(k, 2^53 - 2) + 1/2) 2^-53 of the top 53 bits k of Philox's raw
+    words start .. start+count-1 of stream (master, stream)."""
+    key = np.array([master, stream], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(start + count)[start:]
+    k = np.minimum(raw >> np.uint64(11), np.uint64(2 ** 53 - 2))
+    return (k.astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("master", [0, 5, 2 ** 64 - 1])
+def test_draw_equals_the_raw_word_map(master):
+    # the sampled bytes, rebuilt from numpy's raw words outside hidim
+    for trials, rows, cols in ((range(1), 640, 320), (range(6, 9), 640, 320),
+                               (range(1), 1, 150), (range(6, 9), 1, 150),
+                               (range(344), 1, 150)):
+        want = np.stack([ndtri(_raw_word_uniforms(master, t, rows * cols))
+                         for t in trials]).reshape(len(trials), rows, cols)
+        assert standard_normal_blocks(Seed(master), trials, rows, cols).tobytes() == \
+            want.tobytes()
+    for start in (0, 4, 400):
+        assert _uniform_open(master, 3, 1000, start).tobytes() == \
+            _raw_word_uniforms(master, 3, 1000, start).tobytes()
+
+
+def test_draw_holds_one_array():
+    # the normals overwrite the uniforms in the output: no staging array
+    standard_normal_block(Seed(1), 0, 640, 320)
+    tracemalloc.start()
+    try:
+        z = standard_normal_block(Seed(1), 0, 640, 320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.nbytes == 640 * 320 * 8
+    assert peak <= 1.1 * z.nbytes

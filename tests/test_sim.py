@@ -377,6 +377,30 @@ def test_verify_kernels_memory_does_not_grow_with_its_size(trials):
     assert peak <= 4 * 2 ** 20
 
 
+def test_moment_check_memory_does_not_grow_with_the_trials(monkeypatch):
+    # each block of sim._MERGE_TRIALS trials is folded into (count, mean, M2)
+    # before the next is drawn; 24 bytes a trial kept to the end would add
+    # about 4 MiB between 20k and 200k trials.  The draw's own memory is
+    # test_draw_holds_one_array's: here every chunk reuses one fixed block of
+    # normals, which keeps the traced run short.
+    normals = np.random.default_rng(7).standard_normal((sim._CHUNK_BYTES // 64, 1, 4))
+    monkeypatch.setattr(sim._generators, "standard_normal_blocks",
+                        lambda seed, trials, rows, cols: normals[:len(trials)].copy())
+
+    def peak(trials):
+        checks = [sim.var_i_check(CorrMatrix.identity(2), 2),
+                  sim.e_ii1_check(CorrMatrix.identity(2), 2)]
+        tracemalloc.start()
+        try:
+            sim.run_checks(checks, trials, Seed(7))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)   # warm caches outside the trace
+    assert peak(200_000) <= peak(20_000) + 2 ** 20
+
+
 def test_verify_kernels_sanity():
     checks = verify_kernels(0.3, 8, 20000, Seed(17))
     names = [c.name for c in checks]
