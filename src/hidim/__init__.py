@@ -18,8 +18,8 @@ from .moments import (central_pair_moment, central_product_moment,
 from .stats import (CovMode, DataMatrix, Decomposition, TestReport,
                     decompose, martingale_differences, max_statistic,
                     rao_score_test, report_from_statistic, statistic_t, term_i)
-from .theory import (PowerPrediction, asymptotic_power, normal_cdf,
-                     normal_quantile, normal_tail)
+from .theory import (asymptotic_power, normal_cdf, normal_quantile,
+                     normal_tail)
 from .generators import (AlternativeFamily, Seed, calibrate_to_theta,
                          make_family_matrix, sample_from_matrix,
                          sample_gaussian, standard_normal_block,
@@ -45,8 +45,7 @@ __all__ = [
     "martingale_differences", "max_statistic", "rao_score_test",
     "report_from_statistic", "statistic_t", "term_i",
     # theory
-    "PowerPrediction", "asymptotic_power", "normal_cdf", "normal_quantile",
-    "normal_tail",
+    "asymptotic_power", "normal_cdf", "normal_quantile", "normal_tail",
     # generators
     "AlternativeFamily", "Seed", "calibrate_to_theta", "make_family_matrix",
     "sample_from_matrix", "sample_gaussian", "standard_normal_block",

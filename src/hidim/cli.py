@@ -5,9 +5,11 @@ power (power curve over a b grid), null (null calibration), verify
 (exact-identity and Monte Carlo oracle gates), gen (sample synthetic data
 from a calibrated alternative).
 
-Exit codes: 0 success, 1 verification gate failure, 2 usage/config/parse
-error, a file that cannot be read or written, or a memory request the OS
-refuses, 3 degenerate data (zero-variance column).
+Exit codes: 0 success, 1 verification gate failure, 3 degenerate data (a
+DegenerateColumn), 2 any other HidimError, ValueError, MemoryError or
+OSError (usage, config, parse, a file that cannot be read or written, a
+memory request the OS refuses).  The subcommands raise; ``main`` alone maps
+an exception to its one ``error:`` line and exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DegenerateColumn, DomainError, HidimError
+from .errors import ConfigError, DegenerateColumn, HidimError
 from .generators import (AlternativeFamily, Seed, calibrate_to_theta,
                          make_family_matrix, sample_from_matrix)
 from .matrix import CorrMatrix
@@ -81,28 +83,18 @@ def cmd_test(args) -> int:
         values = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0,
                             ndmin=2)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read data file: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ConfigError(f"cannot read data file: {exc}") from exc
     try:
         data = DataMatrix(values)
     except ValueError as exc:
-        print(f"error: invalid data: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ConfigError(f"invalid data: {exc}") from exc
     if data.n < 2 or data.m < 2:
-        print("error: need at least 2 rows and 2 columns", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ConfigError("need at least 2 rows and 2 columns")
     mode = CovMode(args.cov_mode)
-    try:
-        # an overflow surfaces as the DomainError below, not as numpy warnings
-        with np.errstate(all="ignore"):
-            report = rao_score_test(data, args.alpha, mode)
-            max_stat = max_statistic(data, mode)
-    except DegenerateColumn as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERATE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    # an overflow surfaces as a DomainError, not as numpy warnings
+    with np.errstate(all="ignore"):
+        report = rao_score_test(data, args.alpha, mode)
+        max_stat = max_statistic(data, mode)
 
     if args.format == "json":
         obj = report.to_json_obj()
@@ -145,16 +137,12 @@ def _config_from_args(args) -> SimConfig:
 
 
 def cmd_power(args) -> int:
-    try:
-        config = _config_from_args(args)
-        config.validate()
-        if not config.b_grid:
-            raise ConfigError("power runs need a nonempty --b-grid")
-        _check_writable(args.out)
-        points = run_power_curve(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    config = _config_from_args(args)
+    config.validate()
+    if not config.b_grid:
+        raise ConfigError("power runs need a nonempty --b-grid")
+    _check_writable(args.out)
+    points = run_power_curve(config)
     to_stdout = args.out == "-"
     write_power_csv(points, sys.stdout if to_stdout else args.out)
     live = [p for p in points if not p.skipped]
@@ -167,14 +155,12 @@ def cmd_power(args) -> int:
 
 
 def cmd_null(args) -> int:
-    try:
-        config = _config_from_args(args)
-        config.validate()
-        _check_writable(args.out, args.z_out)
-        report = run_null(config, z_samples_path=args.z_out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    if args.z_out == "-":
+        raise ConfigError("--z-out needs a file path: stdout carries the JSON report")
+    config = _config_from_args(args)
+    config.validate()
+    _check_writable(args.out, args.z_out)
+    report = run_null(config, z_samples_path=args.z_out)
     text = json.dumps(report.to_json_obj(), indent=2)
     if args.out and args.out != "-":
         with open(args.out, "w") as handle:
@@ -408,11 +394,11 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) is None:
             args.workers = _workers_default()
         return args.func(args)
-    except (HidimError, MemoryError, OSError) as exc:
+    except (HidimError, ValueError, MemoryError, OSError) as exc:
         # numpy's MemoryError names the size and shape it could not allocate,
         # an OSError the file it could not open
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return _EXIT_DEGENERATE if isinstance(exc, DegenerateColumn) else _EXIT_USAGE
 
 
 if __name__ == "__main__":

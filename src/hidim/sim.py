@@ -85,8 +85,9 @@ class SimConfig:
             raise ConfigError("alpha must lie strictly inside (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be a positive integer")
-        if any(b < 0 for b in self.b_grid):
-            raise ConfigError("b grid values must be nonnegative")
+        # a NaN fails both comparisons
+        if not all(0.0 <= b < math.inf for b in self.b_grid):
+            raise ConfigError("b grid values must be finite and nonnegative")
         if list(self.b_grid) != sorted(self.b_grid):
             raise ConfigError("b grid must be sorted ascending")
 
@@ -283,7 +284,7 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
                   else float(np.sqrt(p_hat * (1.0 - p_hat) / config.trials)))
         points.append(PowerPoint(
             b=b, m=m, n=n, trials=config.trials, empirical_power=p_hat,
-            mc_stderr=stderr, predicted_power=asymptotic_power(config.alpha, b).power,
+            mc_stderr=stderr, predicted_power=asymptotic_power(config.alpha, b),
             skipped=p_hat is None))
     return points
 

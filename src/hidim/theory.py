@@ -16,7 +16,6 @@ it there, so the sampler maps a buffer of uniforms to normals in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -53,17 +52,7 @@ def normal_quantile(p, out=None):
     return -float(result) if arr.ndim == 0 else np.negative(result, out=result)
 
 
-@dataclass(frozen=True)
-class PowerPrediction:
-    """Asymptotic power of the level-alpha test at scaled signal size b."""
-
-    alpha: float
-    b: float
-    z_alpha: float
-    power: float
-
-
-def asymptotic_power(alpha: float, b: float) -> PowerPrediction:
+def asymptotic_power(alpha: float, b: float) -> float:
     """Limiting power tail(z_alpha - b^2 / 2) at level ``alpha`` and signal ``b``.
 
     ``b`` scales the minimum Frobenius signal b * sqrt(m/n) of the
@@ -73,6 +62,4 @@ def asymptotic_power(alpha: float, b: float) -> PowerPrediction:
         raise DomainError("alpha must lie strictly inside (0, 1)")
     if b < 0.0:
         raise DomainError("b must be nonnegative")
-    z_alpha = normal_quantile(alpha)
-    power = normal_tail(z_alpha - 0.5 * b * b)
-    return PowerPrediction(alpha=alpha, b=b, z_alpha=z_alpha, power=power)
+    return normal_tail(normal_quantile(alpha) - 0.5 * b * b)

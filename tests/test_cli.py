@@ -173,6 +173,14 @@ def test_power_config_unknown_key(tmp_path, capsys):
     assert run_cli("power", "--config", str(cfg_path)) == 2
     err = capsys.readouterr().err
     assert "unknown config key" in err and "trails" in err
+    cfg_path.write_text('{"m": 6, "n": 25,')
+    assert run_cli("power", "--config", str(cfg_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"error: Expecting [^\n]+\n", err), err
+    cfg_path.write_text('{"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 9, '
+                        '"b_grid": [0, NaN]}')
+    assert run_cli("power", "--config", str(cfg_path)) == 2
+    assert capsys.readouterr().err == "error: b grid values must be finite and nonnegative\n"
 
 
 def test_power_bad_config(capsys):
@@ -427,6 +435,9 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
     ("verify", "all", "--rho=-inf"),
     ("verify", "all", "--n-kernels", "3"),
     ("gen", "--b", "1", "--m", "5", "--n", "0"),
+    ("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid", "0,nan"),
+    ("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid", "0,x"),
+    ("null", "--m", "6", "--n", "25", "--trials", "120", "--z-out", "-"),
 ])
 def test_hostile_sizes_exit_2_before_any_gate(capsys, argv):
     assert run_cli(*argv) == 2

@@ -34,6 +34,10 @@ def test_config_validation():
         small_config(alpha=1.5).validate()
     with pytest.raises(ConfigError):
         small_config(workers=0).validate()
+    # a NaN fails every comparison, so it passes a plain sign test and the sort test
+    for b in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            small_config(b_grid=(0.0, b)).validate()
     small_config().validate()
 
 
