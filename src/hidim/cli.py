@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -69,15 +70,6 @@ def _check_writable(*paths) -> None:
                 pass
 
 
-def _print_table(rows, header) -> None:
-    widths = [max(len(str(r[i])) for r in ([header] + rows)) for i in range(len(header))]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(header, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-
-
 def cmd_test(args) -> int:
     try:
         values = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0,
@@ -96,49 +88,48 @@ def cmd_test(args) -> int:
         report = rao_score_test(data, args.alpha, mode)
         max_stat = max_statistic(data, mode)
 
+    # (key, label, value, table format) of each reported quantity
+    rows = [("t_value", "statistic T", report.t_value, ".10g"),
+            ("centered", "centered (T - m(m-1)/(2n))", report.centered, ".10g"),
+            ("z_value", "z value", report.z_value, ".10g"),
+            ("p_value", "p value", report.p_value, ".6g"),
+            ("alpha", "alpha", report.alpha, "g"),
+            ("reject", "reject independence", report.reject, None),
+            ("max_statistic", "max squared correlation", max_stat, ".10g")]
     if args.format == "json":
-        obj = report.to_json_obj()
-        obj.update({"max_statistic": max_stat, "n": data.n, "m": data.m,
-                    "cov_mode": mode.value, "version": __version__})
+        obj = {key: value for key, _, value, _ in rows}
+        obj.update({"n": data.n, "m": data.m, "cov_mode": mode.value, "version": __version__})
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        print("t_value,centered,z_value,p_value,alpha,reject,max_statistic")
-        print(",".join([repr(report.t_value), repr(report.centered),
-                        repr(report.z_value), repr(report.p_value),
-                        repr(report.alpha), "true" if report.reject else "false",
-                        repr(max_stat)]))
+        print(",".join(key for key, _, _, _ in rows))
+        print(",".join(json.dumps(value) for _, _, value, _ in rows))
     else:
-        rows = [
-            ("statistic T", f"{report.t_value:.10g}"),
-            ("centered (T - m(m-1)/(2n))", f"{report.centered:.10g}"),
-            ("z value", f"{report.z_value:.10g}"),
-            ("p value", f"{report.p_value:.6g}"),
-            ("alpha", f"{report.alpha:g}"),
-            ("reject independence", "yes" if report.reject else "no"),
-            ("max squared correlation", f"{max_stat:.10g}"),
-        ]
-        _print_table(rows, ("quantity", "value"))
+        table = [("quantity", "value")] + [
+            (label, format(value, spec) if spec else "yes" if value else "no")
+            for _, label, value, spec in rows]
+        widths = [max(len(row[i]) for row in table) for i in range(2)]
+        lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]
+        print("\n".join([lines[0], "-" * len(lines[0])] + lines[1:]))
     return _EXIT_OK
 
 
 def _config_from_args(args) -> SimConfig:
-    if getattr(args, "config", None):
+    """The run's config: the --config file's object, or else the run flags,
+    whose dests are SimConfig's field names."""
+    if args.config:
         with open(args.config) as handle:
-            cfg = SimConfig.from_json_obj(json.load(handle))
-        return cfg
-    b_grid = ()
-    if getattr(args, "b_grid", None):
-        b_grid = tuple(float(v) for v in args.b_grid.split(","))
-    return SimConfig(
-        m=args.m, n=args.n, trials=args.trials, alpha=args.alpha,
-        seed=Seed(args.seed),
-        family=AlternativeFamily.parse(getattr(args, "family", "equicorrelation")),
-        b_grid=b_grid, cov_mode=CovMode(args.cov_mode), workers=args.workers)
+            obj = json.load(handle)
+    else:
+        names = {f.name for f in fields(SimConfig)}
+        obj = {key: value for key, value in vars(args).items() if key in names}
+        text = obj.get("b_grid")
+        if text is not None:
+            obj["b_grid"] = [float(b) for b in text.split(",")] if text else []
+    return SimConfig.from_json_obj(obj)
 
 
 def cmd_power(args) -> int:
     config = _config_from_args(args)
-    config.validate()
     if not config.b_grid:
         raise ConfigError("power runs need a nonempty --b-grid")
     _check_writable(args.out)
@@ -158,7 +149,6 @@ def cmd_null(args) -> int:
     if args.z_out == "-":
         raise ConfigError("--z-out needs a file path: stdout carries the JSON report")
     config = _config_from_args(args)
-    config.validate()
     _check_writable(args.out, args.z_out)
     report = run_null(config, z_samples_path=args.z_out)
     text = json.dumps(report.to_json_obj(), indent=2)
@@ -171,13 +161,14 @@ def cmd_null(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    r = calibrate_to_theta(AlternativeFamily.parse(args.family), args.b, args.m, args.n)
-    data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
-    np.savetxt(sys.stdout if args.out == "-" else args.out, data.values,
-               delimiter=",", fmt="%.17g")
     r_out = args.r_out
     if r_out is None and args.out != "-":
         r_out = args.out + ".r.json"
+    r = calibrate_to_theta(AlternativeFamily.parse(args.family), args.b, args.m, args.n)
+    _check_writable(args.out, r_out)
+    data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
+    np.savetxt(sys.stdout if args.out == "-" else args.out, data.values,
+               delimiter=",", fmt="%.17g")
     if r_out:
         with open(r_out, "w") as handle:
             handle.write(r.to_json() + "\n")
@@ -326,32 +317,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p_test.set_defaults(func=cmd_test)
 
-    p_power = sub.add_parser("power", help="empirical power curve over a b grid")
-    p_power.add_argument("--config", help="JSON SimConfig file (flags override nothing)")
-    p_power.add_argument("--m", type=int, default=40)
-    p_power.add_argument("--n", type=int, default=80)
-    p_power.add_argument("--trials", type=int, default=1000)
-    p_power.add_argument("--alpha", type=float, default=0.05)
-    p_power.add_argument("--seed", type=int, default=0)
-    p_power.add_argument("--workers", type=int)
+    def add_run_parser(name, summary, m, n, out_help):
+        """A subcommand with the run flags of power and null, whose dests
+        are SimConfig's field names."""
+        sub_parser = sub.add_parser(name, help=summary)
+        sub_parser.add_argument("--config", help="JSON SimConfig file; when given, "
+                                "the other run flags are ignored")
+        sub_parser.add_argument("--m", type=int, default=m)
+        sub_parser.add_argument("--n", type=int, default=n)
+        sub_parser.add_argument("--trials", type=int, default=1000)
+        sub_parser.add_argument("--alpha", type=float, default=0.05)
+        sub_parser.add_argument("--seed", type=int, default=0)
+        sub_parser.add_argument("--workers", type=int)
+        sub_parser.add_argument("--cov-mode", choices=["zero-mean", "centered"],
+                                default="zero-mean")
+        sub_parser.add_argument("--out", default="-", help=out_help)
+        return sub_parser
+
+    p_power = add_run_parser("power", "empirical power curve over a b grid", 40, 80,
+                             "CSV output path ('-' = stdout)")
     p_power.add_argument("--family", default="equicorrelation")
     p_power.add_argument("--b-grid", default="0,1,2,3")
-    p_power.add_argument("--cov-mode", choices=["zero-mean", "centered"],
-                         default="zero-mean")
-    p_power.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
     p_power.set_defaults(func=cmd_power)
 
-    p_null = sub.add_parser("null", help="null calibration at level alpha")
-    p_null.add_argument("--config")
-    p_null.add_argument("--m", type=int, default=50)
-    p_null.add_argument("--n", type=int, default=100)
-    p_null.add_argument("--trials", type=int, default=1000)
-    p_null.add_argument("--alpha", type=float, default=0.05)
-    p_null.add_argument("--seed", type=int, default=0)
-    p_null.add_argument("--workers", type=int)
-    p_null.add_argument("--cov-mode", choices=["zero-mean", "centered"],
-                        default="zero-mean")
-    p_null.add_argument("--out", default="-", help="JSON report path ('-' = stdout)")
+    p_null = add_run_parser("null", "null calibration at level alpha", 50, 100,
+                            "JSON report path ('-' = stdout)")
     p_null.add_argument("--z-out", default=None,
                         help="optional CSV of standardized statistic samples")
     p_null.set_defaults(func=cmd_null)

@@ -62,9 +62,32 @@ _MERGE_TRIALS = _KERNEL_CHUNK
 _NO_DRAWS = (0, 0.0, 0.0)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
+# The JSON type of each SimConfig field, as (name, test), and the conversions
+# of the fields that are not stored as their JSON value.
+_JSON_TYPES = {
+    **dict.fromkeys(("m", "n", "trials", "seed", "workers"), ("an integer", _is_integer)),
+    **dict.fromkeys(("family", "cov_mode"),
+                    ("a string", lambda value: isinstance(value, str))),
+    "alpha": ("a number", _is_number),
+    "b_grid": ("an array of numbers",
+               lambda value: isinstance(value, list) and all(map(_is_number, value)))}
+_FROM_JSON = {"alpha": float, "seed": Seed, "family": AlternativeFamily.parse,
+              "b_grid": lambda value: tuple(map(float, value)), "cov_mode": CovMode}
+_TO_JSON = {"seed": lambda seed: seed.master, "family": lambda family: family.label,
+            "b_grid": list, "cov_mode": lambda mode: mode.value}
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of a simulation run."""
+    """Full description of a simulation run, validated when it is built."""
 
     m: int
     n: int
@@ -75,6 +98,9 @@ class SimConfig:
     b_grid: tuple = ()
     cov_mode: CovMode = CovMode.KNOWN_ZERO_MEAN
     workers: int = 1
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.m < 2 or self.n < 1:
@@ -92,22 +118,18 @@ class SimConfig:
             raise ConfigError("b grid must be sorted ascending")
 
     def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "trials": self.trials,
-            "alpha": self.alpha,
-            "seed": self.seed.master,
-            "family": self.family.label,
-            "b_grid": list(self.b_grid),
-            "cov_mode": self.cov_mode.value,
-            "workers": self.workers,
-        }
+        return {f.name: _TO_JSON.get(f.name, lambda value: value)(getattr(self, f.name))
+                for f in fields(self)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimConfig":
-        """Config from its JSON object; a key that is not a field (a typo
-        such as "trails") or a missing required field raises ConfigError."""
+        """Config from its JSON object, the one constructor for outside
+        input.  A key that is not a field (a typo such as "trails"), a
+        missing required field or a value of the wrong JSON type (6.9 or
+        "6" for m) raises ConfigError; a missing optional key takes the
+        field's default."""
+        if not isinstance(obj, dict):
+            raise ConfigError("a config must be a JSON object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -115,17 +137,13 @@ class SimConfig:
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ConfigError(f"missing config key(s): {', '.join(missing)}")
-        return cls(
-            m=int(obj["m"]),
-            n=int(obj["n"]),
-            trials=int(obj["trials"]),
-            alpha=float(obj["alpha"]),
-            seed=Seed(int(obj["seed"])),
-            family=AlternativeFamily.parse(obj.get("family", "equicorrelation")),
-            b_grid=tuple(float(b) for b in obj.get("b_grid", ())),
-            cov_mode=CovMode(obj.get("cov_mode", "zero-mean")),
-            workers=int(obj.get("workers", 1)),
-        )
+        for key, value in obj.items():
+            json_type, is_type = _JSON_TYPES[key]
+            if not is_type(value):
+                raise ConfigError(f"config key {key!r} must be {json_type}, "
+                                  f"got {json.dumps(value, default=repr)}")
+        return cls(**{key: _FROM_JSON.get(key, lambda value: value)(value)
+                      for key, value in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -226,7 +244,6 @@ def ks_statistic_vs_normal(values: np.ndarray) -> float:
 def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullReport:
     """Null calibration: empirical size at level alpha and the KS distance
     of the standardized statistic n (T - m(m-1)/(2n)) / m to the normal."""
-    config.validate()
     m, n = config.m, config.n
     t_of = _t_values(CorrMatrix.identity(m), config.cov_mode)
 
@@ -259,7 +276,6 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     m, n -> infinity limit; finite-sample agreement windows are engineering
     tolerances, not derived error bounds.
     """
-    config.validate()
     m, n = config.m, config.n
     cells: List[Optional[CorrMatrix]] = []
     for b in config.b_grid:

@@ -92,16 +92,6 @@ class TestReport:
     def p_value(self):
         return theory.normal_tail(self.z_value)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "t_value": self.t_value,
-            "centered": self.centered,
-            "z_value": self.z_value,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": self.reject,
-        }
-
 
 @dataclass(frozen=True)
 class Decomposition:

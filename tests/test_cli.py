@@ -203,6 +203,57 @@ def test_null_json_round_trip(tmp_path, capsys):
     assert np.loadtxt(z_out).shape == (120,)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("m", 6.9), ("n", "25"), ("trials", 120.5), ("seed", True), ("workers", 1.7),
+    ("alpha", "0.05"), ("b_grid", "0,1"), ("m", None), ("family", ["banded:2"]),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, key, value):
+    cfg = {"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 9, "b_grid": [0.0],
+           key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("power", "--config", str(cfg_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    got = re.escape(json.dumps(value))
+    assert re.fullmatch(rf"error: config key '{key}' must be [a-z ]+, got {got}\n", err), err
+
+
+def test_config_file_replays_flags_and_null_reports(tmp_path, capsys):
+    # a power run given as flags and as the same config file writes the same CSV
+    flags = ["--m", "6", "--n", "25", "--trials", "120", "--seed", "4", "--workers", "2",
+             "--family", "banded:2", "--b-grid", "0,1,40", "--cov-mode", "centered"]
+    assert run_cli("power", *flags, "--out", str(tmp_path / "flags.csv")) == 0
+    cfg = {"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 4, "workers": 2,
+           "family": "banded:2", "b_grid": [0, 1, 40], "cov_mode": "centered"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run_cli("power", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "file.csv")) == 0
+    assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+    # a null report's "config" replays its run byte for byte
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run_cli("null", "--m", "7", "--n", "30", "--trials", "110", "--seed", "5",
+                   "--cov-mode", "centered", "--out", str(first)) == 0
+    (tmp_path / "replay.json").write_text(json.dumps(json.loads(first.read_text())["config"]))
+    assert run_cli("null", "--config", str(tmp_path / "replay.json"),
+                   "--out", str(second)) == 0
+    capsys.readouterr()
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_gen_checks_both_outputs_before_sampling(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("sampled before the outputs were checked")
+
+    monkeypatch.setattr(cli, "sample_from_matrix", never)
+    out = tmp_path / "d.csv"
+    assert run_cli("gen", "--b", "1", "--m", "5", "--n", "30", "--out", str(out),
+                   "--r-out", str(tmp_path / "missing" / "r.json")) == 2
+    assert re.fullmatch(r"error: [^\n]+\n", capsys.readouterr().err)
+    # a missing output file is created empty by the check
+    assert not out.exists() or out.read_bytes() == b""
+
+
 def test_gen_outputs(tmp_path, capsys):
     out = tmp_path / "data.csv"
     code = run_cli("gen", "--family", "equicorrelation", "--b", "2", "--m", "10",

@@ -276,6 +276,21 @@ def test_expected_ii1_examples():
     assert expected_ii1(identity, big_n) == pytest.approx(centering, rel=1e-6)
 
 
+def test_expected_ii1_is_the_kernel_combination_per_pair(rng):
+    # per pair, E[II1] = h1 - 2 h2 + 2 h3 in the kernel means, taken both
+    # from the closed forms and from the kernels' polynomial expansion
+    for m in (2, 3, 7, 15):
+        for r in (CorrMatrix.identity(m), random_corr(rng, m)):
+            rhos = [float(r.rho[p, q]) for p, q in combinations(range(m), 2)]
+            for n in (4, 5, 12, 80):
+                closed = [kernel_expectations(rho, n) for rho in rhos]
+                expanded = [{name: kernels.expectation_by_expansion(name, rho, n)
+                             for name in ("h1", "h2", "h3")} for rho in rhos]
+                for means in (closed, expanded):
+                    want = math.fsum(h["h1"] - 2.0 * h["h2"] + 2.0 * h["h3"] for h in means)
+                    assert expected_ii1(r, n) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_var_i_exact_trace_form_matches_enumeration(rng):
     # s_sum enumerates the duple pairs; var_i_exact takes the O(m^3) trace form
     n = 80

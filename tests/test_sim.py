@@ -56,6 +56,28 @@ def test_config_rejects_unknown_and_missing_keys():
     del obj["trials"]
     with pytest.raises(ConfigError, match="trials"):
         SimConfig.from_json_obj(obj)
+    # each value of the wrong JSON type is named with its key, none is coerced
+    for key, value in (("m", 6.9), ("n", "25"), ("trials", 120.5), ("seed", True),
+                       ("workers", 1.7), ("alpha", "0.05"), ("b_grid", "0,1"), ("m", None),
+                       ("b_grid", [0.0, "1"]), ("family", 3), ("cov_mode", None)):
+        obj = {**small_config().to_json_obj(), key: value}
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be .*, got "):
+            SimConfig.from_json_obj(obj)
+    with pytest.raises(ConfigError, match="JSON object"):
+        SimConfig.from_json_obj([["m", 8]])
+
+
+def test_config_missing_optional_keys_take_the_defaults():
+    obj = {"m": 8, "n": 30, "trials": 200, "alpha": 0.05, "seed": 3}
+    assert SimConfig.from_json_obj(obj) == SimConfig(m=8, n=30, trials=200, alpha=0.05,
+                                                     seed=Seed(3))
+
+
+def test_config_is_validated_when_built():
+    with pytest.raises(ConfigError, match="100 trials"):
+        SimConfig(m=8, n=30, trials=50, alpha=0.05, seed=Seed(3))
+    with pytest.raises(ConfigError, match="100 trials"):
+        SimConfig.from_json_obj({**small_config().to_json_obj(), "trials": 50})
 
 
 def test_run_null_basics(tmp_path):
