@@ -131,7 +131,8 @@ def _config_from_args(args) -> SimConfig:
 def cmd_power(args) -> int:
     config = _config_from_args(args)
     if not config.b_grid:
-        raise ConfigError("power runs need a nonempty --b-grid")
+        source = f'"b_grid" in {args.config}' if args.config else "--b-grid"
+        raise ConfigError(f"power runs need a nonempty b grid: {source} is empty")
     _check_writable(args.out)
     points = run_power_curve(config)
     to_stdout = args.out == "-"

@@ -34,6 +34,8 @@ class Seed:
     master: int
 
     def __post_init__(self):
+        if not isinstance(self.master, (int, np.integer)) or isinstance(self.master, bool):
+            raise DomainError(f"seed must be an integer, got {self.master!r}")
         if not 0 <= int(self.master) < 2 ** 64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "master", int(self.master))
@@ -100,47 +102,40 @@ class AlternativeFamily:
             return f"banded:{self.bandwidth}"
         return "equicorrelation"
 
-    def signal_coefficient(self, m: int) -> float:
-        """Frobenius signal per unit rho: ||R(rho) - I||_F = coefficient * |rho|."""
+    def pattern(self, m: int) -> np.ndarray:
+        """The symmetric 0/1 matrix P, zero on the diagonal, of the family's
+        members R(rho) = I + rho P on m variables."""
+        j = np.arange(m)
+        i = j[:, None]
         if self.kind == "equicorrelation":
-            return float(np.sqrt(m * (m - 1)))
-        if self.kind == "sparse_pairs":
+            mask = i != j
+        elif self.kind == "sparse_pairs":
             if 2 * self.pairs > m:
                 raise Unachievable(f"{self.pairs} disjoint pairs need m >= {2 * self.pairs}")
-            return float(np.sqrt(2 * self.pairs))
-        count = sum(m - d for d in range(1, min(self.bandwidth, m - 1) + 1))
-        return float(np.sqrt(2 * count))
+            mask = (i != j) & (i // 2 == j // 2) & (i < 2 * self.pairs)
+        else:
+            mask = (i != j) & (abs(i - j) <= self.bandwidth)
+        return mask.astype(float)
+
+    def signal_coefficient(self, m: int) -> float:
+        """Frobenius signal per unit rho: ||R(rho) - I||_F = ||P||_F * |rho|."""
+        return float(np.sqrt(self.pattern(m).sum()))
 
 
 def make_family_matrix(family: AlternativeFamily, rho: float, m: int) -> CorrMatrix:
-    """Instantiate the family pattern at parameter rho as a valid CorrMatrix."""
+    """The family member R(rho) = I + rho P on m variables, a valid CorrMatrix."""
     if m < 2:
         raise DomainError("m must be at least 2")
-    if family.kind == "equicorrelation":
-        if not -1.0 / (m - 1) < rho < 1.0:
-            raise NotPositiveSemidefinite(
-                f"equicorrelation requires -1/(m-1) < rho < 1, got {rho!r}")
-        arr = np.full((m, m), rho)
-        np.fill_diagonal(arr, 1.0)
-        return CorrMatrix(arr)
-    if family.kind == "sparse_pairs":
-        if abs(rho) >= 1.0:
-            raise NotPositiveSemidefinite(f"sparse pairs require |rho| < 1, got {rho!r}")
-        if 2 * family.pairs > m:
-            raise Unachievable(f"{family.pairs} disjoint pairs need m >= {2 * family.pairs}")
-        arr = np.eye(m)
-        for k in range(family.pairs):
-            arr[2 * k, 2 * k + 1] = rho
-            arr[2 * k + 1, 2 * k] = rho
-        return CorrMatrix(arr)
-    # banded: no closed-form PSD range; the Cholesky gate decides
-    arr = np.eye(m)
-    for d in range(1, min(family.bandwidth, m - 1) + 1):
-        idx = np.arange(m - d)
-        arr[idx, idx + d] = rho
-        arr[idx + d, idx] = rho
-    result = CorrMatrix(arr)
-    cholesky(result)  # raises NotPositiveSemidefinite on failure
+    if family.kind == "equicorrelation" and not -1.0 / (m - 1) < rho < 1.0:
+        raise NotPositiveSemidefinite(
+            f"equicorrelation requires -1/(m-1) < rho < 1, got {rho!r}")
+    if family.kind == "sparse_pairs" and abs(rho) >= 1.0:
+        raise NotPositiveSemidefinite(f"sparse pairs require |rho| < 1, got {rho!r}")
+    # each entry is exactly 1, rho or 0: adding rho P to I would turn a rho of
+    # -0.0 (from b = -0.0) into 0.0
+    result = CorrMatrix(np.where(family.pattern(m) == 1.0, rho, np.eye(m)))
+    if family.kind == "banded":
+        cholesky(result)  # no closed-form PSD range: raises NotPositiveSemidefinite
     return result
 
 

@@ -69,16 +69,7 @@ class CorrMatrix:
     def identity(cls, m: int) -> "CorrMatrix":
         return cls(np.eye(m))
 
-    # -- serialization: CSV of m rows x m columns (no header), and a JSON
-    #    object {"m": int, "rho": [[...]]} -------------------------------
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.rho, delimiter=",", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path) -> "CorrMatrix":
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(arr)
+    # -- serialization: a JSON object {"m": int, "rho": [[...]]} -----------
 
     def to_json_obj(self) -> dict:
         return {"m": self.m, "rho": self.rho.tolist()}

@@ -103,6 +103,13 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("m", "n", "trials", "workers"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_number(self.alpha):
+            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
+        if not all(map(_is_number, self.b_grid)):
+            raise ConfigError(f"b grid values must be real numbers, got {self.b_grid!r}")
         if self.m < 2 or self.n < 1:
             raise ConfigError("need m >= 2 and n >= 1")
         if self.trials < 100:

@@ -183,6 +183,20 @@ def test_power_config_unknown_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: b grid values must be finite and nonnegative\n"
 
 
+def test_power_empty_b_grid_names_its_source(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 9, '
+                        '"b_grid": []}')
+    flags = ("--m", "6", "--n", "25", "--trials", "120", "--b-grid", "")
+    for argv, source in ((("--config", str(cfg_path)), f'"b_grid" in {cfg_path}'),
+                         (flags, "--b-grid")):
+        assert run_cli("power", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: power runs need a nonempty b grid: {source} is empty\n")
+        assert not out.exists()
+
+
 def test_power_bad_config(capsys):
     assert run_cli("power", "--m", "8", "--n", "30", "--trials", "50",
                    "--seed", "1", "--b-grid", "0,1") == 2

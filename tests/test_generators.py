@@ -33,6 +33,14 @@ def test_seed_validation():
             Seed(bad)
 
 
+def test_seed_takes_only_integers():
+    assert Seed(np.uint64(5)).master == 5 and type(Seed(np.uint64(5)).master) is int
+    assert Seed(2 ** 64 - 1).master == 2 ** 64 - 1
+    for bad in (1.7, 1.0, True, "3", None):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            Seed(bad)
+
+
 def test_make_family_examples():
     identity = make_family_matrix(EQUI, 0.0, 5)
     assert np.array_equal(identity.rho, np.eye(5))
@@ -60,6 +68,31 @@ def test_make_family_psd_violations():
         make_family_matrix(AlternativeFamily.banded(3), 0.9, 8)
     with pytest.raises(Unachievable):
         make_family_matrix(AlternativeFamily.sparse_pairs(4), 0.2, 6)
+
+
+FAMILIES = [EQUI] + [make(k) for k in range(1, 7)
+                     for make in (AlternativeFamily.sparse_pairs, AlternativeFamily.banded)]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.label)
+def test_family_pattern_builds_the_matrix_and_its_signal(family):
+    for m in range(2, 13):
+        if family.kind == "sparse_pairs" and 2 * family.pairs > m:
+            with pytest.raises(Unachievable, match=f"need m >= {2 * family.pairs}"):
+                family.pattern(m)
+            with pytest.raises(Unachievable):
+                family.signal_coefficient(m)
+            continue
+        p = family.pattern(m)
+        assert p.shape == (m, m) and np.array_equal(p, p.T)
+        assert set(np.unique(p)) <= {0.0, 1.0} and not p.diagonal().any()
+        assert np.array_equal(make_family_matrix(family, 0.0, m).rho, np.eye(m))
+        # 0.9 / (m - 1) stays inside the PSD range of every family: a row of
+        # R - I has at most m - 1 entries, so R is diagonally dominant
+        for rho in (0.9 / (m - 1), -0.5 / (m - 1)):
+            r = make_family_matrix(family, rho, m)
+            assert family.signal_coefficient(m) * abs(rho) == pytest.approx(
+                frobenius_signal(r), rel=1e-14)
 
 
 def test_calibrate_example():

@@ -78,14 +78,6 @@ def test_cholesky_reconstruction(m, rng):
     assert np.max(np.abs(recon - target)) <= 1e-9
 
 
-def test_csv_round_trip(tmp_path, rng):
-    r = random_corr(rng, 6)
-    path = tmp_path / "r.csv"
-    r.to_csv(path)
-    back = CorrMatrix.from_csv(path)
-    assert np.array_equal(back.rho, r.rho)
-
-
 def test_json_round_trip(rng):
     r = random_corr(rng, 5)
     obj = json.loads(r.to_json())

@@ -80,6 +80,17 @@ def test_config_is_validated_when_built():
         SimConfig.from_json_obj({**small_config().to_json_obj(), "trials": 50})
 
 
+def test_config_rejects_values_of_the_wrong_python_type():
+    # the constructor checks types itself, not only from_json_obj, so a float
+    # m cannot reach run_null and fail there
+    for key, value in (("m", 6.9), ("n", 30.0), ("trials", True), ("workers", 1.5),
+                       ("alpha", "0.05"), ("b_grid", (0.0, "1"))):
+        name = "b grid values" if key == "b_grid" else key
+        with pytest.raises(ConfigError, match=f"{name} must be .*, got "):
+            small_config(**{key: value})
+    assert small_config(alpha=np.float64(0.05), b_grid=(0, 1.5)).alpha == 0.05
+
+
 def test_run_null_basics(tmp_path):
     path = tmp_path / "z.csv"
     report = run_null(small_config(trials=150), z_samples_path=str(path))
