@@ -16,8 +16,8 @@ from .moments import (central_pair_moment, central_product_moment,
                       expected_ii1, f_partial, isserlis_moment,
                       kernel_expectations, pair_partitions, s_sum, var_i_exact)
 from .stats import (CovMode, DataMatrix, Decomposition, TestReport,
-                    decompose, martingale_differences, max_statistic,
-                    rao_score_test, report_from_statistic, statistic_t, term_i)
+                    decompose, rao_score_test, report_from_statistic,
+                    statistic_t, term_i)
 from .theory import (asymptotic_power, normal_cdf, normal_quantile,
                      normal_tail)
 from .generators import (AlternativeFamily, Seed, calibrate_to_theta,
@@ -42,8 +42,7 @@ __all__ = [
     "s_sum", "var_i_exact",
     # stats
     "CovMode", "DataMatrix", "Decomposition", "TestReport", "decompose",
-    "martingale_differences", "max_statistic", "rao_score_test",
-    "report_from_statistic", "statistic_t", "term_i",
+    "rao_score_test", "report_from_statistic", "statistic_t", "term_i",
     # theory
     "asymptotic_power", "normal_cdf", "normal_quantile", "normal_tail",
     # generators

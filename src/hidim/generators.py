@@ -15,6 +15,7 @@ overwrites the uniforms.  A draw allocates its output and nothing else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,7 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
     Solves for the family parameter in closed form; raises Unachievable
     when no positive semidefinite member attains the target.
     """
-    if b < 0.0:
+    if b < 0.0 or math.copysign(1.0, b) < 0.0:     # -0.0 too
         raise DomainError("b must be nonnegative")
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m = {m} and n = {n}")

@@ -118,8 +118,9 @@ class SimConfig:
             raise ConfigError("alpha must lie strictly inside (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be a positive integer")
-        # a NaN fails both comparisons
-        if not all(0.0 <= b < math.inf for b in self.b_grid):
+        # a NaN fails both comparisons; -0.0 has its sign bit set
+        if not all(0.0 <= b < math.inf and (b > 0.0 or math.copysign(1.0, b) > 0.0)
+                   for b in self.b_grid):
             raise ConfigError("b grid values must be finite and nonnegative")
         if list(self.b_grid) != sorted(self.b_grid):
             raise ConfigError("b grid must be sorted ascending")

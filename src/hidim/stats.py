@@ -1,5 +1,5 @@
 """Sample-level statistics: covariances, squared correlations, the score
-statistic, the max statistic, the level-alpha test, and the exact
+statistic, the level-alpha test, and the exact
 I / II / III decomposition of the centered statistic around a known
 population correlation matrix.
 """
@@ -204,12 +204,6 @@ def statistic_t(data: Union[DataMatrix, np.ndarray], mode: CovMode):
     return shape(_finite(t_value, "T"))
 
 
-def max_statistic(data: DataMatrix, mode: CovMode) -> float:
-    """Largest squared sample correlation over all pairs p < q."""
-    r2_hat = _squared_correlations(_cov_matrix(data.values[None], mode))[0]
-    return float(_finite(r2_hat.max(axis=1), "the largest squared correlation")[0])
-
-
 def report_from_statistic(t_value, n: int, m: int, alpha: float) -> TestReport:
     """Build the level-alpha report from an already-computed statistic.
 
@@ -283,27 +277,6 @@ def term_i(data: Union[DataMatrix, np.ndarray], r: CorrMatrix):
     rho = _upper(r.rho[None])
     _, _, sum_c, sum_c2 = _pair_sums(x, rho)
     return shape(_cross_sample(sum_c, sum_c2, x.shape[1]))
-
-
-def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
-    """The n+1 martingale differences Y_0..Y_n whose sum is term_i.
-
-    Y_0 = Y_1 = 0 and, for samples i >= 2 (1-based),
-    Y_i = (2/n^2) sum_{p<q} c_i (c_1 + ... + c_{i-1}).
-    """
-    _check_dims(data.m, r.m)
-    n = data.n
-    flat = _pair_offsets(data.m)
-    y = np.zeros(n + 1)
-    running = np.zeros(flat.size)
-    scale = 2.0 / float(n) ** 2
-    for i in range(1, n + 1):
-        xi = data.values[i - 1]
-        ci = np.take(np.outer(xi, xi) - r.rho, flat)
-        if i >= 2:
-            y[i] = scale * float(ci @ running)
-        running += ci
-    return y
 
 
 def _ii_weights() -> np.ndarray:

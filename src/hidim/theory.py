@@ -4,7 +4,8 @@ Algorithm notes
 ---------------
 ``normal_cdf`` evaluates Phi(x) = erfc(-x / sqrt(2)) / 2 through the
 complementary error function, which is accurate to a few ulp across the
-double range (far inside the 1e-10 absolute contract).
+double range (far inside the 1e-10 absolute contract).  ``normal_tail`` is
+Phi(-x), so both share that one expression.
 
 ``normal_quantile`` returns the *upper-tail* inverse: the x solving
 tail(x) = p, as ``-scipy.special.ndtri(p)`` (Cephes' probit).  The tests
@@ -33,10 +34,9 @@ def normal_cdf(x):
 
 
 def normal_tail(x):
-    """Upper-tail probability 1 - Phi(x), evaluated without cancellation."""
-    arr = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(arr / _SQRT2)
-    return float(out) if arr.ndim == 0 else out
+    """Upper-tail probability 1 - Phi(x) = Phi(-x), evaluated without
+    cancellation."""
+    return normal_cdf(np.negative(np.asarray(x, dtype=float)))
 
 
 def normal_quantile(p, out=None):

@@ -18,14 +18,13 @@ import pytest
 from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix, Seed,
                    SimConfig, calibrate_to_theta, central_pair_moment,
                    central_product_moment, cholesky, decompose, f_partial,
-                   kernel_expectations, make_family_matrix,
-                   martingale_differences, pair_partitions, run_null,
-                   run_power_curve, s_sum, sample_gaussian, statistic_t,
-                   term_i, var_i_exact, verify_e_ii1, verify_kernels,
-                   verify_var_i)
+                   kernel_expectations, make_family_matrix, pair_partitions,
+                   run_null, run_power_curve, s_sum, sample_gaussian,
+                   statistic_t, term_i, var_i_exact, verify_e_ii1,
+                   verify_kernels, verify_var_i)
 from hidim import kernels
 from hidim.cli import main as cli_main
-from conftest import random_corr
+from conftest import martingale_differences, random_corr
 
 from test_moments import GRID_U12, GRID_U3, LAMS_UP_TO_4, fd_partial
 

@@ -40,7 +40,7 @@ def test_test_json_format(tmp_path, capsys):
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert set(obj) >= {"t_value", "centered", "z_value", "p_value", "alpha",
-                        "reject", "max_statistic", "n", "m"}
+                        "reject", "n", "m"}
     assert obj["n"] == 40 and obj["m"] == 4
 
 
@@ -50,7 +50,7 @@ def test_test_csv_format(tmp_path, capsys):
     write_csv(path, rng.standard_normal((30, 3)))
     assert run_cli("test", str(path), "--format", "csv") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "t_value,centered,z_value,p_value,alpha,reject,max_statistic"
+    assert lines[0] == "t_value,centered,z_value,p_value,alpha,reject"
     assert len(lines) == 2
 
 
@@ -121,6 +121,17 @@ def test_test_parse_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid data" in err and "sample 2, variable 1 is nan" in err
     assert "cannot read" not in err
+    # numpy's warning on a file with no data rows stays off stderr
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("a,b,c\n")
+    for argv in ((str(empty),), (str(header_only), "--header")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("test", *argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: invalid data: data needs at least 1 sample and 2 variables\n")
 
 
 def test_unknown_flag_exits_2(tmp_path):
@@ -366,19 +377,21 @@ def test_gen_unachievable(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_workers_env_fallback(monkeypatch, capsys):
-    null = ("null", "--m", "6", "--n", "20", "--trials", "100", "--seed", "1")
-    monkeypatch.setenv("HIDIM_WORKERS", "3")
-    assert run_cli(*null) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["workers"] == 3
-    for bad in ("junk", "0", "-2"):
-        monkeypatch.setenv("HIDIM_WORKERS", bad)
-        assert run_cli(*null) == 2
-        assert capsys.readouterr().err == (
-            f"error: HIDIM_WORKERS must be a positive integer, got '{bad}'\n")
-    # an explicit --workers never reads the variable
-    assert run_cli(*null, "--workers", "2") == 0
-    assert json.loads(capsys.readouterr().out)["config"]["workers"] == 2
+def test_workers_env_ignored(monkeypatch, capsys):
+    # the worker count comes from --workers alone, default 1
+    monkeypatch.setenv("HIDIM_WORKERS", "junk")
+    assert run_cli("null", "--m", "6", "--n", "20", "--trials", "100", "--seed", "1") == 0
+    assert json.loads(capsys.readouterr().out)["config"]["workers"] == 1
+
+
+def test_negative_zero_b_exits_2(tmp_path, capsys):
+    # -0.0 passes b >= 0, but its sign bit is set: it is rejected as a negative b
+    data = tmp_path / "d.csv"
+    assert run_cli("gen", "--b", "-0", "--m", "3", "--n", "10", "--out", str(data)) == 2
+    assert capsys.readouterr() == ("", "error: b must be nonnegative\n")
+    assert not data.exists() and not (tmp_path / "d.csv.r.json").exists()
+    assert run_cli("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid=-0,1") == 2
+    assert capsys.readouterr() == ("", "error: b grid values must be finite and nonnegative\n")
 
 
 def test_verify_isserlis(capsys):

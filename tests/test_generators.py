@@ -106,6 +106,13 @@ def test_calibrate_small_b_continuity():
     assert np.max(np.abs(r.rho - np.eye(6))) < 1e-9
 
 
+def test_calibrate_rejects_a_set_sign_bit():
+    # -0.0 passes b >= 0, and its matrix would carry -0.0 entries
+    for b in (-1.0, -0.0):
+        with pytest.raises(DomainError, match="b must be nonnegative"):
+            calibrate_to_theta(EQUI, b, 3, 10)
+
+
 def test_calibrate_unachievable():
     with pytest.raises(Unachievable):
         calibrate_to_theta(AlternativeFamily.sparse_pairs(1), 50.0, 10, 10)

@@ -38,6 +38,9 @@ def test_config_validation():
     for b in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="finite and nonnegative"):
             small_config(b_grid=(0.0, b)).validate()
+    # -0.0 passes 0.0 <= b, but its sign bit is set
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        small_config(b_grid=(-0.0,))
     small_config().validate()
 
 

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix,
                    DegenerateColumn, DimensionMismatch, DomainError, Seed,
                    cholesky, decompose, f_partial, make_family_matrix,
-                   martingale_differences, max_statistic, rao_score_test,
-                   sample_gaussian, statistic_t, term_i, report_from_statistic,
-                   normal_quantile)
+                   rao_score_test, sample_gaussian, statistic_t, term_i,
+                   report_from_statistic, normal_quantile)
 from hidim.stats import _Cells, _cov_matrix
-from conftest import random_corr
+from conftest import martingale_differences, random_corr
 
 ZM = CovMode.KNOWN_ZERO_MEAN
 SC = CovMode.SAMPLE_CENTERED
@@ -105,9 +104,6 @@ def test_overflowing_column_fails_clearly(mode):
     values[:, 1] *= 1e200
     with np.errstate(all="ignore"), pytest.raises(DomainError, match="T is nan: .*overflow"):
         statistic_t(DataMatrix(values), mode)
-    with np.errstate(all="ignore"), pytest.raises(
-            DomainError, match="largest squared correlation is nan: .*overflow"):
-        max_statistic(DataMatrix(values), mode)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,17 +146,6 @@ def test_statistic_t_permutation_invariant(rng):
     for _ in range(5):
         perm = rng.permutation(5)
         assert statistic_t(DataMatrix(data[:, perm]), ZM) == pytest.approx(t0, rel=1e-12)
-
-
-def test_max_statistic(rng):
-    col = rng.standard_normal(6)
-    same = DataMatrix(np.column_stack([col, col, col]))
-    assert max_statistic(same, ZM) == pytest.approx(1.0, rel=1e-12)
-    for _ in range(10):
-        data = DataMatrix(rng.standard_normal((12, 5)))
-        mx = max_statistic(data, ZM)
-        assert 0.0 <= mx <= 1.0 + 1e-12
-        assert mx <= statistic_t(data, ZM) + 1e-12
 
 
 def test_report_boundary_and_median():
