@@ -45,12 +45,16 @@ _EXIT_DEGENERATE = 3
 _IDENTITY_BOUND = 1e-12
 
 
-def _check_writable(*paths) -> None:
-    """Open each output path (None and '-' excepted) for appending and close
-    it, so that one that cannot be written raises its OSError (exit 2)
-    before the run rather than after it.  A missing file is created empty;
-    an existing one is left as it is until the run writes it."""
-    for path in paths:
+def _check_writable(out=None, **files) -> None:
+    """Open each output path for appending and close it, so that one that
+    cannot be written raises its OSError (exit 2) before the run rather than
+    after it.  A missing file is created empty; an existing one is left as it
+    is until the run writes it.  `out` may be '-' for stdout; `files`, keyed
+    by their flag's dest, cannot share stdout, so '-' there is a usage error."""
+    for dest, path in files.items():
+        if path == "-":
+            raise ConfigError(f"--{dest.replace('_', '-')} needs a file path, not '-'")
+    for path in (out, *files.values()):
         if path is not None and path != "-":
             with open(path, "a"):
                 pass
@@ -133,10 +137,8 @@ def cmd_power(args) -> int:
 
 
 def cmd_null(args) -> int:
-    if args.z_out == "-":
-        raise ConfigError("--z-out needs a file path: stdout carries the JSON report")
     config = _config_from_args(args)
-    _check_writable(args.out, args.z_out)
+    _check_writable(args.out, z_out=args.z_out)
     report = run_null(config, z_samples_path=args.z_out)
     text = json.dumps(report.to_json_obj(), indent=2)
     if args.out and args.out != "-":
@@ -152,7 +154,7 @@ def cmd_gen(args) -> int:
     if r_out is None and args.out != "-":
         r_out = args.out + ".r.json"
     r = calibrate_to_theta(AlternativeFamily.parse(args.family), args.b, args.m, args.n)
-    _check_writable(args.out, r_out)
+    _check_writable(args.out, r_out=r_out)
     data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
     np.savetxt(sys.stdout if args.out == "-" else args.out, data.values,
                delimiter=",", fmt="%.17g")
@@ -221,50 +223,31 @@ def _exact_identity_rows():
     return rows
 
 
-def _check_verify_options(args) -> None:
-    """Raise ConfigError for the first verify option that its check cannot
-    take, before any gate runs; a NaN fails its comparison too."""
+def cmd_verify(args) -> int:
+    # an option no check can take fails before any gate runs
     if args.workers < 1:
         raise ConfigError("workers must be a positive integer")
-    two_trials = "a Monte Carlo moment check needs at least 2 trials"
-    for key, ok, why in (
-            ("m", args.m >= 2, "m must be at least 2"),
-            ("n", args.n >= 1, "n must be a positive integer"),
-            ("trials", args.trials >= 2, two_trials),
-            ("m_ii1", args.m_ii1 >= 2, "m must be at least 2"),
-            ("n_ii1", args.n_ii1 >= 1, "n must be a positive integer"),
-            ("rho", abs(args.rho) < 1.0, "rho must lie strictly inside (-1, 1)"),
-            ("n_kernels", args.n_kernels >= 4, "kernels have degree 4, so n >= 4 is required"),
-            ("trials_kernels", args.trials_kernels >= 2, two_trials)):
-        if not ok:
-            raise ConfigError(f"--{key.replace('_', '-')} {getattr(args, key)}: {why}")
-
-
-def _run_verify(which: str, args) -> int:
-    _check_verify_options(args)
-    _check_writable(args.report)
+    if args.trials < 2:
+        raise ConfigError(f"--trials {args.trials}: "
+                          "a Monte Carlo moment check needs at least 2 trials")
+    _check_writable(report=args.report)
     identities = []
     checks: list[MomentCheck] = []
     seed = Seed(args.seed)
 
-    if which in ("all", "isserlis"):
-        for quantity, label, err in _exact_identity_rows():
-            passed = bool(err <= _IDENTITY_BOUND)
-            print(f"{'pass' if passed else 'FAIL'}  {quantity}: {label} = {err:.3e}")
-            identities.append({"name": quantity, "error": err, "bound": _IDENTITY_BOUND,
-                               "passed": passed})
+    for quantity, label, err in _exact_identity_rows():
+        passed = bool(err <= _IDENTITY_BOUND)
+        print(f"{'pass' if passed else 'FAIL'}  {quantity}: {label} = {err:.3e}")
+        identities.append({"name": quantity, "error": err, "bound": _IDENTITY_BOUND,
+                           "passed": passed})
 
-    if which in ("all", "kernels"):
-        checks.extend(verify_kernels(args.rho, args.n_kernels, args.trials_kernels, seed))
-
-    moment_checks = []
-    if which in ("all", "var-i"):
-        equi = make_family_matrix(AlternativeFamily.equicorrelation(), 0.2, args.m)
-        moment_checks += [var_i_check(CorrMatrix.identity(args.m), args.n),
-                          var_i_check(equi, args.n, name="var_i_equi")]
-    if which in ("all", "e-ii1"):
-        moment_checks.append(e_ii1_check(CorrMatrix.identity(args.m_ii1), args.n_ii1))
-    if moment_checks:
+    if args.which == "all":
+        # one fixed battery; other sizes run through the library calls
+        checks.extend(verify_kernels(0.5, 10, 100_000, seed))
+        equi = make_family_matrix(AlternativeFamily.equicorrelation(), 0.2, 5)
+        moment_checks = [var_i_check(CorrMatrix.identity(5), 30),
+                         var_i_check(equi, 30, name="var_i_equi"),
+                         e_ii1_check(CorrMatrix.identity(4), 20)]
         for results in run_checks(moment_checks, args.trials, seed, workers=args.workers):
             checks.extend(results)
 
@@ -334,20 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.set_defaults(func=cmd_null)
 
     p_verify = sub.add_parser("verify", help="run verification gates")
-    p_verify.add_argument("which", choices=["all", "isserlis", "kernels", "var-i", "e-ii1"])
+    p_verify.add_argument("which", choices=["all", "isserlis"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.add_argument("--m", type=int, default=5, help="dimension for var-i")
-    p_verify.add_argument("--n", type=int, default=30, help="sample size for var-i")
     p_verify.add_argument("--trials", type=int, default=20000,
-                          help="trials for var-i / e-ii1")
-    p_verify.add_argument("--m-ii1", type=int, default=4)
-    p_verify.add_argument("--n-ii1", type=int, default=20)
-    p_verify.add_argument("--rho", type=float, default=0.5, help="rho for kernels")
-    p_verify.add_argument("--n-kernels", type=int, default=10)
-    p_verify.add_argument("--trials-kernels", type=int, default=100000)
+                          help="trials for the var-i and e-ii1 checks")
     p_verify.add_argument("--report", default=None, help="optional JSON report path")
-    p_verify.set_defaults(func=lambda args: _run_verify(args.which, args))
+    p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="sample synthetic data from a calibrated alternative")
     p_gen.add_argument("--family", default="equicorrelation")

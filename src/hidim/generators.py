@@ -146,6 +146,8 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
     Solves for the family parameter in closed form; raises Unachievable
     when no positive semidefinite member attains the target.
     """
+    if not math.isfinite(b):
+        raise DomainError("b must be finite and nonnegative")
     if b < 0.0 or math.copysign(1.0, b) < 0.0:     # -0.0 too
         raise DomainError("b must be nonnegative")
     if m < 2 or n < 1:

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hidim import CorrMatrix, SimConfig
+from hidim import AlternativeFamily, CorrMatrix, Seed, SimConfig
 from hidim import cli, sim
 from hidim.cli import main
+from hidim.generators import make_family_matrix
+from hidim.moments import expected_ii1, kernel_expectations, var_i_exact
 
 
 def run_cli(*argv):
@@ -335,7 +337,7 @@ def test_gen_to_stdout_matches_the_file(tmp_path, capsys, monkeypatch):
     ("null", "--m", "6", "--n", "20", "--trials", "100", "--z-out"),
     ("gen", "--b", "1", "--m", "5", "--n", "10", "--out"),
     ("gen", "--b", "1", "--m", "5", "--n", "10", "--r-out"),
-    ("verify", "e-ii1", "--trials", "100", "--report"),
+    ("verify", "isserlis", "--report"),
 ], ids=["power", "null", "null-z-out", "gen", "gen-r-out", "verify"])
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing" / "out")
@@ -401,29 +403,26 @@ def test_verify_isserlis(capsys):
 
 
 def test_verify_bad_sizes(capsys):
-    # a sample variance needs two trials, a sample one row
-    for which in ("var-i", "e-ii1"):
-        assert run_cli("verify", which, "--trials", "0") == 2
-        assert "at least 2 trials" in capsys.readouterr().err
-    assert run_cli("verify", "var-i", "--n", "0", "--trials", "100") == 2
-    assert "n must be a positive integer" in capsys.readouterr().err
-    for trials in ("1", "0", "-3"):
-        assert run_cli("verify", "kernels", "--trials-kernels", trials) == 2
-        assert "at least 2 trials" in capsys.readouterr().err
+    # a sample variance needs two trials
+    for which in ("all", "isserlis"):
+        for trials in ("1", "0", "-3"):
+            assert run_cli("verify", which, "--trials", trials) == 2
+            assert capsys.readouterr() == ("", f"error: --trials {trials}: a Monte Carlo "
+                                               "moment check needs at least 2 trials\n")
 
 
 def test_verify_rejects_a_non_positive_worker_count(capsys):
     for workers in ("0", "-4"):
-        for which in ("kernels", "var-i", "all"):
+        for which in ("isserlis", "all"):
             assert run_cli("verify", which, "--workers", workers) == 2
             assert capsys.readouterr().err == "error: workers must be a positive integer\n"
 
 
 @pytest.mark.parametrize("argv, module, attr", [
-    (("verify", "kernels", "--trials-kernels", "1000"), "hidim.sim", "_uniform_open"),
+    (("verify", "all", "--trials", "100"), "hidim.sim", "_uniform_open"),
     (("null", "--m", "6", "--n", "20", "--trials", "100"),
      "hidim.generators", "standard_normal_block"),
-    (("verify", "var-i", "--trials", "100"), "hidim.generators", "standard_normal_blocks"),
+    (("verify", "all", "--trials", "100"), "hidim.generators", "standard_normal_blocks"),
 ])
 def test_a_refused_memory_request_exits_2(monkeypatch, capsys, argv, module, attr):
     # stands in for numpy's MemoryError on a size the OS refuses, without
@@ -505,23 +504,45 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "e-ii1", "--m-ii1", "1"),
-    ("verify", "all", "--m", "1"),
-    ("verify", "all", "--n-ii1", "0"),
     ("verify", "all", "--trials", "1"),
-    ("verify", "kernels", "--rho", "nan"),
-    ("verify", "all", "--rho=-inf"),
-    ("verify", "all", "--n-kernels", "3"),
+    ("verify", "isserlis", "--workers", "0"),
+    ("verify", "isserlis", "--report", "-"),
     ("gen", "--b", "1", "--m", "5", "--n", "0"),
+    ("gen", "--b", "1", "--m", "3", "--n", "5", "--out", "d.csv", "--r-out", "-"),
+    ("gen", "--b", "nan", "--m", "4", "--n", "10", "--out", "d.csv"),
+    ("gen", "--family", "banded:2", "--b", "inf", "--m", "4", "--n", "10", "--out", "d.csv"),
     ("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid", "0,nan"),
     ("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid", "0,x"),
     ("null", "--m", "6", "--n", "25", "--trials", "120", "--z-out", "-"),
+    ("null", "--m", "6", "--n", "25", "--trials", "120", "--out", "n.json", "--z-out", "-"),
 ])
-def test_hostile_sizes_exit_2_before_any_gate(capsys, argv):
+def test_hostile_sizes_exit_2_before_any_gate(tmp_path, monkeypatch, capsys, argv):
+    def entered(*args, **kwargs):
+        raise AssertionError("the run started before its options were checked")
+
+    for entry in ("_exact_identity_rows", "verify_kernels", "run_checks", "run_power_curve",
+                  "run_null", "sample_from_matrix"):
+        monkeypatch.setattr(cli, entry, entered)
+    monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(r"error: [^\n]+\n", err), err
+    # no output file is written, and '-' names no file
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "isserlis", "--report"), "--report"),
+    (("gen", "--b", "1", "--m", "3", "--n", "5", "--out", "d.csv", "--r-out"), "--r-out"),
+    (("null", "--m", "6", "--n", "25", "--trials", "120", "--z-out"), "--z-out"),
+], ids=["verify", "gen", "null"])
+def test_a_dash_for_a_file_only_output_exits_2(tmp_path, monkeypatch, capsys, argv, flag):
+    # '-' means stdout for --out alone; these outputs cannot share it
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "-") == 2
+    assert capsys.readouterr() == ("", f"error: {flag} needs a file path, not '-'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_biased_exact_value_fails_its_check(monkeypatch, capsys, tmp_path):
@@ -542,30 +563,48 @@ def test_a_biased_exact_value_fails_its_check(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_verify_kernels_quick(capsys, tmp_path):
-    report = tmp_path / "report.json"
-    code = run_cli("verify", "kernels", "--rho", "0.5", "--n-kernels", "10",
-                   "--trials-kernels", "20000", "--seed", "4",
-                   "--report", str(report))
+def test_verify_kernels_quick():
+    # sizes other than verify's run through the library call
+    checks = sim.verify_kernels(-0.3, 12, 20000, Seed(4))
+    assert [chk.name for chk in checks] == ["h1", "h2", "h2_bar", "h3", "h3_bar"]
+    assert all(chk.passed for chk in checks)
+    exact = kernel_expectations(-0.3, 12)
+    assert [chk.exact for chk in checks] == [exact[chk.name.removesuffix("_bar")]
+                                             for chk in checks]
+
+
+def test_verify_all_runs_the_fixed_battery(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    run_cli("verify", "all", "--trials", "200", "--report", str(report))
     capsys.readouterr()
-    assert code == 0
-    obj = json.loads(report.read_text())
-    assert obj["all_passed"] is True
-    assert len(obj["checks"]) == 5
+    exact = {chk["name"]: chk["exact"] for chk in json.loads(report.read_text())["checks"]}
+    kernels = kernel_expectations(0.5, 10)
+    equi = make_family_matrix(AlternativeFamily.equicorrelation(), 0.2, 5)
+    assert exact == {"h1": kernels["h1"], "h2": kernels["h2"], "h2_bar": kernels["h2"],
+                     "h3": kernels["h3"], "h3_bar": kernels["h3"],
+                     "var_i": var_i_exact(CorrMatrix.identity(5), 30),
+                     "var_i_equi": var_i_exact(equi, 30),
+                     "e_ii1": expected_ii1(CorrMatrix.identity(4), 20), "e_i": 0.0}
+    # the sizes are constants, and the single-check modes are gone
+    for argv in (("all", "--m", "6"), ("all", "--n", "40"), ("all", "--m-ii1", "3"),
+                 ("all", "--n-ii1", "30"), ("all", "--rho", "0.3"),
+                 ("all", "--n-kernels", "12"), ("all", "--trials-kernels", "500"),
+                 ("kernels",), ("var-i",), ("e-ii1",)):
+        with pytest.raises(SystemExit) as info:
+            run_cli("verify", *argv)
+        assert info.value.code == 2
+    capsys.readouterr()
 
 
 def test_verify_report_replays_the_run(tmp_path, capsys):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    run_cli("verify", "e-ii1", "--m-ii1", "6", "--n-ii1", "25", "--trials", "200",
-            "--seed", "3", "--workers", "2", "--n-kernels", "12",
-            "--trials-kernels", "500", "--report", str(first))
+    run_cli("verify", "all", "--trials", "200", "--seed", "3", "--workers", "2",
+            "--report", str(first))
     config = json.loads(first.read_text())["config"]
-    assert config == {"which": "e-ii1", "seed": 3, "workers": 2, "m": 5, "n": 30,
-                      "trials": 200, "m_ii1": 6, "n_ii1": 25, "rho": 0.5,
-                      "n_kernels": 12, "trials_kernels": 500}
+    assert config == {"which": "all", "seed": 3, "workers": 2, "trials": 200}
     argv = ["verify", config.pop("which"), "--report", str(second)]
     for key, value in config.items():
-        argv += ["--" + key.replace("_", "-"), str(value)]
+        argv += ["--" + key, str(value)]
     run_cli(*argv)
     capsys.readouterr()
     assert second.read_text() == first.read_text()

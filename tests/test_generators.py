@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,14 @@ def test_calibrate_rejects_a_set_sign_bit():
     for b in (-1.0, -0.0):
         with pytest.raises(DomainError, match="b must be nonnegative"):
             calibrate_to_theta(EQUI, b, 3, 10)
+
+
+@pytest.mark.parametrize("family", ["equicorrelation", "banded:2", "sparse-pairs:1"])
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+def test_calibrate_rejects_a_non_finite_b(family, b):
+    # one message whatever the family, not the first check b reaches inside it
+    with pytest.raises(DomainError, match="^b must be finite and nonnegative$"):
+        calibrate_to_theta(AlternativeFamily.parse(family), b, 4, 10)
 
 
 def test_calibrate_unachievable():
