@@ -225,15 +225,14 @@ def _exact_identity_rows():
 
 def cmd_verify(args) -> int:
     # an option no check can take fails before any gate runs
-    if args.workers < 1:
+    if args.which == "all" and args.workers < 1:
         raise ConfigError("workers must be a positive integer")
-    if args.trials < 2:
+    if args.which == "all" and args.trials < 2:
         raise ConfigError(f"--trials {args.trials}: "
                           "a Monte Carlo moment check needs at least 2 trials")
     _check_writable(report=args.report)
     identities = []
     checks: list[MomentCheck] = []
-    seed = Seed(args.seed)
 
     for quantity, label, err in _exact_identity_rows():
         passed = bool(err <= _IDENTITY_BOUND)
@@ -243,6 +242,7 @@ def cmd_verify(args) -> int:
 
     if args.which == "all":
         # one fixed battery; other sizes run through the library calls
+        seed = Seed(args.seed)
         checks.extend(verify_kernels(0.5, 10, 100_000, seed))
         equi = make_family_matrix(AlternativeFamily.equicorrelation(), 0.2, 5)
         moment_checks = [var_i_check(CorrMatrix.identity(5), 30),
@@ -317,12 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.set_defaults(func=cmd_null)
 
     p_verify = sub.add_parser("verify", help="run verification gates")
-    p_verify.add_argument("which", choices=["all", "isserlis"])
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.add_argument("--trials", type=int, default=20000,
-                          help="trials for the var-i and e-ii1 checks")
-    p_verify.add_argument("--report", default=None, help="optional JSON report path")
+    modes = p_verify.add_subparsers(dest="which", required=True)
+    p_all = modes.add_parser("all", help="the identity gates and the Monte Carlo checks")
+    p_all.add_argument("--seed", type=int, default=0)
+    p_all.add_argument("--workers", type=int, default=1)
+    p_all.add_argument("--trials", type=int, default=20000,
+                       help="trials for the var-i and e-ii1 checks")
+    p_isserlis = modes.add_parser("isserlis", help="the identity gates alone; they draw nothing")
+    for mode in (p_all, p_isserlis):
+        mode.add_argument("--report", default=None, help="optional JSON report path")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="sample synthetic data from a calibrated alternative")

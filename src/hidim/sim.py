@@ -46,6 +46,10 @@ _RESIDUAL_RTOL = 1e-9
 # cells at m=40/n=80, 344 for ``verify all`` at its defaults, one once the
 # n*m sum passes 65536.
 _CHUNK_BYTES = 1 << 20
+# Floats each check counts a trial as at least, for its reduction's fixed
+# per-trial arrays (``decompose``'s 5 x 15 forms are 75); 80, the smallest
+# sample of ``verify all``, leaves its chunks and the power cells' as they are.
+_TRIAL_FLOATS = 80
 # Draws per chunk of the kernel check, sized by what a draw holds live while
 # its chunk is evaluated: 30 float64 rows (x and y 8, the shared factors 12,
 # the five variant rows and their accumulators 10), taken as 32 so that
@@ -293,23 +297,25 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
         except Unachievable:
             cells.append(None)
 
-    def count_rejections(count: int, t_values: np.ndarray) -> int:
-        return count + int(np.count_nonzero(
-            report_from_statistic(t_values, n, m, config.alpha).reject))
+    def rejections(r: CorrMatrix) -> Callable[[np.ndarray], np.ndarray]:
+        t_of = _t_values(r, config.cov_mode)
+        return lambda stack: report_from_statistic(
+            t_of(stack), n, m, config.alpha).reject[None].astype(float)
 
-    live = [ChunkCheck(cholesky(r), n, _t_values(r, config.cov_mode), 0, count_rejections,
-                       lambda count: count / config.trials)
-            for r in cells if r is not None]
+    predicted = [asymptotic_power(config.alpha, b) for b in config.b_grid]
+    live = [ChunkCheck(cholesky(r), n, rejections(r), [("power", p)])
+            for r, p in zip(cells, predicted) if r is not None]
     rates = iter(run_checks(live, config.trials, config.seed, config.workers) if live else ())
     points: List[PowerPoint] = []
-    for b, r in zip(config.b_grid, cells):
-        p_hat = None if r is None else next(rates)
+    for b, r, p in zip(config.b_grid, cells, predicted):
+        # a merged mean of 0/1 rejections is count / trials within rounding
+        p_hat = (None if r is None
+                 else round(next(rates)[0].mc_value * config.trials) / config.trials)
         stderr = (None if p_hat is None
                   else float(np.sqrt(p_hat * (1.0 - p_hat) / config.trials)))
         points.append(PowerPoint(
             b=b, m=m, n=n, trials=config.trials, empirical_power=p_hat,
-            mc_stderr=stderr, predicted_power=asymptotic_power(config.alpha, b),
-            skipped=p_hat is None))
+            mc_stderr=stderr, predicted_power=p, skipped=p_hat is None))
     return points
 
 
@@ -355,31 +361,18 @@ def _mean_checks(exact: Sequence[Tuple[str, float]], moments) -> List[MomentChec
 
 @dataclass(frozen=True)
 class ChunkCheck:
-    """A Monte Carlo check over samples of n rows with correlation
+    """Monte Carlo means over samples of n rows with correlation
     factor.lower @ factor.lower.T: ``reduce`` maps a (B, n, m) stack of
-    consecutive trials' samples to per-trial values along its last axis,
-    ``fold`` merges the values of the next block of trials into the summary
-    of the trials before it, starting from ``empty``, and ``finish`` maps
-    the summary of every trial to the check's results.  A moment check
-    summarizes by (count, mean, M2) and finishes with a list of
-    MomentChecks; a power cell counts rejections and finishes with the
-    rejection rate."""
+    consecutive trials' samples to a float (rows, B) array of per-trial
+    values, one row per (name, exact value) pair of ``exact``, and each
+    row's mean is checked against its exact value.  A moment check's rows
+    are the terms whose means have closed forms; a power cell's one row is
+    its 0/1 rejections, whose mean is the rejection rate."""
 
     factor: CholeskyFactor
     n: int
     reduce: Callable[[np.ndarray], np.ndarray]
-    empty: object
-    fold: Callable[[object, np.ndarray], object]
-    finish: Callable[[object], object]
-
-
-def _mean_check(factor: CholeskyFactor, n: int, values: Callable[[np.ndarray], np.ndarray],
-                exact: Sequence[Tuple[str, float]]) -> ChunkCheck:
-    """The ChunkCheck of the means of the rows of per-trial ``values``
-    against their (name, exact value) pairs."""
-    return ChunkCheck(factor, n, values, _NO_DRAWS,
-                      lambda moments, block: _merge_moments(moments, _row_moments(block)),
-                      lambda moments: _mean_checks(exact, moments))
+    exact: Sequence[Tuple[str, float]]
 
 
 def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
@@ -387,8 +380,8 @@ def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
     variance.  E[I] = 0 exactly, so E[I^2] = Var(I): the check is a mean of
     per-trial values like every other, with a mean's standard error, and
     needs no fourth-moment formula for the error of a sample variance."""
-    return _mean_check(cholesky(r), n, lambda x: np.square(term_i(x, r))[None],
-                       [(name, var_i_exact(r, n))])
+    return ChunkCheck(cholesky(r), n, lambda x: np.square(term_i(x, r))[None],
+                      [(name, var_i_exact(r, n))])
 
 
 def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
@@ -400,13 +393,13 @@ def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
         dec = _gated_decompose(x, cells)
         return np.stack([dec.term_ii1, dec.term_i])
 
-    return _mean_check(cholesky(r), n, reduce,
-                       [("e_ii1", expected_ii1(r, n)), ("e_i", 0.0)])
+    return ChunkCheck(cholesky(r), n, reduce,
+                      [("e_ii1", expected_ii1(r, n)), ("e_i", 0.0)])
 
 
 def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
                workers: int = 1) -> list:
-    """Each check's results over the samples of trials 0..trials-1 of
+    """Each check's MomentChecks over the samples of trials 0..trials-1 of
     ``seed``, every check equal to its own run.
 
     Consecutive trials are reduced as one (B, n, m) stack per check and
@@ -415,14 +408,15 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
     longest block any check needs, and a check reads the first n*m normals
     of it: the stream is consumed in order and mapped to normals
     elementwise, so that prefix is standard_normal_block(seed, trial, n, m).
-    Chunks are mapped one block of _MERGE_TRIALS trials at a time, and each
-    check folds a block's values into its summary before the next block is
-    drawn.
+    Chunks are mapped one block of _MERGE_TRIALS trials at a time: each
+    check's rows over a block are reduced to (count, mean, M2) and merged
+    into the blocks before, and only then is the next block drawn.
     """
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     width = max(check.n * check.factor.m for check in checks)
-    size = max(1, _CHUNK_BYTES // (8 * sum(check.n * check.factor.m for check in checks)))
+    size = max(1, _CHUNK_BYTES // (8 * sum(max(_TRIAL_FLOATS, check.n * check.factor.m)
+                                           for check in checks)))
 
     def one(chunk: range) -> list:
         # Looked up on the module, where a wrapper placed on it sees the call.
@@ -432,14 +426,14 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
                     check.factor.lower.T))
                 for check in checks]
 
-    summaries = [check.empty for check in checks]
+    summaries = [_NO_DRAWS] * len(checks)
     for block in range(0, trials, _MERGE_TRIALS):
         end = min(block + _MERGE_TRIALS, trials)
         chunks = [range(lo, min(lo + size, end)) for lo in range(block, end, size)]
         per_chunk = _map_trials(lambda k: one(chunks[k]), len(chunks), workers)
-        summaries = [check.fold(summary, np.concatenate(values, axis=-1))
-                     for check, summary, values in zip(checks, summaries, zip(*per_chunk))]
-    return [check.finish(summary) for check, summary in zip(checks, summaries)]
+        summaries = [_merge_moments(summary, _row_moments(np.concatenate(values, axis=-1)))
+                     for summary, values in zip(summaries, zip(*per_chunk))]
+    return [_mean_checks(check.exact, summary) for check, summary in zip(checks, summaries)]
 
 
 def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,

@@ -404,18 +404,27 @@ def test_verify_isserlis(capsys):
 
 def test_verify_bad_sizes(capsys):
     # a sample variance needs two trials
-    for which in ("all", "isserlis"):
-        for trials in ("1", "0", "-3"):
-            assert run_cli("verify", which, "--trials", trials) == 2
-            assert capsys.readouterr() == ("", f"error: --trials {trials}: a Monte Carlo "
-                                               "moment check needs at least 2 trials\n")
+    for trials in ("1", "0", "-3"):
+        assert run_cli("verify", "all", "--trials", trials) == 2
+        assert capsys.readouterr() == ("", f"error: --trials {trials}: a Monte Carlo "
+                                           "moment check needs at least 2 trials\n")
 
 
 def test_verify_rejects_a_non_positive_worker_count(capsys):
     for workers in ("0", "-4"):
-        for which in ("isserlis", "all"):
-            assert run_cli("verify", which, "--workers", workers) == 2
-            assert capsys.readouterr().err == "error: workers must be a positive integer\n"
+        assert run_cli("verify", "all", "--workers", workers) == 2
+        assert capsys.readouterr().err == "error: workers must be a positive integer\n"
+
+
+@pytest.mark.parametrize("option", ["--seed", "--trials", "--workers"])
+def test_verify_isserlis_takes_no_draw_options(capsys, option):
+    # the identity gates draw nothing: a draw option there is unrecognized,
+    # whatever its value
+    for value in ("5", "1", "0"):
+        with pytest.raises(SystemExit) as info:
+            run_cli("verify", "isserlis", option, value)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, module, attr", [
@@ -492,6 +501,7 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
     assert all(gate["passed"] and 0.0 <= gate["error"] <= gate["bound"] == 1e-12
                for gate in obj["identities"])
     assert obj["checks"] == [] and obj["all_passed"] is True
+    assert obj["config"] == {"which": "isserlis"}
     # a failed identity fails the report as it fails the exit code
     rows = cli._exact_identity_rows()
     monkeypatch.setattr(cli, "_exact_identity_rows",
@@ -505,7 +515,7 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "all", "--trials", "1"),
-    ("verify", "isserlis", "--workers", "0"),
+    ("verify", "all", "--workers", "0"),
     ("verify", "isserlis", "--report", "-"),
     ("gen", "--b", "1", "--m", "5", "--n", "0"),
     ("gen", "--b", "1", "--m", "3", "--n", "5", "--out", "d.csv", "--r-out", "-"),

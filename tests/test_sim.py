@@ -207,6 +207,32 @@ def test_power_csv_bytes_do_not_depend_on_chunking(monkeypatch, mode):
     assert [p.skipped for p in points] == [False, False, False, True]
 
 
+@pytest.mark.parametrize("mode, seed", [(CovMode.KNOWN_ZERO_MEAN, 11),
+                                        (CovMode.SAMPLE_CENTERED, 0)])
+def test_a_multi_block_power_rate_equals_a_recount(mode, seed):
+    # 20,000 trials are three blocks of sim._MERGE_TRIALS: each cell's rate
+    # is the mean of its 0/1 rejections merged block by block, and the
+    # count recovered from it must be the count of an independent recount.
+    # At each seed here one cell's merged mean is not k/trials in its last
+    # bit (about 4% of cells are not), so the rates match only through the
+    # recovered count.
+    cfg = small_config(m=6, n=20, trials=20_000, seed=Seed(seed),
+                       b_grid=(0.0, 1.0, 2.0, 3.0), cov_mode=mode)
+    assert cfg.trials > 2 * sim._MERGE_TRIALS
+    m, n = cfg.m, cfg.n
+    factors = [cholesky(CorrMatrix.identity(m) if b == 0.0
+                        else calibrate_to_theta(EQUI, b, m, n)).lower.T for b in cfg.b_grid]
+    counts = [0] * len(factors)
+    for lo in range(0, cfg.trials, 5000):
+        z = sim._generators.standard_normal_blocks(cfg.seed, range(lo, lo + 5000), n, m)
+        for k, lower_t in enumerate(factors):
+            centered = statistic_t(z @ lower_t, mode) - m * (m - 1) / (2.0 * n)
+            counts[k] += int(np.count_nonzero(centered > (m / n) * normal_quantile(cfg.alpha)))
+    for workers in (1, 2):
+        points = run_power_curve(dataclasses.replace(cfg, workers=workers))
+        assert [p.empirical_power for p in points] == [k / cfg.trials for k in counts]
+
+
 def test_simulation_runs_take_no_p_values(monkeypatch):
     # run_null reads only the decisions and z-values of its report and
     # run_power_curve only the decisions, so neither takes a tail probability
@@ -438,7 +464,12 @@ def test_moment_check_memory_does_not_grow_with_the_trials(monkeypatch):
             tracemalloc.stop()
 
     peak(1000)   # warm caches outside the trace
-    assert peak(200_000) <= peak(20_000) + 2 ** 20
+    at_20k = peak(20_000)
+    # a 2 x 2 sample is 4 floats a trial, but decompose and term_i hold more
+    # than that per trial: chunks sized by the samples alone (8192 trials
+    # here) peaked at 18.4 MiB
+    assert at_20k <= 3 * 2 ** 20
+    assert peak(200_000) <= at_20k + 2 ** 20
 
 
 def test_verify_kernels_sanity():
