@@ -15,6 +15,7 @@ an exception to its one ``error:`` line and exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -58,6 +59,12 @@ def _check_writable(out=None, **files) -> None:
         if path is not None and path != "-":
             with open(path, "a"):
                 pass
+
+
+def _output(path: str):
+    """The text handle an --out path names: stdout for '-', else the file,
+    truncated."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
 
 
 def cmd_test(args) -> int:
@@ -125,27 +132,33 @@ def cmd_power(args) -> int:
         raise ConfigError(f"power runs need a nonempty b grid: {source} is empty")
     _check_writable(args.out)
     points = run_power_curve(config)
-    to_stdout = args.out == "-"
-    write_power_csv(points, sys.stdout if to_stdout else args.out)
+    with _output(args.out) as handle:
+        write_power_csv(points, handle)
     live = [p for p in points if not p.skipped]
     gap = max((abs(p.empirical_power - p.predicted_power) for p in live), default=float("nan"))
     summary = (f"max |empirical - predicted| = {gap:.4g} over {len(live)} points "
                f"({len(points) - len(live)} skipped); predictions are asymptotic, "
                "agreement windows are engineering tolerances")
-    print(summary, file=sys.stderr if to_stdout else sys.stdout)
+    print(summary, file=sys.stderr if args.out == "-" else sys.stdout)
     return _EXIT_OK
 
 
 def cmd_null(args) -> int:
     config = _config_from_args(args)
+    # only a config file can set these, and a null run has no alternative
+    ignored = [key for key, at_default in (
+                   ("family", config.family == AlternativeFamily.equicorrelation()),
+                   ("b_grid", not config.b_grid)) if not at_default]
+    if ignored:
+        raise ConfigError(f"null runs ignore config key(s) {', '.join(ignored)}: "
+                          f"leave them out of {args.config} or at their defaults")
     _check_writable(args.out, z_out=args.z_out)
-    report = run_null(config, z_samples_path=args.z_out)
-    text = json.dumps(report.to_json_obj(), indent=2)
-    if args.out and args.out != "-":
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    report = run_null(config)
+    if args.z_out is not None:
+        np.savetxt(args.z_out, report.z_values, fmt="%.17g")
+    with _output(args.out) as handle:
+        handle.write(json.dumps({**report.to_json_obj(), "z_samples_path": args.z_out},
+                                indent=2) + "\n")
     return _EXIT_OK
 
 
@@ -156,8 +169,8 @@ def cmd_gen(args) -> int:
     r = calibrate_to_theta(AlternativeFamily.parse(args.family), args.b, args.m, args.n)
     _check_writable(args.out, r_out=r_out)
     data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
-    np.savetxt(sys.stdout if args.out == "-" else args.out, data.values,
-               delimiter=",", fmt="%.17g")
+    with _output(args.out) as handle:
+        np.savetxt(handle, data.values, delimiter=",", fmt="%.17g")
     if r_out:
         with open(r_out, "w") as handle:
             handle.write(r.to_json() + "\n")

@@ -69,24 +69,9 @@ class CorrMatrix:
     def identity(cls, m: int) -> "CorrMatrix":
         return cls(np.eye(m))
 
-    # -- serialization: a JSON object {"m": int, "rho": [[...]]} -----------
-
-    def to_json_obj(self) -> dict:
-        return {"m": self.m, "rho": self.rho.tolist()}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CorrMatrix":
-        arr = np.asarray(obj["rho"], dtype=float)
-        if int(obj["m"]) != arr.shape[0]:
-            raise ValueError("JSON field 'm' disagrees with the rho grid")
-        return cls(arr)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CorrMatrix":
-        return cls.from_json_obj(json.loads(text))
+        """The matrix as the JSON object {"m": int, "rho": [[...]]}."""
+        return json.dumps({"m": self.m, "rho": self.rho.tolist()})
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ any worker count.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -178,7 +177,6 @@ class NullReport:
 
     empirical_size: float
     ks_statistic: float
-    z_samples_path: Optional[str]
     config: SimConfig
     z_values: np.ndarray
 
@@ -188,7 +186,6 @@ class NullReport:
             "config": self.config.to_json_obj(),
             "empirical_size": self.empirical_size,
             "ks_statistic": self.ks_statistic,
-            "z_samples_path": self.z_samples_path,
         }
 
 
@@ -253,7 +250,7 @@ def ks_statistic_vs_normal(values: np.ndarray) -> float:
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / size))))
 
 
-def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullReport:
+def run_null(config: SimConfig) -> NullReport:
     """Null calibration: empirical size at level alpha and the KS distance
     of the standardized statistic n (T - m(m-1)/(2n)) / m to the normal."""
     m, n = config.m, config.n
@@ -267,12 +264,9 @@ def run_null(config: SimConfig, z_samples_path: Optional[str] = None) -> NullRep
     t_values = np.concatenate(_map_trials(one, config.trials, config.workers))
     report = report_from_statistic(t_values, n, m, config.alpha)
     z_values = report.z_value
-    if z_samples_path is not None:
-        np.savetxt(z_samples_path, z_values, fmt="%.17g")
     return NullReport(
         empirical_size=float(np.mean(report.reject)),
         ks_statistic=ks_statistic_vs_normal(z_values),
-        z_samples_path=z_samples_path,
         config=config,
         z_values=z_values,
     )
@@ -319,23 +313,21 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     return points
 
 
-def write_power_csv(points: Sequence[PowerPoint], path) -> None:
-    """Power-curve CSV: b, m, n, trials, empirical_power, mc_stderr,
-    predicted_power, skipped."""
+def write_power_csv(points: Sequence[PowerPoint], handle) -> None:
+    """Power-curve CSV to the open text handle: b, m, n, trials,
+    empirical_power, mc_stderr, predicted_power, skipped."""
 
     def fmt(value) -> str:
         return "" if value is None else repr(float(value))
 
-    with (open(path, "w", newline="") if isinstance(path, (str, bytes))
-          else contextlib.nullcontext(path)) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["b", "m", "n", "trials", "empirical_power",
-                         "mc_stderr", "predicted_power", "skipped"])
-        for pt in points:
-            writer.writerow([repr(float(pt.b)), pt.m, pt.n, pt.trials,
-                             fmt(pt.empirical_power), fmt(pt.mc_stderr),
-                             repr(float(pt.predicted_power)),
-                             "true" if pt.skipped else "false"])
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["b", "m", "n", "trials", "empirical_power",
+                     "mc_stderr", "predicted_power", "skipped"])
+    for pt in points:
+        writer.writerow([repr(float(pt.b)), pt.m, pt.n, pt.trials,
+                         fmt(pt.empirical_power), fmt(pt.mc_stderr),
+                         repr(float(pt.predicted_power)),
+                         "true" if pt.skipped else "false"])
 
 
 def _z_score(estimate: float, exact: float, stderr: float) -> float:

@@ -204,6 +204,15 @@ def statistic_t(data: Union[DataMatrix, np.ndarray], mode: CovMode):
     return shape(_finite(t_value, "T"))
 
 
+@functools.lru_cache(maxsize=16)
+def _level_rule(n: int, m: int, alpha: float):
+    """The center m(m-1)/(2n) of T and the bound (m/n) z_alpha that the
+    centered T must exceed to reject, built once per (n, m, alpha)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must lie strictly inside (0, 1)")
+    return m * (m - 1) / (2.0 * n), (m / n) * theory.normal_quantile(alpha)
+
+
 def report_from_statistic(t_value, n: int, m: int, alpha: float) -> TestReport:
     """Build the level-alpha report from an already-computed statistic.
 
@@ -212,11 +221,9 @@ def report_from_statistic(t_value, n: int, m: int, alpha: float) -> TestReport:
     the statistic, z and p values and decision are elementwise arrays; a
     scalar T gives floats and a bool decision.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie strictly inside (0, 1)")
-    z_alpha = theory.normal_quantile(alpha)
-    centered = t_value - m * (m - 1) / (2.0 * n)
-    reject = centered > (m / n) * z_alpha
+    center, bound = _level_rule(n, m, alpha)
+    centered = t_value - center
+    reject = centered > bound
     return TestReport(
         t_value=t_value,
         centered=centered,

@@ -60,6 +60,8 @@ def asymptotic_power(alpha: float, b: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie strictly inside (0, 1)")
+    if not math.isfinite(b):
+        raise DomainError("b must be finite and nonnegative")
     if b < 0.0:
         raise DomainError("b must be nonnegative")
     return normal_tail(normal_quantile(alpha) - 0.5 * b * b)

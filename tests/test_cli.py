@@ -225,9 +225,33 @@ def test_null_json_round_trip(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out.read_text())
     assert 0.0 <= obj["empirical_size"] <= 1.0
+    assert list(obj)[-1] == "z_samples_path" and obj["z_samples_path"] == str(z_out)
     cfg = SimConfig.from_json_obj(obj["config"])
     assert cfg.m == 6 and cfg.n == 25 and cfg.trials == 120 and cfg.seed.master == 7
-    assert np.loadtxt(z_out).shape == (120,)
+    # the z samples survive their text file exactly
+    report = sim.run_null(cfg)
+    persisted = np.loadtxt(z_out)
+    assert persisted.shape == (120,)
+    assert np.allclose(persisted, report.z_values, atol=0.0)
+    assert obj["empirical_size"] == report.empirical_size
+    assert obj["ks_statistic"] == report.ks_statistic
+
+
+@pytest.mark.parametrize("keys, ignored", [
+    ({"b_grid": [1.0]}, "b_grid"),
+    ({"family": "banded:2"}, "family"),
+    ({"family": "banded:2", "b_grid": [1.0, 2.0]}, "family, b_grid"),
+])
+def test_null_rejects_the_config_keys_it_ignores(tmp_path, capsys, keys, ignored):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 6, "n": 25, "trials": 120, "alpha": 0.05,
+                                    "seed": 9, **keys}))
+    out = tmp_path / "n.json"
+    assert run_cli("null", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: null runs ignore config key(s) {ignored}: "
+                                       f"leave them out of {cfg_path} or at their defaults\n")
+    # the keys are checked before any output file is opened
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [

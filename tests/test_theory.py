@@ -85,8 +85,12 @@ def test_power_domain():
     for alpha in (0.0, 1.0, -0.1):
         with pytest.raises(DomainError):
             asymptotic_power(alpha, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="b must be nonnegative"):
         asymptotic_power(0.05, -1.0)
+    # a NaN fails every comparison, and an infinite b would give a power of 1
+    for b in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="b must be finite and nonnegative"):
+            asymptotic_power(0.05, b)
 
 
 # strict monotonicity holds wherever the power is not saturated at 1.0 in
