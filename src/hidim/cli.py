@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 import warnings
 from dataclasses import fields
@@ -29,21 +28,21 @@ from .errors import ConfigError, DegenerateColumn, HidimError
 from .generators import (AlternativeFamily, Seed, calibrate_to_theta,
                          make_family_matrix, sample_from_matrix)
 from .matrix import CorrMatrix
-from .moments import (central_pair_moment, central_product_moment,
-                      f_partial, kernel_expectations, pair_partitions, s_sum)
+# verify_var_i, verify_e_ii1 and the six moments names after identity_rows
+# are not called here, but bench/tracing.py wraps them at this lookup site,
+# so the names stay bound.
+from .moments import (IDENTITY_BOUND, identity_rows, central_pair_moment,
+                      central_product_moment, f_partial, kernel_expectations,
+                      pair_partitions, s_sum)
 from .stats import CovMode, DataMatrix, rao_score_test
-# verify_var_i and verify_e_ii1 are not called here, but bench/tracing.py
-# wraps them at this lookup site, so the names stay bound.
 from .sim import (MomentCheck, SimConfig, e_ii1_check, run_checks, run_null,
                   run_power_curve, var_i_check, verification_report_json,
                   verify_e_ii1, verify_kernels, verify_var_i, write_power_csv)
-from . import kernels as _kernels
 
 _EXIT_OK = 0
 _EXIT_GATE = 1
 _EXIT_USAGE = 2
 _EXIT_DEGENERATE = 3
-_IDENTITY_BOUND = 1e-12
 
 
 def _check_writable(out=None, **files) -> None:
@@ -177,65 +176,6 @@ def cmd_gen(args) -> int:
     return _EXIT_OK
 
 
-def _random_corr(rng, m: int) -> CorrMatrix:
-    """The correlation matrix of a random m x m Wishart draw with m + 3
-    degrees of freedom.  The Gram matrix of m + 3 Gaussian columns is finite
-    and symmetric, and scaling it by its own diagonal leaves that diagonal
-    within rounding of 1, so the constructor's structure checks are
-    skipped."""
-    a = rng.standard_normal((m, m + 3))
-    cov = a @ a.T
-    d = np.sqrt(cov.diagonal())
-    return CorrMatrix._unchecked(cov / (d[:, None] * d))
-
-
-def _exact_identity_rows():
-    """(quantity, error label, error) rows for the fast deterministic
-    identity gates, each held to _IDENTITY_BOUND."""
-    rng = np.random.default_rng(20240817)
-    rows = []
-
-    for k in range(1, 7):
-        closed = math.factorial(2 * k) // (2 ** k * math.factorial(k))
-        oracle = len(pair_partitions(k))
-        rows.append((f"partition count k={k}", "|rel err|", abs(closed - oracle) / closed))
-
-    worst = 0.0
-    for _ in range(200):
-        r = _random_corr(rng, int(rng.integers(2, 8)))
-        idx = rng.integers(0, r.m, size=4)
-        closed = central_pair_moment(*(int(i) for i in idx), r)
-        oracle = central_product_moment([(int(idx[0]), int(idx[1])),
-                                         (int(idx[2]), int(idx[3]))], r)
-        scale = max(abs(closed), abs(oracle), 1e-12)
-        worst = max(worst, abs(closed - oracle) / scale)
-    rows.append(("pair moment identity (200 random)", "|rel err|", worst))
-
-    worst = 0.0
-    for _ in range(25):
-        r = _random_corr(rng, int(rng.integers(2, 15)))
-        off = r.rho[np.triu_indices(r.m, 1)]
-        closed = float(np.sum(1.0 + 2.0 * off ** 2 + off ** 4))
-        oracle = s_sum(2, r)
-        worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
-    rows.append(("S(2) closed form (25 random)", "|rel err|", worst))
-
-    worst = 0.0
-    for rho in (-0.8, -0.3, 0.0, 0.4, 0.9):
-        for n in (4, 6, 10, 25):
-            for name, closed in kernel_expectations(rho, n).items():
-                oracle = _kernels.expectation_by_expansion(name, rho, n)
-                worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
-    rows.append(("kernel means vs expansion (grid)", "|rel err|", worst))
-
-    # partial-derivative spot identities at a few exactly-known points
-    for name, got, want in (("f(1,1,rho)", f_partial((0, 0, 0), 1.0, 1.0, 0.7), 0.49),
-                            ("d2f/du3^2", f_partial((0, 0, 2), 1.0, 1.0, 0.7), 2.0),
-                            ("d2f/du1du3", f_partial((1, 0, 1), 1.0, 1.0, 0.7), -1.4)):
-        rows.append((name, "|err|", abs(got - want)))
-    return rows
-
-
 def cmd_verify(args) -> int:
     # an option no check can take fails before any gate runs
     if args.which == "all" and args.workers < 1:
@@ -247,10 +187,10 @@ def cmd_verify(args) -> int:
     identities = []
     checks: list[MomentCheck] = []
 
-    for quantity, label, err in _exact_identity_rows():
-        passed = bool(err <= _IDENTITY_BOUND)
+    for quantity, label, err in identity_rows():
+        passed = bool(err <= IDENTITY_BOUND)
         print(f"{'pass' if passed else 'FAIL'}  {quantity}: {label} = {err:.3e}")
-        identities.append({"name": quantity, "error": err, "bound": _IDENTITY_BOUND,
+        identities.append({"name": quantity, "error": err, "bound": IDENTITY_BOUND,
                            "passed": passed})
 
     if args.which == "all":

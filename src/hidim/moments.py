@@ -7,7 +7,9 @@ f(u1, u2, u3) = u3^2 / (u1 u2), the exact cardinality-split sums S(k)
 feeding the exact variance of the leading decomposition term, and the
 closed-form expectations of the three degree-4 kernels underlying the
 same-sample component (see :mod:`hidim.kernels` for the kernels
-themselves and the independent expansion-based oracle).
+themselves and the independent expansion-based oracle).  ``identity_rows``
+is the battery of exact identity gates that ``hidim verify`` prints and
+the acceptance suite asserts.
 """
 
 from __future__ import annotations
@@ -237,3 +239,68 @@ def expected_ii1(r: CorrMatrix, n: int) -> float:
     iu = np.triu_indices(r.m, 1)
     rho2 = r.rho[iu] ** 2
     return float(np.sum((16.0 + nf * nf + (80.0 + 8.0 * nf + nf * nf) * rho2) / nf ** 3))
+
+
+IDENTITY_BOUND = 1e-12
+
+
+def random_corr(rng: np.random.Generator, m: int) -> CorrMatrix:
+    """The correlation matrix of a random m x m Wishart draw with m + 3
+    degrees of freedom.  The Gram matrix of m + 3 Gaussian columns is finite
+    and symmetric, and scaling it by its own diagonal leaves that diagonal
+    within rounding of 1, so the constructor's structure checks are
+    skipped."""
+    a = rng.standard_normal((m, m + 3))
+    cov = a @ a.T
+    d = np.sqrt(cov.diagonal())
+    return CorrMatrix._unchecked(cov / (d[:, None] * d))
+
+
+def identity_rows():
+    """(quantity, error label, error) of each of the 12 deterministic
+    identity gates, each held to IDENTITY_BOUND: closed forms of this module
+    against a second route, on matrices drawn from the fixed rng seed
+    20240817."""
+    from . import kernels  # kernels imports this module
+    rng = np.random.default_rng(20240817)
+    rows = []
+
+    for k in range(1, 7):
+        closed = math.factorial(2 * k) // (2 ** k * math.factorial(k))
+        oracle = len(pair_partitions(k))
+        rows.append((f"partition count k={k}", "|rel err|", abs(closed - oracle) / closed))
+
+    worst = 0.0
+    for _ in range(200):
+        r = random_corr(rng, int(rng.integers(2, 8)))
+        idx = rng.integers(0, r.m, size=4)
+        closed = central_pair_moment(*(int(i) for i in idx), r)
+        oracle = central_product_moment([(int(idx[0]), int(idx[1])),
+                                         (int(idx[2]), int(idx[3]))], r)
+        scale = max(abs(closed), abs(oracle), 1e-12)
+        worst = max(worst, abs(closed - oracle) / scale)
+    rows.append(("pair moment identity (200 random)", "|rel err|", worst))
+
+    worst = 0.0
+    for _ in range(25):
+        r = random_corr(rng, int(rng.integers(2, 15)))
+        off = r.rho[np.triu_indices(r.m, 1)]
+        closed = float(np.sum(1.0 + 2.0 * off ** 2 + off ** 4))
+        oracle = s_sum(2, r)
+        worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
+    rows.append(("S(2) closed form (25 random)", "|rel err|", worst))
+
+    worst = 0.0
+    for rho in (-0.8, -0.3, 0.0, 0.4, 0.9):
+        for n in (4, 6, 10, 25):
+            for name, closed in kernel_expectations(rho, n).items():
+                oracle = kernels.expectation_by_expansion(name, rho, n)
+                worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
+    rows.append(("kernel means vs expansion (grid)", "|rel err|", worst))
+
+    # partial-derivative spot identities at a few exactly-known points
+    for name, got, want in (("f(1,1,rho)", f_partial((0, 0, 0), 1.0, 1.0, 0.7), 0.49),
+                            ("d2f/du3^2", f_partial((0, 0, 2), 1.0, 1.0, 0.7), 2.0),
+                            ("d2f/du1du3", f_partial((1, 0, 1), 1.0, 1.0, 0.7), -1.4)):
+        rows.append((name, "|err|", abs(got - want)))
+    return rows

@@ -115,6 +115,8 @@ class SimConfig:
             raise ConfigError(f"b grid values must be real numbers, got {self.b_grid!r}")
         if self.m < 2 or self.n < 1:
             raise ConfigError("need m >= 2 and n >= 1")
+        if self.cov_mode is CovMode.SAMPLE_CENTERED and self.n < 2:
+            raise ConfigError("centered covariances need n >= 2")
         if self.trials < 100:
             raise ConfigError("statistical runs need at least 100 trials")
         if not 0.0 < self.alpha < 1.0:

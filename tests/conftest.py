@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from hidim import CorrMatrix, DataMatrix
-
-
-def random_corr(rng: np.random.Generator, m: int) -> CorrMatrix:
-    """A random valid correlation matrix from a full-rank Gram factor."""
-    a = rng.standard_normal((m, m + 3))
-    cov = a @ a.T
-    d = np.sqrt(np.diag(cov))
-    return CorrMatrix(cov / np.outer(d, d))
+from hidim.moments import random_corr  # noqa: F401  (the tests' random R)
 
 
 def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:

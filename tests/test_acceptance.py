@@ -16,13 +16,11 @@ import numpy as np
 import pytest
 
 from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix, Seed,
-                   SimConfig, calibrate_to_theta, central_pair_moment,
-                   central_product_moment, cholesky, decompose, f_partial,
-                   kernel_expectations, make_family_matrix, pair_partitions,
-                   run_null, run_power_curve, s_sum, sample_gaussian,
-                   statistic_t, term_i, var_i_exact, verify_e_ii1,
-                   verify_kernels, verify_var_i)
-from hidim import kernels
+                   SimConfig, calibrate_to_theta, cholesky, decompose,
+                   f_partial, make_family_matrix, run_null, run_power_curve,
+                   sample_gaussian, statistic_t, term_i, var_i_exact,
+                   verify_e_ii1, verify_kernels, verify_var_i)
+from hidim.moments import identity_rows
 from hidim.cli import main as cli_main
 from conftest import martingale_differences, random_corr
 
@@ -35,31 +33,18 @@ def report(line: str) -> None:
 
 # -- criterion 1: exact identities (fast, deterministic) --------------------
 
-def test_c1a_partition_counts():
+def test_c1_identity_battery():
+    # the battery hidim verify prints: every closed form of the moment
+    # engine against its independent route
     start = time.time()
-    expected = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
-    for k, count in expected.items():
-        assert len(pair_partitions(k)) == count
-        assert math.factorial(2 * k) // (2 ** k * math.factorial(k)) == count
+    rows = identity_rows()
     elapsed = time.time() - start
-    assert elapsed < 1.0
-    report(f"PASS criterion 1a: pair-partition counts k=1..6 exact ({elapsed:.2f}s)")
-
-
-def test_c1b_pair_moment_identity():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(2, 8))
-        r = random_corr(rng, m)
-        p1, q1, p2, q2 = (int(v) for v in rng.integers(0, m, size=4))
-        closed = central_pair_moment(p1, q1, p2, q2, r)
-        enumerated = central_product_moment([(p1, q1), (p2, q2)], r)
-        scale = max(abs(closed), abs(enumerated), 1e-12)
-        worst = max(worst, abs(closed - enumerated) / scale)
-    assert worst <= 1e-12
-    report(f"PASS criterion 1b: pair-moment identity on 1000 random cases "
-           f"(worst rel err {worst:.2e})")
+    assert len(rows) == 12
+    failed = [(name, err) for name, _, err in rows if not err <= 1e-12]
+    assert not failed, failed
+    worst = max(err for _, _, err in rows)
+    report(f"PASS criterion 1: {len(rows)} identity gates within 1e-12 "
+           f"(worst err {worst:.2e}, {elapsed:.2f}s)")
 
 
 def test_c1c_partials_vs_finite_differences():
@@ -77,19 +62,6 @@ def test_c1c_partials_vs_finite_differences():
     assert worst <= 1e-6
     report(f"PASS criterion 1c: partial derivatives vs finite differences "
            f"(worst abs err {worst:.2e})")
-
-
-def test_c1d_s2_closed_form():
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(100):
-        r = random_corr(rng, int(rng.integers(2, 31)))
-        off = r.rho[np.triu_indices(r.m, 1)]
-        closed = float(np.sum(1.0 + 2.0 * off ** 2 + off ** 4))
-        worst = max(worst, abs(s_sum(2, r) - closed) / closed)
-    assert worst <= 1e-12
-    report(f"PASS criterion 1d: S(2) closed form on 100 random R "
-           f"(worst rel err {worst:.2e})")
 
 
 def test_c1e_decomposition_identity():
@@ -112,19 +84,6 @@ def test_c1e_decomposition_identity():
     assert worst_martingale <= 1e-12
     report(f"PASS criterion 1e: decomposition identity (worst rel residual "
            f"{worst_residual:.2e}), martingale sum (worst {worst_martingale:.2e})")
-
-
-def test_c1f_kernel_closed_forms_vs_expansion():
-    worst = 0.0
-    for rho in (-0.9, -0.5, 0.0, 0.3, 0.8):
-        for n in (4, 6, 12, 50):
-            for name, closed in kernel_expectations(rho, n).items():
-                for swapped in (False, True):
-                    oracle = kernels.expectation_by_expansion(name, rho, n, swapped=swapped)
-                    worst = max(worst, abs(closed - oracle) / abs(closed))
-    assert worst <= 1e-12
-    report(f"PASS criterion 1f: kernel closed forms vs expansion oracle "
-           f"(worst rel err {worst:.2e})")
 
 
 # -- criterion 2: Monte Carlo oracle gates ----------------------------------

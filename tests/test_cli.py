@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hidim import AlternativeFamily, CorrMatrix, Seed, SimConfig
-from hidim import cli, sim
+from hidim import cli, kernels, moments, sim
 from hidim.cli import main
 from hidim.generators import make_family_matrix
 from hidim.moments import expected_ii1, kernel_expectations, var_i_exact
@@ -496,7 +496,7 @@ def test_random_corr_stores_what_the_constructor_stores():
     for _ in range(1000):
         m = int(rng.integers(2, 15))
         assert int(twin.integers(2, 15)) == m
-        got = cli._random_corr(rng, m)
+        got = moments.random_corr(rng, m)
         a = twin.standard_normal((m, m + 3))
         cov = a @ a.T
         d = np.sqrt(np.diag(cov))
@@ -505,15 +505,41 @@ def test_random_corr_stores_what_the_constructor_stores():
         assert not got.rho.flags.writeable
 
 
-def test_a_perturbed_pair_moment_fails_its_gate(monkeypatch, capsys):
-    central_pair_moment = cli.central_pair_moment
-    monkeypatch.setattr(cli, "central_pair_moment",
-                        lambda *args: central_pair_moment(*args) * (1.0 + 1e-9))
-    assert run_cli("verify", "isserlis") == 1
+# each input of the identity battery, perturbed through hidim.moments: how,
+# and the gates that must fail
+_NUDGE = 1.0 + 1e-9
+_PERTURBATIONS = {
+    # isserlis_moment sums over the matchings, so the Wick sums behind the
+    # pair-moment and kernel-mean oracles lose a term too
+    "pair_partitions": (lambda f: lambda k: f(k)[:-1],
+                        _IDENTITY_GATES[:7] + ["kernel means vs expansion (grid)"]),
+    "central_pair_moment": (lambda f: lambda *args: f(*args) * _NUDGE,
+                            ["pair moment identity (200 random)"]),
+    "s_sum": (lambda f: lambda k, r: f(k, r) * (_NUDGE if k == 2 else 1.0),
+              ["S(2) closed form (25 random)"]),
+    "kernel_expectations": (
+        lambda f: lambda rho, n: {h: mean * _NUDGE for h, mean in f(rho, n).items()},
+        ["kernel means vs expansion (grid)"]),
+    "f_partial": (lambda f: lambda *args: f(*args) + 1e-9,
+                  ["f(1,1,rho)", "d2f/du3^2", "d2f/du1du3"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PERTURBATIONS))
+def test_a_perturbed_battery_input_fails_only_its_gates(monkeypatch, capsys, name):
+    perturbed, failing = _PERTURBATIONS[name]
+    monkeypatch.setattr(moments, name, perturbed(getattr(moments, name)))
+    # kernels caches its Wick moments: empty the cache before the run, so a
+    # dropped matching reaches it, and after, so none is kept
+    kernels._wick_xy_moment.cache_clear()
+    try:
+        assert run_cli("verify", "isserlis") == 1
+    finally:
+        kernels._wick_xy_moment.cache_clear()
     out, err = capsys.readouterr()
-    assert re.search(r"^FAIL  pair moment identity \(200 random\): ", out, re.M), out
-    assert out.count("FAIL") == 1
-    assert err == "failed gates: pair moment identity (200 random)\n"
+    assert re.findall(r"^FAIL  (.*): ", out, re.M) == failing, out
+    assert out.count("pass  ") == 12 - len(failing)
+    assert err == "failed gates: " + ", ".join(failing) + "\n"
 
 
 @pytest.mark.parametrize("error", [1e-9, float("nan")])
@@ -527,8 +553,8 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
     assert obj["checks"] == [] and obj["all_passed"] is True
     assert obj["config"] == {"which": "isserlis"}
     # a failed identity fails the report as it fails the exit code
-    rows = cli._exact_identity_rows()
-    monkeypatch.setattr(cli, "_exact_identity_rows",
+    rows = moments.identity_rows()
+    monkeypatch.setattr(cli, "identity_rows",
                         lambda: rows[:-1] + [(*rows[-1][:2], error)])
     assert run_cli("verify", "isserlis", "--report", str(report)) == 1
     obj = json.loads(report.read_text())
@@ -549,12 +575,17 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
     ("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid", "0,x"),
     ("null", "--m", "6", "--n", "25", "--trials", "120", "--z-out", "-"),
     ("null", "--m", "6", "--n", "25", "--trials", "120", "--out", "n.json", "--z-out", "-"),
+    # a centered covariance needs two samples
+    ("null", "--m", "6", "--n", "1", "--trials", "100", "--cov-mode", "centered",
+     "--out", "nn.json"),
+    ("power", "--m", "6", "--n", "1", "--trials", "100", "--cov-mode", "centered",
+     "--b-grid", "0,1", "--out", "pp.csv"),
 ])
 def test_hostile_sizes_exit_2_before_any_gate(tmp_path, monkeypatch, capsys, argv):
     def entered(*args, **kwargs):
         raise AssertionError("the run started before its options were checked")
 
-    for entry in ("_exact_identity_rows", "verify_kernels", "run_checks", "run_power_curve",
+    for entry in ("identity_rows", "verify_kernels", "run_checks", "run_power_curve",
                   "run_null", "sample_from_matrix"):
         monkeypatch.setattr(cli, entry, entered)
     monkeypatch.chdir(tmp_path)

@@ -66,8 +66,9 @@ def _configs(draw, command):
 def _sound(config) -> bool:
     """What the Monte Carlo engine may assume of the config it is given."""
     b_grid = list(config.b_grid)
+    n_min = 2 if config.cov_mode.value == "centered" else 1
     return (type(config.m) is int and config.m >= 2 and type(config.n) is int
-            and config.n >= 1 and type(config.trials) is int and config.trials >= 100
+            and config.n >= n_min and type(config.trials) is int and config.trials >= 100
             and type(config.workers) is int and config.workers >= 1
             and 0.0 < config.alpha < 1.0
             and all(math.isfinite(b) and math.copysign(1.0, b) > 0.0 for b in b_grid)
@@ -142,6 +143,8 @@ def test_power_survives_hostile_configs(obj):
               "family": "sparse-pairs:0"}, z_out=True)
 @example(obj={"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 1,
               "b_grid": [_NAN]}, z_out=True)
+@example(obj={"m": 6, "n": 1, "trials": 100, "alpha": 0.05, "seed": 1,
+              "cov_mode": "centered"}, z_out=True)
 def test_null_survives_hostile_configs(obj, z_out):
     code, texts = _run_config("null", obj, ("z.csv",) if z_out else ())
     if code == 0 and z_out:

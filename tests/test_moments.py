@@ -158,11 +158,13 @@ def test_s_sum_identity_matrix():
 
 
 def test_s2_closed_form(rng):
+    # S(2) by the enumeration its docstring names: the ordered duple pairs
+    # whose index union has 2 elements are the pairs (d, d), p < q
     for _ in range(100):
         r = random_corr(rng, int(rng.integers(2, 31)))
-        off = r.rho[np.triu_indices(r.m, 1)]
-        closed = float(np.sum(1.0 + 2.0 * off ** 2 + off ** 4))
-        assert s_sum(2, r) == pytest.approx(closed, rel=1e-12)
+        enumerated = math.fsum(central_pair_moment(p, q, p, q, r) ** 2
+                               for p, q in combinations(range(r.m), 2))
+        assert s_sum(2, r) == pytest.approx(enumerated, rel=1e-12)
 
 
 def test_s_sum_brute_force():

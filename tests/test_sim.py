@@ -41,6 +41,11 @@ def test_config_validation():
     # -0.0 passes 0.0 <= b, but its sign bit is set
     with pytest.raises(ConfigError, match="finite and nonnegative"):
         small_config(b_grid=(-0.0,))
+    # a centered covariance needs two samples; the zero-mean one takes one
+    with pytest.raises(ConfigError, match="n >= 2"):
+        small_config(n=1, cov_mode=CovMode.SAMPLE_CENTERED)
+    small_config(n=1).validate()
+    small_config(n=2, cov_mode=CovMode.SAMPLE_CENTERED).validate()
     small_config().validate()
 
 
