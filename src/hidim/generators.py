@@ -215,8 +215,9 @@ def standard_normal_blocks(seed: Seed, trials: range, rows: int, cols: int) -> n
     """(len(trials), rows, cols) stack whose k-th slice is the block of
     standard normals for (seed, trials[k]): the uniforms are mapped to
     normals in place, so the stack is the only array the draw allocates."""
-    if len(trials) and min(trials[0], trials[-1]) < 0:
-        raise DomainError("trial index must be nonnegative")
+    # Philox keys each stream by a 64-bit word
+    if len(trials) and not (0 <= trials[0] < 2 ** 64 and 0 <= trials[-1] < 2 ** 64):
+        raise DomainError("trial index must fit in an unsigned 64-bit integer")
     z = _philox_uniforms(seed.master, trials, rows * cols)
     normal_quantile(z, out=z)
     return np.negative(z, out=z).reshape(len(trials), rows, cols)

@@ -25,8 +25,7 @@ from .matrix import CorrMatrix
 
 # Enumeration guards, sized so worst-case desk runtime stays under ~10 s.
 MAX_PARTITION_K = 8
-MAX_M_S3 = 200
-MAX_M_S4 = 60
+MAX_M_S = 60
 
 PairPartition = Tuple[Tuple[int, int], ...]
 
@@ -80,11 +79,14 @@ def isserlis_moment(indices: Sequence[int], r: CorrMatrix) -> float:
 def central_pair_moment(p1: int, q1: int, p2: int, q2: int, r: CorrMatrix) -> float:
     """E[(X_p1 X_q1 - rho_p1q1)(X_p2 X_q2 - rho_p2q2)] in closed form.
 
-    Equals rho_{p1 q2} rho_{q1 p2} + rho_{p1 p2} rho_{q1 q2}.
+    Equals rho_{p1 q2} rho_{q1 p2} + rho_{p1 p2} rho_{q1 q2}.  The indices
+    may be integer arrays that broadcast together; the moment is then taken
+    elementwise.
     """
     for i in (p1, q1, p2, q2):
-        if i < 0 or i >= r.m:
-            raise IndexOutOfRange(f"index {i} outside [0, {r.m})")
+        low, high = (i.min(), i.max()) if isinstance(i, np.ndarray) else (i, i)
+        if low < 0 or high >= r.m:
+            raise IndexOutOfRange(f"index {low if low < 0 else high} outside [0, {r.m})")
     rho = r.rho
     return rho[p1, q2] * rho[q1, p2] + rho[p1, p2] * rho[q1, q2]
 
@@ -134,56 +136,26 @@ def f_partial(lam: Sequence[int], u1: float, u2: float, u3: float) -> float:
             * u3 ** (2 - l3) / (u1 ** (1 + l1) * u2 ** (1 + l2)))
 
 
-def _s2(rho: np.ndarray) -> float:
-    iu = np.triu_indices(rho.shape[0], 1)
-    off = rho[iu]
-    m2 = off * off + 1.0
-    return float(np.sum(m2 * m2))
-
-
-def _s3(rho: np.ndarray) -> float:
-    # Ordered pairs of duples sharing exactly one index s: the shared index
-    # determines the pair, so loop over s with vectorized partners.
-    m = rho.shape[0]
-    total = 0.0
-    for s in range(m):
-        idx = np.concatenate((np.arange(s), np.arange(s + 1, m)))
-        v = rho[s, idx]
-        msub = np.outer(v, v) + rho[np.ix_(idx, idx)]
-        np.fill_diagonal(msub, 0.0)
-        total += float(np.sum(msub * msub))
-    return total
-
-
-def _s4(rho: np.ndarray) -> float:
-    p, q = np.triu_indices(rho.shape[0], 1)
-    total = 0.0
-    for i in range(p.size):
-        p1, q1 = p[i], q[i]
-        mrow = rho[p1, q] * rho[q1, p] + rho[p1, p] * rho[q1, q]
-        disjoint = (p != p1) & (p != q1) & (q != p1) & (q != q1)
-        total += float(np.sum(mrow[disjoint] ** 2))
-    return total
-
-
 def s_sum(k: int, r: CorrMatrix) -> float:
-    """Sum of squared central pair moments over ordered duple pairs whose
-    index union has cardinality k (k = 2, 3 or 4).
-
-    Enumeration guards: unlimited m for k=2, m <= 200 for k=3, m <= 60
-    for k=4 (the k=4 enumeration is O(m^4) duple pairs).
+    """Sum of central_pair_moment(p, q, p', q', R)^2 over the ordered pairs
+    of duples p < q, p' < q' whose index union has k elements (k = 2, 3 or
+    4).  One enumeration of all O(m^4) duple pairs, a block of first duples
+    at a time, binned by union size (4 minus the coincident indices); it is
+    guarded by m <= MAX_M_S for every k.
     """
-    if k == 2:
-        return _s2(r.rho)
-    if k == 3:
-        if r.m > MAX_M_S3:
-            raise TooLarge(f"s_sum(3, .) limited to m <= {MAX_M_S3}")
-        return _s3(r.rho)
-    if k == 4:
-        if r.m > MAX_M_S4:
-            raise TooLarge(f"s_sum(4, .) limited to m <= {MAX_M_S4}")
-        return _s4(r.rho)
-    raise DomainError("k must be 2, 3 or 4")
+    if k not in (2, 3, 4):
+        raise DomainError("k must be 2, 3 or 4")
+    if r.m > MAX_M_S:
+        raise TooLarge(f"s_sum limited to m <= {MAX_M_S}")
+    p, q = np.triu_indices(r.m, 1)
+    rows = 2 ** 14 // (p.size + 1) + 1    # about 16k duple pairs a block
+    total = 0.0
+    for start in range(0, p.size, rows):
+        p1, q1 = p[start:start + rows, None], q[start:start + rows, None]
+        moment = central_pair_moment(p1, q1, p, q, r)
+        union = 4 - (p1 == p) - (p1 == q) - (q1 == p) - (q1 == q)
+        total += float(np.sum(moment[union == k] ** 2))
+    return total
 
 
 def var_i_exact(r: CorrMatrix, n: int) -> float:

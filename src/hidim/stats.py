@@ -28,7 +28,10 @@ class CovMode(enum.Enum):
     Beta(1/2, (n-1)/2), mean 1/n, for zero-mean data and Beta(1/2, (n-2)/2),
     mean 1/(n-1), for centered data.  ``report_from_statistic``, the one
     place T is centered, centers it at the zero-mean mean m(m-1)/(2n) in
-    both conventions.
+    both conventions.  For centered data the null mean of T is about
+    m(m-1)/(2(n-1)), so the paper's z sits (m-1)/(2(n-1)) too high and the
+    test rejects more often than alpha: at m = 80, n = 40 the shift of 1.01
+    predicts a size of about 0.26, and 1000 null trials gave 0.265.
     """
 
     KNOWN_ZERO_MEAN = "zero-mean"

@@ -396,6 +396,15 @@ def test_null_has_no_family_option(capsys):
     assert info.value.code == 2
 
 
+def test_gen_trial_past_64_bits_exits_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert run_cli("gen", "--b", "1", "--m", "5", "--n", "30", "--trial", str(2 ** 64),
+                   "--out", str(data)) == 2
+    assert capsys.readouterr() == ("", "error: trial index must fit in an unsigned "
+                                       "64-bit integer\n")
+    assert not data.exists() or data.read_bytes() == b""
+
+
 def test_gen_unachievable(capsys):
     code = run_cli("gen", "--family", "sparse-pairs:1", "--b", "99", "--m", "10",
                    "--n", "10", "--seed", "0", "--out", "-")
@@ -513,8 +522,10 @@ _PERTURBATIONS = {
     # pair-moment and kernel-mean oracles lose a term too
     "pair_partitions": (lambda f: lambda k: f(k)[:-1],
                         _IDENTITY_GATES[:7] + ["kernel means vs expansion (grid)"]),
+    # s_sum enumerates the pair moments, so the S(2) gate reads them too
     "central_pair_moment": (lambda f: lambda *args: f(*args) * _NUDGE,
-                            ["pair moment identity (200 random)"]),
+                            ["pair moment identity (200 random)",
+                             "S(2) closed form (25 random)"]),
     "s_sum": (lambda f: lambda k, r: f(k, r) * (_NUDGE if k == 2 else 1.0),
               ["S(2) closed form (25 random)"]),
     "kernel_expectations": (

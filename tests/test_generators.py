@@ -213,6 +213,14 @@ def test_standard_normal_blocks_equal_the_single_trial_blocks():
         standard_normal_blocks(Seed(1), range(-1, 3), 2, 2)
 
 
+def test_a_trial_index_is_a_64_bit_word():
+    top = 2 ** 64 - 1
+    assert standard_normal_blocks(Seed(1), range(top - 1, top + 1), 2, 2).shape == (2, 2, 2)
+    for trials in (range(top - 1, top + 2), range(2 ** 64, 2 ** 64 + 1)):
+        with pytest.raises(DomainError, match="trial index must fit in an unsigned 64-bit"):
+            standard_normal_blocks(Seed(1), trials, 2, 2)
+
+
 def _fixed_doubles(ks):
     """Stands in for np.random.Generator: fills an output row with the
     doubles k 2^-53 that Generator.random makes of raw draws whose top 53

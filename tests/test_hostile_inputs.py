@@ -1,5 +1,6 @@
 """Hostile inputs driven through ``cli.main`` in process: random config
-objects for ``power`` and ``null`` and random CSV files for ``test``.
+objects for ``power`` and ``null``, random CSV files for ``test`` and
+random flags for ``gen``.
 
 Whatever the input, a run exits 0, 1, 2 or 3; a failed run prints exactly
 one ``error:`` line and leaves no output file with content; no warning
@@ -20,6 +21,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 
 from hidim import cli
 
@@ -96,6 +98,15 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _texts(paths):
+    """The text of each file, '' for one that does not exist."""
+    texts = []
+    for path in paths:
+        with (open(path) if os.path.exists(path) else io.StringIO()) as handle:
+            texts.append(handle.read())
+    return texts
+
+
 def _run_config(command, obj, extra=()):
     """Run ``command`` on the config ``obj`` written to a file, with its
     outputs in a fresh directory; the exit code and the outputs' texts."""
@@ -111,10 +122,7 @@ def _run_config(command, obj, extra=()):
         for flag, path in zip(("--z-out",), outputs[1:]):
             argv += [flag, path]
         code, _, _ = _main(argv)
-        texts = []
-        for path in outputs:
-            with (open(path) if os.path.exists(path) else io.StringIO()) as handle:
-                texts.append(handle.read())
+        texts = _texts(outputs)
     if code:
         assert not any(texts), texts
     return code, texts
@@ -182,3 +190,44 @@ def test_test_survives_hostile_csvs(rows, header, mode, alpha):
         code, out, _ = _main(argv + ["--header"] * header)
     assert code in (0, 2, 3)
     assert (out != "") == (code == 0)
+
+
+# values a gen flag may take, valid or not, for each flag
+_GEN_VALUES = {
+    "b": _B_VALUES.filter(lambda b: isinstance(b, float)), "m": _VALUES["m"],
+    "n": _VALUES["n"], "seed": st.integers(-1, 2 ** 64 + 1),
+    "trial": st.integers(-1, 2 ** 64 + 1), "family": _VALUES["family"],
+}
+
+
+@st.composite
+def _gen_flags(draw):
+    """gen's flags, valid unless up to two of them take any value of their
+    hostile range."""
+    flags = {"b": draw(st.floats(0.0, 3.0)), "m": draw(st.integers(2, 12)),
+             "n": draw(st.integers(2, 30)), "seed": draw(st.integers(0, 2 ** 64 - 1)),
+             "trial": draw(st.integers(0, 2 ** 64 - 1)),
+             "family": draw(st.sampled_from(["equicorrelation", "banded:1", "sparse-pairs:1"]))}
+    for key in draw(st.lists(st.sampled_from(sorted(_GEN_VALUES)), max_size=2, unique=True)):
+        flags[key] = draw(_GEN_VALUES[key])
+    return flags
+
+
+@_SETTINGS
+@given(flags=_gen_flags())
+@example(flags={"b": 1.0, "m": 5, "n": 30, "seed": 0, "trial": 2 ** 64,
+                "family": "equicorrelation"})
+def test_gen_survives_hostile_flags(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "d.csv")
+        argv = ["gen", f"--b={flags['b']!r}", "--out", out]
+        argv += [f"--{key}={flags[key]}" for key in ("m", "n", "seed", "trial", "family")]
+        code, _, _ = _main(argv)
+        texts = _texts([out, out + ".r.json"])
+    assert code in (0, 2, 3)
+    if code:
+        assert not any(texts), texts
+    else:
+        data = np.loadtxt(io.StringIO(texts[0]), delimiter=",", ndmin=2)
+        assert data.shape == (flags["n"], flags["m"]) and np.isfinite(data).all()
+        assert json.loads(texts[1])["m"] == flags["m"]

@@ -56,6 +56,27 @@ def test_central_pair_moment_examples(rng):
     assert central_pair_moment(0, 1, 2, 3, identity) == 0.0
     r = CorrMatrix(np.array([[1.0, 0.3], [0.3, 1.0]]))
     assert central_pair_moment(0, 1, 0, 1, r) == pytest.approx(1.09, abs=1e-15)
+    for args, bad in (((0, 5, 1, 2), 5), ((0, 1, -1, 2), -1)):
+        with pytest.raises(IndexOutOfRange, match=f"^index {bad} outside"):
+            central_pair_moment(*args, identity)
+
+
+def test_central_pair_moment_on_index_arrays(rng):
+    # index arrays that broadcast give the scalar moments elementwise
+    r = random_corr(rng, 6)
+    p1, q1 = rng.integers(0, 6, size=(2, 7, 1))
+    p2, q2 = rng.integers(0, 6, size=(2, 9))
+    got = central_pair_moment(p1, q1, p2, q2, r)
+    assert got.shape == (7, 9)
+    for i in range(7):
+        for j in range(9):
+            assert got[i, j] == central_pair_moment(int(p1[i, 0]), int(q1[i, 0]),
+                                                    int(p2[j]), int(q2[j]), r)
+    # one index out of range anywhere in an array fails the whole call
+    for bad, value in ((-1, -1), (6, 6)):
+        p2[4] = bad
+        with pytest.raises(IndexOutOfRange, match=f"^index {value} outside"):
+            central_pair_moment(p1, q1, p2, q2, r)
 
 
 def test_central_product_moment_basics(rng):
@@ -158,37 +179,38 @@ def test_s_sum_identity_matrix():
 
 
 def test_s2_closed_form(rng):
-    # S(2) by the enumeration its docstring names: the ordered duple pairs
-    # whose index union has 2 elements are the pairs (d, d), p < q
+    # the ordered duple pairs whose index union has 2 elements are the pairs
+    # (d, d), p < q, each with central pair moment 1 + rho_pq^2
     for _ in range(100):
         r = random_corr(rng, int(rng.integers(2, 31)))
-        enumerated = math.fsum(central_pair_moment(p, q, p, q, r) ** 2
-                               for p, q in combinations(range(r.m), 2))
-        assert s_sum(2, r) == pytest.approx(enumerated, rel=1e-12)
+        closed = math.fsum((1.0 + rho * rho) ** 2 for rho in r.rho[np.triu_indices(r.m, 1)])
+        assert s_sum(2, r) == pytest.approx(closed, rel=1e-12)
 
 
-def test_s_sum_brute_force():
-    r = CorrMatrix(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
-    total = s_sum(2, r) + s_sum(3, r) + s_sum(4, r)
-    # independent brute force: double loop over all ordered duple pairs,
-    # no cardinality split
-    duples = [(p, q) for p in range(3) for q in range(p + 1, 3)]
-    brute = 0.0
-    for d1 in duples:
-        for d2 in duples:
-            brute += central_pair_moment(d1[0], d1[1], d2[0], d2[1], r) ** 2
-    assert total == pytest.approx(brute, rel=1e-12)
+def test_s_sum_brute_force(rng):
+    # independent brute force: a scalar double loop over all ordered duple
+    # pairs, each put in the bin of its index union's size
+    cases = [CorrMatrix(np.full((3, 3), 0.5) + 0.5 * np.eye(3))]
+    cases += [random_corr(rng, m) for m in (2, 4, 5, 7)]
+    for r in cases:
+        duples = list(combinations(range(r.m), 2))
+        brute = {2: 0.0, 3: 0.0, 4: 0.0}
+        for d1 in duples:
+            for d2 in duples:
+                brute[len(set(d1 + d2))] += central_pair_moment(*d1, *d2, r) ** 2
+        for k, want in brute.items():
+            assert s_sum(k, r) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_s_sum_guards(rng):
     with pytest.raises(DomainError):
         s_sum(5, CorrMatrix.identity(3))
+    # one guard for every k: the enumeration is O(m^4) duple pairs
     big = CorrMatrix.identity(61)
-    with pytest.raises(TooLarge):
-        s_sum(4, big)
-    huge = CorrMatrix.identity(201)
-    with pytest.raises(TooLarge):
-        s_sum(3, huge)
+    for k in (2, 3, 4):
+        with pytest.raises(TooLarge):
+            s_sum(k, big)
+    assert [s_sum(k, CorrMatrix.identity(1)) for k in (2, 3, 4)] == [0.0, 0.0, 0.0]
 
 
 def test_var_i_exact_examples(rng):
