@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import warnings
 from dataclasses import fields
@@ -46,18 +47,22 @@ _EXIT_DEGENERATE = 3
 
 
 def _check_writable(out=None, **files) -> None:
-    """Open each output path for appending and close it, so that one that
-    cannot be written raises its OSError (exit 2) before the run rather than
-    after it.  A missing file is created empty; an existing one is left as it
-    is until the run writes it.  `out` may be '-' for stdout; `files`, keyed
+    """Open each output path and close it, so that one that cannot be
+    written raises its OSError (exit 2) before the run rather than after it.
+    An existing file is opened for appending and left as it is until the run
+    writes it; a missing one is created and removed at once, so a run that
+    fails leaves no file behind.  `out` may be '-' for stdout; `files`, keyed
     by their flag's dest, cannot share stdout, so '-' there is a usage error."""
     for dest, path in files.items():
         if path == "-":
             raise ConfigError(f"--{dest.replace('_', '-')} needs a file path, not '-'")
     for path in (out, *files.values()):
         if path is not None and path != "-":
-            with open(path, "a"):
-                pass
+            try:
+                open(path, "x").close()
+                os.remove(path)
+            except FileExistsError:
+                open(path, "a").close()
 
 
 def _output(path: str):

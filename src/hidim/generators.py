@@ -25,7 +25,8 @@ from .matrix import CholeskyFactor, CorrMatrix, cholesky
 from .stats import DataMatrix
 from .theory import normal_quantile
 
-_FAMILY_KINDS = ("equicorrelation", "sparse_pairs", "banded")
+# whether each family kind takes the integer k (a pair count or a bandwidth)
+_TAKES_K = {"equicorrelation": False, "sparse_pairs": True, "banded": True}
 
 
 @dataclass(frozen=True)
@@ -44,83 +45,74 @@ class Seed:
 
 @dataclass(frozen=True)
 class AlternativeFamily:
-    """A one-parameter family of unit-diagonal correlation patterns.
+    """A one-parameter family of correlation matrices R(rho) = I + rho P.
 
-    kind is one of 'equicorrelation' (all off-diagonal entries equal),
-    'sparse_pairs' (``pairs`` disjoint correlated pairs), or 'banded'
-    (entries within ``bandwidth`` of the diagonal).  The signal size is
-    strictly increasing in the family parameter rho >= 0.
+    The pattern P is a symmetric matrix with a zero diagonal, fixed by the
+    family's kind and, for the kinds that take one, its integer k >= 1:
+    'equicorrelation' (P = 1 off the diagonal, no k), 'sparse_pairs'
+    (k disjoint correlated pairs) or 'banded' (P = 1 within bandwidth k of
+    the diagonal).  The Frobenius signal ||R(rho) - I||_F is
+    ||P||_F * |rho|, strictly increasing in rho >= 0.
     """
 
     kind: str
-    pairs: int = 1
-    bandwidth: int = 1
+    k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in _TAKES_K:
             raise DomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == "sparse_pairs" and self.pairs < 1:
-            raise DomainError("sparse_pairs needs at least one pair")
-        if self.kind == "banded" and self.bandwidth < 1:
-            raise DomainError("banded needs bandwidth >= 1")
+        if not _TAKES_K[self.kind]:
+            if self.k is not None:
+                raise DomainError(f"{self.kind} takes no parameter")
+        elif type(self.k) is not int or self.k < 1:
+            raise DomainError(f"{self.kind} needs an integer k >= 1, got {self.k!r}")
 
     @classmethod
     def equicorrelation(cls) -> "AlternativeFamily":
-        return cls(kind="equicorrelation")
+        return cls("equicorrelation")
 
     @classmethod
     def sparse_pairs(cls, pairs: int) -> "AlternativeFamily":
-        return cls(kind="sparse_pairs", pairs=pairs)
+        return cls("sparse_pairs", pairs)
 
     @classmethod
     def banded(cls, bandwidth: int) -> "AlternativeFamily":
-        return cls(kind="banded", bandwidth=bandwidth)
+        return cls("banded", bandwidth)
 
     @classmethod
     def parse(cls, text: str) -> "AlternativeFamily":
         """Parse CLI syntax: equicorrelation | sparse-pairs:k | banded:w."""
         name, _, arg = text.partition(":")
-        name = name.strip().lower().replace("-", "_")
-        if name == "equicorrelation":
-            if arg:
-                raise DomainError("equicorrelation takes no parameter")
-            return cls.equicorrelation()
-        if name in ("sparse_pairs", "banded"):
-            if not arg:
-                raise DomainError(f"{text!r}: missing integer parameter")
-            try:
-                value = int(arg)
-            except ValueError as exc:
-                raise DomainError(f"{text!r}: parameter must be an integer") from exc
-            return cls.sparse_pairs(value) if name == "sparse_pairs" else cls.banded(value)
-        raise DomainError(f"unknown family {text!r}")
+        try:
+            k = int(arg) if arg else None
+        except ValueError as exc:
+            raise DomainError(f"{text!r}: parameter must be an integer") from exc
+        return cls(name.strip().lower().replace("-", "_"), k)
 
     @property
     def label(self) -> str:
-        if self.kind == "sparse_pairs":
-            return f"sparse-pairs:{self.pairs}"
-        if self.kind == "banded":
-            return f"banded:{self.bandwidth}"
-        return "equicorrelation"
+        name = self.kind.replace("_", "-")
+        return name if self.k is None else f"{name}:{self.k}"
 
     def pattern(self, m: int) -> np.ndarray:
-        """The symmetric 0/1 matrix P, zero on the diagonal, of the family's
-        members R(rho) = I + rho P on m variables."""
+        """The family's pattern P on m variables: symmetric, zero on the
+        diagonal, with members R(rho) = I + rho P of Frobenius signal
+        ||P||_F * |rho|."""
         j = np.arange(m)
         i = j[:, None]
         if self.kind == "equicorrelation":
             mask = i != j
         elif self.kind == "sparse_pairs":
-            if 2 * self.pairs > m:
-                raise Unachievable(f"{self.pairs} disjoint pairs need m >= {2 * self.pairs}")
-            mask = (i != j) & (i // 2 == j // 2) & (i < 2 * self.pairs)
+            if 2 * self.k > m:
+                raise Unachievable(f"{self.k} disjoint pairs need m >= {2 * self.k}")
+            mask = (i != j) & (i // 2 == j // 2) & (i < 2 * self.k)
         else:
-            mask = (i != j) & (abs(i - j) <= self.bandwidth)
+            mask = (i != j) & (abs(i - j) <= self.k)
         return mask.astype(float)
 
     def signal_coefficient(self, m: int) -> float:
         """Frobenius signal per unit rho: ||R(rho) - I||_F = ||P||_F * |rho|."""
-        return float(np.sqrt(self.pattern(m).sum()))
+        return float(np.linalg.norm(self.pattern(m)))
 
 
 def make_family_matrix(family: AlternativeFamily, rho: float, m: int) -> CorrMatrix:
@@ -132,9 +124,7 @@ def make_family_matrix(family: AlternativeFamily, rho: float, m: int) -> CorrMat
             f"equicorrelation requires -1/(m-1) < rho < 1, got {rho!r}")
     if family.kind == "sparse_pairs" and abs(rho) >= 1.0:
         raise NotPositiveSemidefinite(f"sparse pairs require |rho| < 1, got {rho!r}")
-    # each entry is exactly 1, rho or 0: adding rho P to I would turn a rho of
-    # -0.0 (from b = -0.0) into 0.0
-    result = CorrMatrix(np.where(family.pattern(m) == 1.0, rho, np.eye(m)))
+    result = CorrMatrix(np.eye(m) + rho * family.pattern(m))
     if family.kind == "banded":
         cholesky(result)  # no closed-form PSD range: raises NotPositiveSemidefinite
     return result

@@ -298,11 +298,15 @@ def test_gen_checks_both_outputs_before_sampling(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "sample_from_matrix", never)
     out = tmp_path / "d.csv"
-    assert run_cli("gen", "--b", "1", "--m", "5", "--n", "30", "--out", str(out),
-                   "--r-out", str(tmp_path / "missing" / "r.json")) == 2
+    argv = ("gen", "--b", "1", "--m", "5", "--n", "30", "--out", str(out),
+            "--r-out", str(tmp_path / "missing" / "r.json"))
+    assert run_cli(*argv) == 2
     assert re.fullmatch(r"error: [^\n]+\n", capsys.readouterr().err)
-    # a missing output file is created empty by the check
-    assert not out.exists() or out.read_bytes() == b""
+    # the check leaves no file behind, and an existing one as it was
+    assert not out.exists()
+    out.write_bytes(b"kept")
+    assert run_cli(*argv) == 2
+    assert out.read_bytes() == b"kept"
 
 
 def test_gen_outputs(tmp_path, capsys):
@@ -402,7 +406,7 @@ def test_gen_trial_past_64_bits_exits_2(tmp_path, capsys):
                    "--out", str(data)) == 2
     assert capsys.readouterr() == ("", "error: trial index must fit in an unsigned "
                                        "64-bit integer\n")
-    assert not data.exists() or data.read_bytes() == b""
+    assert not data.exists() and not (tmp_path / "d.csv.r.json").exists()
 
 
 def test_gen_unachievable(capsys):

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from hidim import (AlternativeFamily, CorrMatrix, DomainError,
-                   NotPositiveSemidefinite, Seed, Unachievable,
+                   NotPositiveSemidefinite, Seed, SimConfig, Unachievable,
                    calibrate_to_theta, cholesky, frobenius_signal,
                    ks_statistic_vs_normal, make_family_matrix,
                    sample_from_matrix, sample_gaussian, standard_normal_block,
@@ -24,6 +26,25 @@ def test_family_parse():
         with pytest.raises(DomainError):
             AlternativeFamily.parse(bad)
     assert AlternativeFamily.parse("sparse-pairs:3").label == "sparse-pairs:3"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["equicorrelation", "sparse_pairs", "banded"]),
+       k=st.integers(1, 50))
+def test_a_family_is_the_parse_of_its_label(kind, k):
+    family = AlternativeFamily(kind, None if kind == "equicorrelation" else k)
+    assert AlternativeFamily.parse(family.label) == family
+    config = SimConfig(m=6, n=25, trials=100, alpha=0.05, seed=Seed(1), family=family)
+    assert SimConfig.from_json_obj(config.to_json_obj()) == config
+
+
+@pytest.mark.parametrize("kind, k", [
+    ("equicorrelation", 5), ("equicorrelation", 0), ("banded", None), ("sparse_pairs", None),
+    ("banded", 0), ("sparse_pairs", 0), ("banded", -2), ("banded", 1.0), ("banded", True),
+    ("diagonal", None)])
+def test_a_family_takes_k_exactly_when_its_kind_does(kind, k):
+    with pytest.raises(DomainError):
+        AlternativeFamily(kind, k)
 
 
 def test_seed_validation():
@@ -78,8 +99,8 @@ FAMILIES = [EQUI] + [make(k) for k in range(1, 7)
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.label)
 def test_family_pattern_builds_the_matrix_and_its_signal(family):
     for m in range(2, 13):
-        if family.kind == "sparse_pairs" and 2 * family.pairs > m:
-            with pytest.raises(Unachievable, match=f"need m >= {2 * family.pairs}"):
+        if family.kind == "sparse_pairs" and 2 * family.k > m:
+            with pytest.raises(Unachievable, match=f"need m >= {2 * family.k}"):
                 family.pattern(m)
             with pytest.raises(Unachievable):
                 family.signal_coefficient(m)
@@ -87,9 +108,12 @@ def test_family_pattern_builds_the_matrix_and_its_signal(family):
         p = family.pattern(m)
         assert p.shape == (m, m) and np.array_equal(p, p.T)
         assert set(np.unique(p)) <= {0.0, 1.0} and not p.diagonal().any()
-        assert np.array_equal(make_family_matrix(family, 0.0, m).rho, np.eye(m))
-        # 0.9 / (m - 1) stays inside the PSD range of every family: a row of
-        # R - I has at most m - 1 entries, so R is diagonally dominant
+        assert family.signal_coefficient(m) == np.sqrt(np.sum(p * p))
+        # |rho| < 1 / (m - 1) stays inside the PSD range of every family: a
+        # row of R - I has at most m - 1 entries, so R is diagonally dominant
+        for rho in (0.0, 1e-300, -1e-300, *np.linspace(-0.99, 0.99, 23) / (m - 1)):
+            r = make_family_matrix(family, rho, m)
+            assert r.rho.tobytes() == (np.eye(m) + rho * p).tobytes()
         for rho in (0.9 / (m - 1), -0.5 / (m - 1)):
             r = make_family_matrix(family, rho, m)
             assert family.signal_coefficient(m) * abs(rho) == pytest.approx(

@@ -3,7 +3,7 @@ objects for ``power`` and ``null``, random CSV files for ``test`` and
 random flags for ``gen``.
 
 Whatever the input, a run exits 0, 1, 2 or 3; a failed run prints exactly
-one ``error:`` line and leaves no output file with content; no warning
+one ``error:`` line and leaves no output file behind; no warning
 escapes; and no config reaches the Monte Carlo engine with a value it
 cannot take, judged here on the values themselves rather than through
 ``SimConfig``'s own validation.
@@ -98,11 +98,15 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _texts(paths):
-    """The text of each file, '' for one that does not exist."""
+def _texts(code, paths):
+    """The text of each output file of a run that exited with ``code``.  A
+    run that failed leaves none of them behind, and has no texts (None)."""
+    if code:
+        assert not any(map(os.path.exists, paths)), paths
+        return [None] * len(paths)
     texts = []
     for path in paths:
-        with (open(path) if os.path.exists(path) else io.StringIO()) as handle:
+        with open(path) as handle:
             texts.append(handle.read())
     return texts
 
@@ -122,9 +126,7 @@ def _run_config(command, obj, extra=()):
         for flag, path in zip(("--z-out",), outputs[1:]):
             argv += [flag, path]
         code, _, _ = _main(argv)
-        texts = _texts(outputs)
-    if code:
-        assert not any(texts), texts
+        texts = _texts(code, outputs)
     return code, texts
 
 
@@ -217,17 +219,17 @@ def _gen_flags(draw):
 @given(flags=_gen_flags())
 @example(flags={"b": 1.0, "m": 5, "n": 30, "seed": 0, "trial": 2 ** 64,
                 "family": "equicorrelation"})
+@example(flags={"b": 1.0, "m": 5, "n": 30, "seed": -1, "trial": 0,
+                "family": "equicorrelation"})
 def test_gen_survives_hostile_flags(flags):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "d.csv")
         argv = ["gen", f"--b={flags['b']!r}", "--out", out]
         argv += [f"--{key}={flags[key]}" for key in ("m", "n", "seed", "trial", "family")]
         code, _, _ = _main(argv)
-        texts = _texts([out, out + ".r.json"])
+        texts = _texts(code, [out, out + ".r.json"])
     assert code in (0, 2, 3)
-    if code:
-        assert not any(texts), texts
-    else:
+    if not code:
         data = np.loadtxt(io.StringIO(texts[0]), delimiter=",", ndmin=2)
         assert data.shape == (flags["n"], flags["m"]) and np.isfinite(data).all()
         assert json.loads(texts[1])["m"] == flags["m"]
