@@ -6,7 +6,7 @@ class HidimError(Exception):
 
 
 class NotPositiveSemidefinite(HidimError):
-    """Matrix admits no Cholesky factorization even at maximum jitter."""
+    """Matrix has no plain Cholesky factor, so no sample is drawn from it."""
 
 
 class TooLarge(HidimError):

@@ -116,17 +116,18 @@ class AlternativeFamily:
 
 
 def make_family_matrix(family: AlternativeFamily, rho: float, m: int) -> CorrMatrix:
-    """The family member R(rho) = I + rho P on m variables, a valid CorrMatrix."""
+    """The family member R(rho) = I + rho P on m variables.  For every kind
+    it is a member exactly when ``cholesky`` factors it; otherwise, and for
+    a non-finite rho, NotPositiveSemidefinite is raised."""
     if m < 2:
         raise DomainError("m must be at least 2")
-    if family.kind == "equicorrelation" and not -1.0 / (m - 1) < rho < 1.0:
-        raise NotPositiveSemidefinite(
-            f"equicorrelation requires -1/(m-1) < rho < 1, got {rho!r}")
-    if family.kind == "sparse_pairs" and abs(rho) >= 1.0:
-        raise NotPositiveSemidefinite(f"sparse pairs require |rho| < 1, got {rho!r}")
-    result = CorrMatrix(np.eye(m) + rho * family.pattern(m))
-    if family.kind == "banded":
-        cholesky(result)  # no closed-form PSD range: raises NotPositiveSemidefinite
+    if not math.isfinite(rho):
+        raise NotPositiveSemidefinite(f"rho must be finite, got {rho!r}")
+    # |rho| near the float limit overflows to inf as CorrMatrix symmetrizes
+    # R; such an R has no factor either, so the overflow is no error here
+    with np.errstate(over="ignore"):
+        result = CorrMatrix(np.eye(m) + rho * family.pattern(m))
+    cholesky(result)
     return result
 
 
@@ -134,7 +135,8 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
     """Family member with Frobenius signal exactly b * sqrt(m/n).
 
     Solves for the family parameter in closed form; raises Unachievable
-    when no positive semidefinite member attains the target.
+    when the member it names has no Cholesky factor, an overflowing
+    signal among them.
     """
     if not math.isfinite(b):
         raise DomainError("b must be finite and nonnegative")
@@ -142,7 +144,7 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
         raise DomainError("b must be nonnegative")
     if m < 2 or n < 1:
         raise DomainError(f"need m >= 2 and n >= 1, got m = {m} and n = {n}")
-    target = b * np.sqrt(m / n)
+    target = b * math.sqrt(m / n)
     rho = target / family.signal_coefficient(m)
     try:
         return make_family_matrix(family, rho, m)

@@ -1,4 +1,4 @@
-"""Correlation matrices, dependency-signal size, and Cholesky support.
+"""Correlation matrices, dependency-signal size, and the Cholesky factor.
 
 Dense storage throughout: the statistic itself is a dense O(m^2) sum, so
 m stays at experiment scale and O(m^2) memory is acceptable.
@@ -12,10 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveSemidefinite
-
-# Jitter ladder for numerically rank-deficient matrices (e.g. equicorrelation
-# near its PSD boundary); recorded in the factor for reproducibility.
-JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 def _symmetrized(arr: np.ndarray) -> np.ndarray:
@@ -33,8 +29,8 @@ class CorrMatrix:
 
     The constructor enforces structure (square, finite, symmetric to 1e-12,
     unit diagonal to 1e-12) and then stores an exactly symmetrized read-only
-    copy.  Positive semidefiniteness is enforced where it matters, by
-    ``cholesky``.
+    copy.  Positive definiteness is enforced where it matters, by
+    ``cholesky``: a matrix with no plain Cholesky factor is never sampled.
     """
 
     rho: np.ndarray
@@ -76,7 +72,8 @@ class CorrMatrix:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor with the diagonal jitter that was needed."""
+    """The lower-triangular factor L of R = L L'.  ``jitter_applied`` is
+    always 0.0 and stays only because the benchmark's tracer reads it."""
 
     lower: np.ndarray
     jitter_applied: float = 0.0
@@ -91,29 +88,18 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
 
-def off_diagonal_norm(rho: np.ndarray) -> np.ndarray:
-    """Frobenius norm of rho - I over the last two axes of a (..., m, m) array."""
-    off = rho - np.eye(rho.shape[-1])
-    return np.sqrt(np.sum((off * off).reshape(rho.shape[:-2] + (-1,)), axis=-1))
-
-
 def frobenius_signal(r: CorrMatrix) -> float:
     """Frobenius norm of R - I: sqrt(sum of all squared off-diagonal entries)."""
-    return float(off_diagonal_norm(r.rho))
+    off = r.rho - np.eye(r.m)
+    return float(np.sqrt(np.sum(off * off)))
 
 
 def cholesky(r: CorrMatrix) -> CholeskyFactor:
-    """Lower Cholesky factor of R, retrying up the jitter ladder.
-
-    Raises NotPositiveSemidefinite if R + 1e-8 * I still fails to factor.
-    """
-    for jitter in JITTER_LADDER:
-        target = r.rho if jitter == 0.0 else r.rho + jitter * np.eye(r.m)
-        try:
-            lower = np.linalg.cholesky(target)
-        except np.linalg.LinAlgError:
-            continue
-        return CholeskyFactor(lower=lower, jitter_applied=jitter)
-    raise NotPositiveSemidefinite(
-        f"matrix is not positive semidefinite (max jitter {JITTER_LADDER[-1]:g} failed)"
-    )
+    """The plain lower Cholesky factor of R, with no diagonal jitter; raises
+    NotPositiveSemidefinite when R has none, so no sample is ever drawn
+    from a matrix other than R."""
+    try:
+        return CholeskyFactor(np.linalg.cholesky(r.rho))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveSemidefinite(
+            "matrix is not positive definite: it has no Cholesky factor") from exc

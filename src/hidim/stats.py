@@ -15,7 +15,7 @@ import numpy as np
 
 from . import theory
 from .errors import DegenerateColumn, DimensionMismatch, DomainError
-from .matrix import CorrMatrix, off_diagonal_norm
+from .matrix import CorrMatrix, frobenius_signal
 
 
 class CovMode(enum.Enum):
@@ -324,9 +324,9 @@ class _Cells:
     def of(cls, r: CorrMatrix) -> "_Cells":
         rho_sq = r.rho * r.rho
         np.fill_diagonal(rho_sq, 0.0)
-        signal = off_diagonal_norm(r.rho)
+        signal = frobenius_signal(r)
         return cls(matrix=r.rho, rho_sq=rho_sq, rho=_upper(r.rho[None])[0],
-                   half_signal=float(0.5 * signal * signal))
+                   half_signal=0.5 * signal * signal)
 
 
 def decompose(data: Union[DataMatrix, np.ndarray],

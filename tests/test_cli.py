@@ -166,6 +166,18 @@ def test_power_skipped_row(tmp_path, capsys):
     assert rows[-1].endswith("true")
 
 
+@pytest.mark.parametrize("family", ["equicorrelation", "sparse-pairs:1", "banded:2"])
+def test_power_skips_an_overflowing_signal_without_a_warning(tmp_path, capsys, family):
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("power", "--m", "8", "--n", "2", "--trials", "100", "--family",
+                       family, "--b-grid", "0,1e308", "--out", str(out))
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3 and rows[1].endswith("false") and rows[2].endswith("true")
+
+
 def test_power_config_file(tmp_path, capsys):
     cfg = {"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 9,
            "family": "equicorrelation", "b_grid": [0.0], "cov_mode": "zero-mean",

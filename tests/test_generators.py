@@ -1,7 +1,8 @@
 import math
 import tracemalloc
+import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -118,6 +119,47 @@ def test_family_pattern_builds_the_matrix_and_its_signal(family):
             r = make_family_matrix(family, rho, m)
             assert family.signal_coefficient(m) * abs(rho) == pytest.approx(
                 frobenius_signal(r), rel=1e-14)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["equicorrelation", "sparse_pairs", "banded"]),
+       k=st.integers(1, 30), m=st.integers(2, 60),
+       rho=st.one_of(st.floats(-1.5, 1.5), st.floats(allow_nan=True, allow_infinity=True)))
+@example(kind="equicorrelation", k=1, m=40, rho=float(np.nextafter(1.0, 0.0)))
+@example(kind="sparse_pairs", k=3, m=5, rho=math.nan)
+def test_a_family_member_is_exactly_a_factorable_matrix(kind, k, m, rho):
+    # one rule for every kind: R(rho) = I + rho P is a member exactly when
+    # it has a plain Cholesky factor
+    family = AlternativeFamily(kind, None if kind == "equicorrelation" else k)
+    if not math.isfinite(rho):
+        with pytest.raises(NotPositiveSemidefinite, match="rho must be finite"):
+            make_family_matrix(family, rho, m)
+        return
+    if kind == "sparse_pairs" and 2 * k > m:
+        with pytest.raises(Unachievable):
+            make_family_matrix(family, rho, m)
+        return
+    target = np.eye(m) + rho * family.pattern(m)
+    try:
+        lower = np.linalg.cholesky(target)
+    except np.linalg.LinAlgError:
+        with pytest.raises(NotPositiveSemidefinite):
+            make_family_matrix(family, rho, m)
+        return
+    r = make_family_matrix(family, rho, m)
+    assert r.rho.tobytes() == target.tobytes()
+    assert cholesky(r).lower.tobytes() == lower.tobytes()
+
+
+@pytest.mark.parametrize("family", ["equicorrelation", "sparse-pairs:1", "banded:2"])
+def test_an_overflowing_signal_is_unachievable_without_a_warning(family):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Unachievable):
+            calibrate_to_theta(AlternativeFamily.parse(family), 1e308, 8, 2)
+        # rho past half the float limit: symmetrizing R overflows, and R has no factor
+        with pytest.raises(Unachievable):
+            calibrate_to_theta(AlternativeFamily.parse(family), 1.5e308, 2, 2)
 
 
 def test_calibrate_example():

@@ -221,6 +221,7 @@ def _gen_flags(draw):
                 "family": "equicorrelation"})
 @example(flags={"b": 1.0, "m": 5, "n": 30, "seed": -1, "trial": 0,
                 "family": "equicorrelation"})
+@example(flags={"b": 1e308, "m": 8, "n": 2, "seed": 0, "trial": 0, "family": "banded:2"})
 def test_gen_survives_hostile_flags(flags):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "d.csv")

@@ -42,14 +42,12 @@ def test_frobenius_signal_squared_identity(rng):
 
 def test_cholesky_identity():
     fac = cholesky(CorrMatrix.identity(3))
-    assert fac.jitter_applied == 0.0
     assert np.array_equal(fac.lower, np.eye(3))
 
 
 def test_cholesky_hand_example():
     r = CorrMatrix(np.array([[1.0, 0.6], [0.6, 1.0]]))
     fac = cholesky(r)
-    assert fac.jitter_applied == 0.0
     assert np.allclose(fac.lower, np.array([[1.0, 0.0], [0.6, 0.8]]), atol=1e-15)
 
 
@@ -59,23 +57,18 @@ def test_cholesky_rejects_indefinite():
         cholesky(r)
 
 
-def test_cholesky_jitter_on_singular():
-    # all-ones matrix is PSD but exactly singular; the ladder must rescue it
-    r = CorrMatrix(np.ones((4, 4)))
-    fac = cholesky(r)
-    assert fac.jitter_applied > 0.0
-    recon = fac.lower @ fac.lower.T
-    target = r.rho + fac.jitter_applied * np.eye(4)
-    assert np.max(np.abs(recon - target)) <= 1e-9
+def test_cholesky_rejects_a_singular_matrix():
+    # the all-ones matrix is PSD but singular: it has no plain factor, and
+    # no sample is drawn from a jittered stand-in for it
+    with pytest.raises(NotPositiveSemidefinite):
+        cholesky(CorrMatrix(np.ones((4, 4))))
 
 
 @pytest.mark.parametrize("m", [2, 5, 25, 100, 200])
 def test_cholesky_reconstruction(m, rng):
     r = random_corr(rng, m)
     fac = cholesky(r)
-    recon = fac.lower @ fac.lower.T
-    target = r.rho + fac.jitter_applied * np.eye(m)
-    assert np.max(np.abs(recon - target)) <= 1e-9
+    assert np.max(np.abs(fac.lower @ fac.lower.T - r.rho)) <= 1e-9
 
 
 def test_json_round_trip(rng):
