@@ -52,17 +52,22 @@ def _check_writable(out=None, **files) -> None:
     An existing file is opened for appending and left as it is until the run
     writes it; a missing one is created and removed at once, so a run that
     fails leaves no file behind.  `out` may be '-' for stdout; `files`, keyed
-    by their flag's dest, cannot share stdout, so '-' there is a usage error."""
-    for dest, path in files.items():
-        if path == "-":
-            raise ConfigError(f"--{dest.replace('_', '-')} needs a file path, not '-'")
-    for path in (out, *files.values()):
-        if path is not None and path != "-":
-            try:
-                open(path, "x").close()
-                os.remove(path)
-            except FileExistsError:
-                open(path, "a").close()
+    by their flag's dest, share neither stdout ('-') nor a file with another."""
+    named = {}
+    for dest, path in {"out": out, **files}.items():
+        flag = "--" + dest.replace("_", "-")
+        if path == "-" and dest != "out":
+            raise ConfigError(f"{flag} needs a file path, not '-'")
+        if path is None or path == "-":
+            continue
+        first = named.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ConfigError(f"{first} and {flag} name the same file: {path}")
+        try:
+            open(path, "x").close()
+            os.remove(path)
+        except FileExistsError:
+            open(path, "a").close()
 
 
 def _output(path: str):

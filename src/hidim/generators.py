@@ -167,40 +167,27 @@ _TOP = 1.0 - 2.0 ** -52
 _ZERO_WORDS = (0, 0, 0, 0)
 
 
-def _philox_uniforms(master: int, streams: range, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms start .. start+count-1, in the open interval (0, 1), of each
-    stream (master, s), s in `streams`, as a (len(streams), count) array.
-    Each stream's doubles are written straight into its row by one generator,
-    built for the first stream and re-keyed through its state for the
-    others, and the whole array is then moved off 0 and capped below 1 in
-    place.  Each counter step yields four draws, so every stream skips its
-    first start // 4 steps; start must be a nonnegative multiple of 4."""
-    if start < 0 or start % 4:
-        raise DomainError(f"stream offset must be a nonnegative multiple of 4, got {start}")
+def _philox_uniforms(master: int, streams: range, count: int) -> np.ndarray:
+    """The first count uniforms in (0, 1) of each stream (master, s), s in
+    `streams`, as a (len(streams), count) array: one generator, re-keyed
+    through its state per stream, writes each row, and the array is then
+    moved off 0 and capped below 1 in place."""
     u = np.empty((len(streams), count))
-    bits = gen = None
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
     for row, stream in zip(u, streams):
-        if bits is None:
-            bits = np.random.Philox(key=np.array([master, stream], dtype=np.uint64))
-            gen = np.random.Generator(bits)
-        else:
-            bits.state = {"bit_generator": "Philox",
-                          "state": {"counter": _ZERO_WORDS, "key": (master, stream)},
-                          "buffer": _ZERO_WORDS, "buffer_pos": 4,
-                          "has_uint32": 0, "uinteger": 0}
-        if start:
-            bits.advance(start // 4)
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": _ZERO_WORDS, "key": (master, stream)},
+                      "buffer": _ZERO_WORDS, "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
         gen.random(out=row)
     u += _HALF_STEP
     return np.minimum(u, _TOP, out=u)
 
 
-def _uniform_open(master: int, stream: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms start .. start+count-1, in the open interval (0,1), of stream
-    (master, stream): a slice of one fixed sequence, so consecutive calls
-    that cover a range give the bytes of one call over it.  start must be a
-    nonnegative multiple of 4, or DomainError is raised."""
-    return _philox_uniforms(master, range(stream, stream + 1), count, start)[0]
+def _uniform_open(master: int, stream: int, count: int) -> np.ndarray:
+    """The first count uniforms in (0, 1) of stream (master, stream)."""
+    return _philox_uniforms(master, range(stream, stream + 1), count)[0]
 
 
 def standard_normal_blocks(seed: Seed, trials: range, rows: int, cols: int) -> np.ndarray:

@@ -17,6 +17,7 @@ any worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, Unachievable
-# sample_gaussian is not called here, but bench/tracing.py wraps it at this
-# lookup site, so the name stays bound.
+# Not called here: bench/tracing.py wraps sample_gaussian, _uniform_open and
+# normal_quantile at this lookup site, so the names stay bound.
 from .generators import (AlternativeFamily, Seed, _uniform_open,
                          calibrate_to_theta, sample_gaussian)
 from . import generators as _generators
@@ -49,20 +50,11 @@ _CHUNK_BYTES = 1 << 20
 # per-trial arrays (``decompose``'s 5 x 15 forms are 75); 80, the smallest
 # sample of ``verify all``, leaves its chunks and the power cells' as they are.
 _TRIAL_FLOATS = 80
-# Draws per chunk of the kernel check, sized by what a draw holds live while
-# its chunk is evaluated: 30 float64 rows (x and y 8, the shared factors 12,
-# the five variant rows and their accumulators 10), taken as 32 so that
-# 8192 draws fill two _CHUNK_BYTES, a 2 MiB L2.  On ``verify all`` 4096 and
-# 16384 draws were both slower.
-_KERNEL_CHUNK = 2 * _CHUNK_BYTES // (8 * 32)
-# Trials whose per-trial values ``run_checks`` keeps before folding them into
-# each check's summary: blocks start at multiples of it, so the summaries do
-# not depend on the chunk size or the worker count, and memory does not grow
-# with the trial count.  The kernel check merges its means over the same
-# blocks of draws.
-_MERGE_TRIALS = _KERNEL_CHUNK
-# (count, mean, M2) of no values: merged into, a sample keeps its own bits.
-_NO_DRAWS = (0, 0.0, 0.0)
+# Trials (or kernel draws) per block of ``_fold_blocks``: blocks start at
+# multiples of it, so no summary depends on the chunk size or the worker
+# count, and memory does not grow with the trials.  A kernel block holds ~30
+# float64 rows of draws live, a 2 MiB L2; 4096 and 16384 draws were slower.
+_MERGE_TRIALS = 8192
 
 
 def _is_integer(value) -> bool:
@@ -402,12 +394,9 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
     longest block any check needs, and a check reads the first n*m normals
     of it: the stream is consumed in order and mapped to normals
     elementwise, so that prefix is standard_normal_block(seed, trial, n, m).
-    Chunks are mapped one block of _MERGE_TRIALS trials at a time: each
-    check's rows over a block are reduced to (count, mean, M2) and merged
-    into the blocks before, and only then is the next block drawn.
+    Each block of _MERGE_TRIALS trials is folded (``_fold_blocks``) before
+    the next is drawn.
     """
-    if trials < 2:
-        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     width = max(check.n * check.factor.m for check in checks)
     size = max(1, _CHUNK_BYTES // (8 * sum(max(_TRIAL_FLOATS, check.n * check.factor.m)
                                            for check in checks)))
@@ -420,14 +409,12 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
                     check.factor.lower.T))
                 for check in checks]
 
-    summaries = [_NO_DRAWS] * len(checks)
-    for block in range(0, trials, _MERGE_TRIALS):
-        end = min(block + _MERGE_TRIALS, trials)
-        chunks = [range(lo, min(lo + size, end)) for lo in range(block, end, size)]
+    def block_rows(block: range) -> list:
+        chunks = [block[lo:lo + size] for lo in range(0, len(block), size)]
         per_chunk = _map_trials(lambda k: one(chunks[k]), len(chunks), workers)
-        summaries = [_merge_moments(summary, _row_moments(np.concatenate(values, axis=-1)))
-                     for summary, values in zip(summaries, zip(*per_chunk))]
-    return [_mean_checks(check.exact, summary) for check, summary in zip(checks, summaries)]
+        return [np.concatenate(values, axis=-1) for values in zip(*per_chunk)]
+
+    return list(map(_mean_checks, [c.exact for c in checks], _fold_blocks(trials, block_rows)))
 
 
 def verify_var_i(r: CorrMatrix, n: int, trials: int, seed: Seed,
@@ -460,37 +447,38 @@ def _merge_moments(a, b):
             m2_a + m2_b + delta * delta * (count_a * count_b / count))
 
 
+def _fold_blocks(trials: int, block_rows: Callable[[range], list]) -> list:
+    """(count, mean, M2) of each row set over trials 0..trials-1: ``block_rows``
+    maps each block of _MERGE_TRIALS trials to one (rows, len(block)) array per
+    row set, reduced and merged in order before the next block is drawn."""
+    if trials < 2:
+        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
+    blocks = (list(map(_row_moments, block_rows(range(trials)[lo:lo + _MERGE_TRIALS])))
+              for lo in range(0, trials, _MERGE_TRIALS))
+    return functools.reduce(lambda a, b: list(map(_merge_moments, a, b)), blocks)
+
+
 def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCheck]:
     """Kernel means over i.i.d. draws of four bivariate normal vectors,
     including the mirrored variants, against the closed forms keyed by
-    kernel name (a mirrored variant has its kernel's mean).
-
-    Draws are made, evaluated and reduced one chunk of _KERNEL_CHUNK
-    consecutive draws at a time: draws lo..lo+count-1 take uniforms
-    8*lo .. 8*(lo+count)-1 of stream 0, all variants are evaluated in one
-    call per chunk, and each variant's values are reduced to (count, mean,
-    M2) and merged into the draws before them in order.  The stream is read
-    in order and mapped elementwise, so the per-draw values are the same as
-    over one batch of all draws; none outlives its chunk, so memory does
-    not grow with ``trials``."""
+    kernel name (a mirrored variant has its kernel's mean).  All variants
+    are evaluated elementwise in one call per ``_fold_blocks`` block; block
+    b draws 8 normals a draw from stream 2^64 - 1 - b of ``seed``, apart
+    from the trial streams, which count up from 0."""
     if not abs(rho) < 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
-    if trials < 2:
-        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     exact = kernel_expectations(rho, n)
-    moments = _NO_DRAWS
-    for lo in range(0, trials, _KERNEL_CHUNK):
-        count = min(_KERNEL_CHUNK, trials - lo)
-        q = _uniform_open(seed.master, 0, 8 * count, 8 * lo)
-        normal_quantile(q, out=q)
-        # x and y are the two halves of one C-contiguous (coordinate, sample
-        # slot, draw) array; y is correlated in place.
-        x, y = np.negative(q.reshape(count, 4, 2).transpose(2, 1, 0), order="C")
-        del q
+
+    def block_rows(block: range) -> list:
+        stream = 2 ** 64 - 1 - block.start // _MERGE_TRIALS
+        z = _generators.standard_normal_blocks(seed, range(stream, stream + 1), len(block), 8)
+        # (coordinate, sample slot, draw) views; y is correlated in place
+        x, y = z.reshape(-1, 4, 2).transpose(2, 1, 0)
         y *= np.sqrt(1.0 - rho * rho)
         y += rho * x
-        moments = _merge_moments(
-            moments, _row_moments(_kernels.evaluate_variants(x, y, rho, n)))
+        return [_kernels.evaluate_variants(x, y, rho, n)]
+
+    moments, = _fold_blocks(trials, block_rows)
     return _mean_checks([(name + ("_bar" if swapped else ""), exact[name])
                          for name, swapped in _kernels.VARIANTS], moments)
 

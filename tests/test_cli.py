@@ -477,7 +477,8 @@ def test_verify_isserlis_takes_no_draw_options(capsys, option):
 
 
 @pytest.mark.parametrize("argv, module, attr", [
-    (("verify", "all", "--trials", "100"), "hidim.sim", "_uniform_open"),
+    (("gen", "--b", "1", "--m", "5", "--n", "30", "--out", "-"),
+     "hidim.generators", "standard_normal_block"),
     (("null", "--m", "6", "--n", "20", "--trials", "100"),
      "hidim.generators", "standard_normal_block"),
     (("verify", "all", "--trials", "100"), "hidim.generators", "standard_normal_blocks"),
@@ -508,7 +509,9 @@ def test_verify_isserlis_prints_the_twelve_identity_gates(capsys):
             for line in lines]
     assert all(rows), lines
     assert [row.group(1) for row in rows] == _IDENTITY_GATES
-    assert [row.group(2) for row in rows] == ["|rel err|"] * 9 + ["|err|"] * 3
+    # the pair-moment row is an absolute error, like the three spot identities
+    assert [row.group(2) for row in rows] == (["|rel err|"] * 6 + ["|err|"] + ["|rel err|"] * 2
+                                              + ["|err|"] * 3)
     # the identity gates have one command
     with pytest.raises(SystemExit) as info:
         run_cli("verify-moments")
@@ -607,6 +610,11 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
      "--out", "nn.json"),
     ("power", "--m", "6", "--n", "1", "--trials", "100", "--cov-mode", "centered",
      "--b-grid", "0,1", "--out", "pp.csv"),
+    # two outputs that resolve to one file: the second write would replace the first
+    ("null", "--m", "6", "--n", "20", "--trials", "100", "--out", "f.json", "--z-out", "f.json"),
+    ("null", "--m", "6", "--n", "20", "--trials", "100", "--out", "f.json",
+     "--z-out", "./f.json"),
+    ("gen", "--b", "1", "--m", "5", "--n", "30", "--out", "f.csv", "--r-out", "f.csv"),
 ])
 def test_hostile_sizes_exit_2_before_any_gate(tmp_path, monkeypatch, capsys, argv):
     def entered(*args, **kwargs):
@@ -663,6 +671,36 @@ def test_verify_kernels_quick():
     exact = kernel_expectations(-0.3, 12)
     assert [chk.exact for chk in checks] == [exact[chk.name.removesuffix("_bar")]
                                              for chk in checks]
+
+
+def test_verify_all_draws_no_trial_stream_for_the_kernels(monkeypatch, capsys):
+    # the kernel check's blocks take stream indices down from 2^64 - 1, the
+    # moment checks' trials up from 0, so no stream of the run is read twice
+    drawn, caller = {"kernels": [], "moments": []}, []
+    blocks = sim._generators.standard_normal_blocks
+
+    def recording(seed, streams, rows, cols):
+        drawn[caller[-1]].extend(streams)
+        return blocks(seed, streams, rows, cols)
+
+    def labelled(name, run):
+        def call(*args, **kwargs):
+            caller.append(name)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                caller.pop()
+        return call
+
+    monkeypatch.setattr(sim._generators, "standard_normal_blocks", recording)
+    monkeypatch.setattr(cli, "verify_kernels", labelled("kernels", cli.verify_kernels))
+    monkeypatch.setattr(cli, "run_checks", labelled("moments", cli.run_checks))
+    run_cli("verify", "all", "--trials", "2000", "--seed", "3")
+    capsys.readouterr()
+    assert sorted(drawn["moments"]) == list(range(2000))
+    # 100,000 kernel draws are 13 blocks of 8192
+    assert drawn["kernels"] == [2 ** 64 - 1 - b for b in range(13)]
+    assert not set(drawn["kernels"]) & set(drawn["moments"])
 
 
 def test_verify_all_runs_the_fixed_battery(tmp_path, capsys):

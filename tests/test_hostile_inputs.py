@@ -148,15 +148,19 @@ def test_power_survives_hostile_configs(obj):
 
 
 @_SETTINGS
-@given(obj=_configs("null"), z_out=st.booleans())
+# "out" and "./out" name the report's own file
+@given(obj=_configs("null"), z_out=st.sampled_from([None, "z.csv", "out", "./out"]))
 @example(obj={"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 1,
-              "family": "sparse-pairs:0"}, z_out=True)
+              "family": "sparse-pairs:0"}, z_out="z.csv")
 @example(obj={"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 1,
-              "b_grid": [_NAN]}, z_out=True)
+              "b_grid": [_NAN]}, z_out="z.csv")
 @example(obj={"m": 6, "n": 1, "trials": 100, "alpha": 0.05, "seed": 1,
-              "cov_mode": "centered"}, z_out=True)
+              "cov_mode": "centered"}, z_out="z.csv")
+@example(obj={"m": 6, "n": 20, "trials": 100, "alpha": 0.05, "seed": 1}, z_out="./out")
 def test_null_survives_hostile_configs(obj, z_out):
-    code, texts = _run_config("null", obj, ("z.csv",) if z_out else ())
+    code, texts = _run_config("null", obj, (z_out,) if z_out else ())
+    if z_out in ("out", "./out"):
+        assert code == 2
     if code == 0 and z_out:
         assert texts[1].count("\n") == obj["trials"]
 

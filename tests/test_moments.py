@@ -10,7 +10,7 @@ from hidim import (AlternativeFamily, CorrMatrix, DomainError, IndexOutOfRange,
                    expected_ii1, f_partial, isserlis_moment,
                    kernel_expectations, make_family_matrix, pair_partitions,
                    s_sum, var_i_exact)
-from hidim import kernels
+from hidim import kernels, moments
 from conftest import random_corr
 
 PARTITION_COUNTS = {1: 1, 2: 3, 3: 15, 4: 105, 5: 945, 6: 10395}
@@ -97,6 +97,24 @@ def test_central_product_vs_pair_moment(rng):
         closed = central_pair_moment(p1, q1, p2, q2, r)
         expanded = central_product_moment([(p1, q1), (p2, q2)], r)
         assert expanded == pytest.approx(closed, rel=1e-12, abs=1e-13)
+
+
+def test_the_pair_moment_gate_holds_an_absolute_error(monkeypatch):
+    # the oracle's O(1) Wick terms cancel to closed forms as small as ~1e-4,
+    # so the gate takes the absolute error, which the correct closed forms
+    # keep near one rounding while a closed form scaled by 1 + 1e-9 misses
+    # by ~1e-9; no closed form here exceeds 2 in magnitude
+    def pair_row():
+        return next(row for row in moments.identity_rows()
+                    if row[0] == "pair moment identity (200 random)")
+
+    _, label, err = pair_row()
+    assert label == "|err|" and err <= 1e-15
+    closed = moments.central_pair_moment
+    monkeypatch.setattr(moments, "central_pair_moment",
+                        lambda *args: closed(*args) * (1.0 + 1e-9))
+    _, _, err = pair_row()
+    assert err > 1e-10 > moments.IDENTITY_BOUND
 
 
 def test_central_product_fourth_power_independent():

@@ -384,17 +384,18 @@ def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
     assert off.z_score == -np.inf and not off.passed
 
 
-CHUNK = sim._KERNEL_CHUNK
+BLOCK = sim._MERGE_TRIALS
+TOP_STREAM = 2 ** 64 - 1
 
 
-@pytest.mark.parametrize("trials", [2, CHUNK, CHUNK + 37, 2 * CHUNK + 5])
+@pytest.mark.parametrize("trials", [2, BLOCK, BLOCK + 37, 2 * BLOCK + 5])
 def test_verify_kernels_chunks_match_one_batch(monkeypatch, trials):
-    # each chunk of _KERNEL_CHUNK draws takes its own slice of the stream,
-    # and its values are reduced before the next chunk is drawn
+    # block b of _MERGE_TRIALS draws takes the normals of stream 2^64 - 1 - b,
+    # and its values are reduced before the next block is drawn
     rho, n, seed = 0.3, 8, Seed(19)
     evaluate = sim._kernels.evaluate
     evaluate_variants = sim._kernels.evaluate_variants
-    uniform_open = sim._uniform_open
+    blocks = sim._generators.standard_normal_blocks
     chunks, draws = [], []
 
     def recording(x, y, *args, **kwargs):
@@ -402,18 +403,21 @@ def test_verify_kernels_chunks_match_one_batch(monkeypatch, trials):
         chunks.append(values.copy())
         return values
 
-    def recording_draw(master, stream, count, start=0):
-        draws.append((stream, count, start))
-        return uniform_open(master, stream, count, start)
+    def recording_draw(seed, streams, rows, cols):
+        draws.append((streams, rows, cols))
+        return blocks(seed, streams, rows, cols)
 
     monkeypatch.setattr(sim._kernels, "evaluate_variants", recording)
-    monkeypatch.setattr(sim, "_uniform_open", recording_draw)
+    monkeypatch.setattr(sim._generators, "standard_normal_blocks", recording_draw)
     checks = verify_kernels(rho, n, trials, seed)
-    los = range(0, trials, CHUNK)
+    los = range(0, trials, BLOCK)
     widths = [values.shape[1] for values in chunks]
-    assert widths == [min(CHUNK, trials - lo) for lo in los]
-    assert draws == [(0, 8 * width, 8 * lo) for lo, width in zip(los, widths)]
-    z = -normal_quantile(uniform_open(seed.master, 0, trials * 8).reshape(trials, 4, 2))
+    assert widths == [min(BLOCK, trials - lo) for lo in los]
+    assert draws == [(range(TOP_STREAM - b, TOP_STREAM - b + 1), width, 8)
+                     for b, width in enumerate(widths)]
+    # one batch: every block's normals, drawn on their own and joined
+    z = np.concatenate([sim._generators.standard_normal_block(seed, TOP_STREAM - b, width, 8)
+                        for b, width in enumerate(widths)]).reshape(trials, 4, 2)
     x = z[:, :, 0].T
     y = rho * x + np.sqrt(1.0 - rho * rho) * z[:, :, 1].T
     exact = sim.kernel_expectations(rho, n)
