@@ -101,6 +101,10 @@ class SimConfig:
         for name in ("m", "n", "trials", "workers"):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, kind in (("seed", Seed), ("family", AlternativeFamily), ("cov_mode", CovMode)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
         if not _is_number(self.alpha):
             raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
         if not all(map(_is_number, self.b_grid)):
@@ -202,7 +206,9 @@ class MomentCheck:
 
 
 def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
-    if workers <= 1:
+    if not _is_integer(workers) or workers < 1:
+        raise ConfigError("workers must be a positive integer")
+    if workers == 1:
         return [fn(t) for t in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(trials)))
@@ -486,11 +492,17 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
 def verification_report_json(checks: Sequence[MomentCheck], config_obj: dict,
                              identities: Sequence[dict] = ()) -> str:
     """JSON report for verification runs, embedding config and version: the
-    identity gates (name, error, bound, passed) and the Monte Carlo checks."""
+    identity gates (name, error, bound, passed) and the Monte Carlo checks.
+    RFC 8259 has no NaN or infinity, so a non-finite number (a NaN error, the
+    infinite z of a zero-spread miss) is written as null; its gate has failed."""
+    def finite(row: dict) -> dict:
+        return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                for key, value in row.items()}
+
     return json.dumps({
         "version": __version__,
         "config": config_obj,
-        "identities": list(identities),
-        "checks": [c.to_json_obj() for c in checks],
+        "identities": [finite(g) for g in identities],
+        "checks": [finite(c.to_json_obj()) for c in checks],
         "all_passed": all(c.passed for c in checks) and all(g["passed"] for g in identities),
-    }, indent=2)
+    }, indent=2, allow_nan=False)

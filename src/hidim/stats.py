@@ -123,6 +123,8 @@ def _cov_matrix(values: np.ndarray, mode: CovMode) -> np.ndarray:
     leaves a constant column with rounding noise of up to n eps |mean|; a
     centered variance within the square of that is set to exactly 0."""
     n, m = values.shape[-2:]
+    if not isinstance(mode, CovMode):
+        raise DomainError(f"cov mode must be of type CovMode, got {mode!r}")
     if mode is CovMode.KNOWN_ZERO_MEAN:
         return np.matmul(np.swapaxes(values, -1, -2), values) / n
     if n < 2:

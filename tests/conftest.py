@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,14 @@ def martingale_differences(data: DataMatrix, r: CorrMatrix) -> np.ndarray:
             y[i] = scale * float(ci @ running)
         running += ci
     return y
+
+
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity token:
+    Python's reader would take them."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ from hidim import cli, kernels, moments, sim
 from hidim.cli import main
 from hidim.generators import make_family_matrix
 from hidim.moments import expected_ii1, kernel_expectations, var_i_exact
+from conftest import strict_json
 
 
 def run_cli(*argv):
@@ -75,9 +76,8 @@ def test_test_degenerate_column(tmp_path, capsys):
     rows = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
     write_csv(path, rows)
     code = run_cli("test", str(path))          # centered mode: constant column
-    err = capsys.readouterr().err
     assert code == 3
-    assert "column" in err and "0" in err
+    assert capsys.readouterr() == ("", "error: zero-variance column(s): 0\n")
 
 
 def test_test_near_constant_centered_column_exits_3(tmp_path, capsys):
@@ -153,6 +153,27 @@ def test_power_csv_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("argv, output", [
+    (("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid", "0,1,2"), "--out"),
+    # 9,000 trials span two merge blocks: each rate is a count recovered from
+    # a merged mean of 0/1 rejections
+    (("power", "--m", "6", "--n", "20", "--trials", "9000", "--b-grid", "0,2"), "--out"),
+    (("null", "--m", "50", "--n", "100", "--trials", "200", "--cov-mode", "centered"),
+     "--z-out"),
+    # the moment checks' trials and the kernel check's blocks take their own streams
+    (("verify", "all", "--trials", "2000", "--seed", "3"), None),
+], ids=["power", "power-two-blocks", "null-centered", "verify-all"])
+def test_a_run_writes_the_same_bytes_at_one_and_two_workers(tmp_path, capsys, argv, output):
+    # the output file, or stdout when there is none, and the exit code
+    runs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"out{workers}"
+        code = run_cli(*argv, "--workers", workers, *((output, str(path)) if output else ()))
+        out = capsys.readouterr().out
+        runs.append((code, path.read_text() if output else out))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
 
 
 def test_power_skipped_row(tmp_path, capsys):
@@ -576,7 +597,7 @@ def test_a_perturbed_battery_input_fails_only_its_gates(monkeypatch, capsys, nam
 def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
     report = tmp_path / "report.json"
     assert run_cli("verify", "isserlis", "--report", str(report)) == 0
-    obj = json.loads(report.read_text())
+    obj = strict_json(report.read_text())
     assert [gate["name"] for gate in obj["identities"]] == _IDENTITY_GATES
     assert all(gate["passed"] and 0.0 <= gate["error"] <= gate["bound"] == 1e-12
                for gate in obj["identities"])
@@ -587,8 +608,10 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
     monkeypatch.setattr(cli, "identity_rows",
                         lambda: rows[:-1] + [(*rows[-1][:2], error)])
     assert run_cli("verify", "isserlis", "--report", str(report)) == 1
-    obj = json.loads(report.read_text())
+    # a NaN error is written as null, which strict JSON readers take
+    obj = strict_json(report.read_text())
     assert [gate["passed"] for gate in obj["identities"]] == [True] * 11 + [False]
+    assert obj["identities"][-1]["error"] == (None if np.isnan(error) else error)
     assert obj["all_passed"] is False
     assert capsys.readouterr().err == "failed gates: d2f/du1du3\n"
 
@@ -615,6 +638,10 @@ def test_verify_report_lists_every_gate(tmp_path, capsys, monkeypatch, error):
     ("null", "--m", "6", "--n", "20", "--trials", "100", "--out", "f.json",
      "--z-out", "./f.json"),
     ("gen", "--b", "1", "--m", "5", "--n", "30", "--out", "f.csv", "--r-out", "f.csv"),
+    # a seed outside 64 bits, a family that does not fit in m, an overflowing signal
+    ("gen", "--b", "1", "--m", "5", "--n", "30", "--seed", "-1", "--out", "s_d.csv"),
+    ("gen", "--family", "sparse-pairs:3", "--b", "1", "--m", "5", "--n", "30", "--out", "-"),
+    ("gen", "--family", "banded:2", "--b", "1e308", "--m", "8", "--n", "2", "--out", "o_d.csv"),
 ])
 def test_hostile_sizes_exit_2_before_any_gate(tmp_path, monkeypatch, capsys, argv):
     def entered(*args, **kwargs):

@@ -14,6 +14,7 @@ from hidim import (AlternativeFamily, ConfigError, CorrMatrix, CovMode,
                    verify_var_i, write_power_csv)
 from hidim import sim
 from hidim import theory
+from conftest import strict_json
 
 EQUI = AlternativeFamily.equicorrelation()
 
@@ -90,9 +91,12 @@ def test_config_is_validated_when_built():
 
 def test_config_rejects_values_of_the_wrong_python_type():
     # the constructor checks types itself, not only from_json_obj, so a float
-    # m cannot reach run_null and fail there
+    # m cannot reach run_null and fail there, and a seed, family or cov mode
+    # given as its JSON value is not taken ("zero-mean" would run centered)
     for key, value in (("m", 6.9), ("n", 30.0), ("trials", True), ("workers", 1.5),
-                       ("alpha", "0.05"), ("b_grid", (0.0, "1"))):
+                       ("alpha", "0.05"), ("b_grid", (0.0, "1")), ("seed", 1),
+                       ("family", "banded:2"), ("cov_mode", "zero-mean"),
+                       ("cov_mode", "centered")):
         name = "b grid values" if key == "b_grid" else key
         with pytest.raises(ConfigError, match=f"{name} must be .*, got "):
             small_config(**{key: value})
@@ -108,9 +112,10 @@ def test_run_null_basics():
     assert SimConfig.from_json_obj(obj["config"]) == report.config
 
 
-def test_run_null_worker_determinism():
-    base = run_null(small_config(trials=120, workers=1))
-    threaded = run_null(small_config(trials=120, workers=3))
+@pytest.mark.parametrize("mode", list(CovMode), ids=lambda mode: mode.value)
+def test_run_null_worker_determinism(mode):
+    base = run_null(small_config(trials=120, workers=1, cov_mode=mode))
+    threaded = run_null(small_config(trials=120, workers=3, cov_mode=mode))
     assert np.array_equal(base.z_values, threaded.z_values)
     assert base.empirical_size == threaded.empirical_size
     assert base.ks_statistic == threaded.ks_statistic
@@ -361,6 +366,10 @@ def test_verify_loops_reject_bad_sizes():
         for trials in (1, 0, -3):
             with pytest.raises(ConfigError, match="at least 2 trials"):
                 verify(CorrMatrix.identity(4), 12, trials, Seed(1))
+        # the library calls check the worker count, not only SimConfig and the CLI
+        for workers in (0, -4, 1.5, True):
+            with pytest.raises(ConfigError, match="^workers must be a positive integer$"):
+                verify(CorrMatrix.identity(4), 15, 300, Seed(1), workers=workers)
     for trials in (1, 0, -3):
         with pytest.raises(ConfigError, match="at least 2 trials"):
             verify_kernels(0.5, 10, trials, Seed(1))
@@ -382,6 +391,9 @@ def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
     monkeypatch.setattr(sim, "var_i_exact", lambda r, n: 0.5)
     off = verify_var_i(r, 1, 100, Seed(43))
     assert off.z_score == -np.inf and not off.passed
+    # RFC 8259 has no Infinity: the report writes the z as null, and the check fails
+    report = strict_json(sim.verification_report_json([off], {}))
+    assert report["checks"][0]["z_score"] is None and report["all_passed"] is False
 
 
 BLOCK = sim._MERGE_TRIALS

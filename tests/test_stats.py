@@ -46,6 +46,16 @@ def test_sample_cov_hand_examples():
         _cov_matrix(np.array([[1.0, 2.0]]), SC)
 
 
+def test_a_cov_mode_is_not_coerced_from_its_value():
+    # the string "zero-mean" would otherwise take the centered branch
+    data = DataMatrix(np.random.default_rng(0).standard_normal((10, 3)))
+    for mode in ("zero-mean", "centered", None):
+        with pytest.raises(DomainError, match="must be of type CovMode"):
+            statistic_t(data, mode)
+        with pytest.raises(DomainError, match="must be of type CovMode"):
+            rao_score_test(data, 0.05, mode)
+
+
 def _pair_rho_hat_sq(x: np.ndarray, p: int, q: int) -> float:
     """Zero-mean squared correlation of columns p and q, pair by pair."""
     xp, xq = x[:, p], x[:, q]
