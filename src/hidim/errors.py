@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check that
+raises them."""
+
+import numbers
 
 
 class HidimError(Exception):
@@ -40,3 +43,10 @@ class Unachievable(HidimError):
 
 class ConfigError(HidimError, ValueError):
     """Simulation configuration violates an invariant."""
+
+
+def require_integer(name: str, value, error=DomainError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer; a
+    bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveSemidefinite, Unachievable
+from .errors import DomainError, NotPositiveSemidefinite, Unachievable, require_integer
 from .matrix import CholeskyFactor, CorrMatrix, cholesky
 from .stats import DataMatrix
 from .theory import normal_quantile
@@ -36,8 +36,7 @@ class Seed:
     master: int
 
     def __post_init__(self):
-        if not isinstance(self.master, (int, np.integer)) or isinstance(self.master, bool):
-            raise DomainError(f"seed must be an integer, got {self.master!r}")
+        require_integer("seed", self.master)
         if not 0 <= int(self.master) < 2 ** 64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "master", int(self.master))
@@ -98,6 +97,7 @@ class AlternativeFamily:
         """The family's pattern P on m variables: symmetric, zero on the
         diagonal, with members R(rho) = I + rho P of Frobenius signal
         ||P||_F * |rho|."""
+        require_integer("m", m)
         j = np.arange(m)
         i = j[:, None]
         if self.kind == "equicorrelation":

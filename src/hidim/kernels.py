@@ -2,8 +2,9 @@
 
 Each kernel is stored once as a structural description and everything else
 is derived from it: numeric evaluation on four bivariate samples (used by
-the Monte Carlo harness), the exact expectation via Wick expansion (the
-in-repo replacement for a symbolic-algebra step, and the trusted oracle
+the Monte Carlo harness), the exact expectation by expansion into
+per-sample slot means, each a :func:`hidim.moments.central_product_moment`
+(the in-repo replacement for a symbolic-algebra step, and the trusted oracle
 for the closed forms in :func:`hidim.moments.kernel_expectations`).  The
 tests aggregate the evaluation into the full U-statistic on small samples
 to validate the transcription against the centered-covariance power terms.
@@ -12,8 +13,8 @@ Structure
 ---------
 A kernel is ``(power, addends)``.  Each addend is ``(mult, slots)`` where
 ``slots`` is a tuple of per-sample factor products; each factor is either
-``"A"`` (x^2 - 1, the centered variance term) or ``"B"`` (x*y - rho, the
-centered covariance term).  The addend contributes
+``"A"`` (x^2 - 1, the centered duple (0, 0) of (x, y)) or ``"B"``
+(x*y - rho, the centered duple (0, 1)).  The addend contributes
 
     mult * sum over injective assignments of slots to the 4 arguments
            of the product over slots of its factors,
@@ -44,13 +45,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .matrix import CorrMatrix
-from .moments import isserlis_moment
+from .moments import central_product_moment
 
 KERNELS = {
     # (1/(4n)) * sum_a B(a)^2
@@ -123,6 +124,7 @@ def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray
     shape (4,) or (4, reps); ``variants`` lists (name, swapped) pairs.  The
     result has shape (len(variants),) or (len(variants), reps).
     """
+    require_integer("n", n)
     if n < 4:
         raise DomainError("kernels are degree 4, so n >= 4 is required")
     x = np.asarray(x, dtype=float)
@@ -175,50 +177,33 @@ def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
     return total
 
 
-def _poly_mul(p1, p2):
-    out = {}
-    for (a1, b1), c1 in p1.items():
-        for (a2, b2), c2 in p2.items():
-            key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def _factor_poly(f, rho, swapped):
-    if f == "A":
-        return {(0, 2) if swapped else (2, 0): 1.0, (0, 0): -1.0}
-    return {(1, 1): 1.0, (0, 0): -rho}
-
-
 @lru_cache(maxsize=None)
-def _wick_xy_moment(a: int, b: int, rho: float) -> float:
-    """E[X^a Y^b] for a standard bivariate normal pair with correlation rho."""
-    return float(isserlis_moment((0,) * a + (1,) * b, CorrMatrix([[1.0, rho], [rho, 1.0]])))
+def _slot_mean(factors: tuple, rho: float, swapped: bool) -> float:
+    """The mean of one sample's product of ``factors``, each a centered
+    duple of (x, y): A = (0, 0), or (1, 1) when swapped, and B = (0, 1)."""
+    a = (1, 1) if swapped else (0, 0)
+    duples = [a if f == "A" else (0, 1) for f in factors]
+    return central_product_moment(duples, CorrMatrix([[1.0, rho], [rho, 1.0]]))
 
 
 def expectation_by_expansion(name: str, rho: float, n: int, swapped: bool = False) -> float:
-    """Exact kernel mean by expanding its per-sample polynomials.
+    """Exact kernel mean by expanding its per-sample products.
 
     Sample slots are i.i.d., so an addend's expectation factorizes into a
-    product of per-slot expectations, each a finite Wick sum; every
-    injective slot assignment contributes the same value.
+    product of per-slot means, each a ``central_product_moment``; every one
+    of the perm(4, r) injective slot assignments contributes the same value.
     """
-    if abs(rho) > 1.0:
+    if not abs(rho) <= 1.0:    # a NaN fails it too
         raise DomainError("rho must lie in [-1, 1]")
+    require_integer("n", n)
     if n < 4:
         raise DomainError("kernels are degree 4, so n >= 4 is required")
     power, addends = KERNELS[name]
     total = 0.0
     for mult, slots in addends:
         r = len(slots)
-        n_assign = 1
-        for v in range(4, 4 - r, -1):
-            n_assign *= v
         prod = 1.0
         for factors in slots:
-            poly = {(0, 0): 1.0}
-            for f in factors:
-                poly = _poly_mul(poly, _factor_poly(f, rho, swapped))
-            prod *= sum(c * _wick_xy_moment(a, b, rho) for (a, b), c in poly.items())
-        total += _coef(n, power, r) * mult * n_assign * prod
+            prod *= _slot_mean(factors, rho, swapped)
+        total += _coef(n, power, r) * mult * perm(4, r) * prod
     return total

@@ -7,7 +7,7 @@ m stays at experiment scale and O(m^2) memory is acceptable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -20,7 +20,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, TooLarge
+from .errors import DomainError, IndexOutOfRange, TooLarge, require_integer
 from .matrix import CorrMatrix
 
 # Enumeration guards, sized so worst-case desk runtime stays under ~10 s.
@@ -168,6 +168,7 @@ def var_i_exact(r: CorrMatrix, n: int) -> float:
     + 4 sum A o A] / 4.  ``s_sum``, which enumerates the duple pairs, is its
     independent oracle.
     """
+    require_integer("n", n)
     if n < 1:
         raise DomainError("n must be a positive integer")
     rho = r.rho
@@ -185,11 +186,12 @@ def kernel_expectations(rho: float, n: int) -> Dict[str, float]:
 
     The independent oracle for these is
     :func:`hidim.kernels.expectation_by_expansion`, which takes the same
-    names, expands each kernel's polynomial terms and evaluates them
-    through the Wick sum.
+    names and expands each kernel's addends into per-sample slot means,
+    each a ``central_product_moment``.
     """
     if not abs(rho) <= 1.0:
         raise DomainError("rho must lie in [-1, 1]")
+    require_integer("n", n)
     if n < 4:
         raise DomainError("kernels have degree 4, so n >= 4 is required")
     r2 = rho * rho
@@ -205,6 +207,7 @@ def expected_ii1(r: CorrMatrix, n: int) -> float:
     Sum over p < q of (16 + n^2 + (80 + 8n + n^2) rho_pq^2) / n^3; its
     n -> infinity limit is the centering constant m(m-1)/(2n).
     """
+    require_integer("n", n)
     if n < 1:
         raise DomainError("n must be a positive integer")
     nf = float(n)

@@ -11,7 +11,9 @@ trial's stream is drawn once, and each check reads its own sample size from
 the front of it.  Chunk bounds depend only on the trial count and the
 checks' sample sizes, results are kept in trial or chunk order, and
 reductions run in fixed trial order, so reports are bitwise identical for
-any worker count.
+any worker count.  Every Monte Carlo number, a moment check or a power
+cell's rate, is the mean sum / N of one fold (``_fold_blocks``) of the
+per-trial values to (count, sum, M2), with that fold's standard error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, Unachievable
+from .errors import ConfigError, Unachievable, require_integer
 # Not called here: bench/tracing.py wraps sample_gaussian, _uniform_open and
 # normal_quantile at this lookup site, so the names stay bound.
 from .generators import (AlternativeFamily, Seed, _uniform_open,
@@ -299,35 +301,31 @@ def run_power_curve(config: SimConfig) -> List[PowerPoint]:
     predicted = [asymptotic_power(config.alpha, b) for b in config.b_grid]
     live = [ChunkCheck(cholesky(r), n, rejections(r), [("power", p)])
             for r, p in zip(cells, predicted) if r is not None]
-    rates = iter(run_checks(live, config.trials, config.seed, config.workers) if live else ())
-    points: List[PowerPoint] = []
-    for b, r, p in zip(config.b_grid, cells, predicted):
-        # a merged mean of 0/1 rejections is count / trials within rounding
-        p_hat = (None if r is None
-                 else round(next(rates)[0].mc_value * config.trials) / config.trials)
-        stderr = (None if p_hat is None
-                  else float(np.sqrt(p_hat * (1.0 - p_hat) / config.trials)))
-        points.append(PowerPoint(
-            b=b, m=m, n=n, trials=config.trials, empirical_power=p_hat,
-            mc_stderr=stderr, predicted_power=p, skipped=p_hat is None))
-    return points
+    checks = iter(run_checks(live, config.trials, config.seed, config.workers))
+    rates = [None if r is None else next(checks)[0] for r in cells]
+    return [PowerPoint(b=float(b), m=m, n=n, trials=config.trials,
+                       empirical_power=None if rate is None else rate.mc_value,
+                       mc_stderr=None if rate is None else rate.stderr,
+                       predicted_power=p, skipped=rate is None)
+            for b, rate, p in zip(config.b_grid, rates, predicted)]
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def write_power_csv(points: Sequence[PowerPoint], handle) -> None:
-    """Power-curve CSV to the open text handle: b, m, n, trials,
-    empirical_power, mc_stderr, predicted_power, skipped."""
-
-    def fmt(value) -> str:
-        return "" if value is None else repr(float(value))
-
+    """Power-curve CSV to the open text handle: one column per PowerPoint
+    field, in field order; None is empty, a bool true or false."""
+    names = [f.name for f in fields(PowerPoint)]
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["b", "m", "n", "trials", "empirical_power",
-                     "mc_stderr", "predicted_power", "skipped"])
+    writer.writerow(names)
     for pt in points:
-        writer.writerow([repr(float(pt.b)), pt.m, pt.n, pt.trials,
-                         fmt(pt.empirical_power), fmt(pt.mc_stderr),
-                         repr(float(pt.predicted_power)),
-                         "true" if pt.skipped else "false"])
+        writer.writerow([_csv_cell(getattr(pt, name)) for name in names])
 
 
 def _z_score(estimate: float, exact: float, stderr: float) -> float:
@@ -342,13 +340,14 @@ def _z_score(estimate: float, exact: float, stderr: float) -> float:
 
 def _mean_checks(exact: Sequence[Tuple[str, float]], moments) -> List[MomentCheck]:
     """One MomentCheck per row of per-trial values, from the rows' (count,
-    means, M2) as ``_row_moments`` and ``_merge_moments`` give them: the
-    row's mean against its (name, exact value), with the standard error of
-    a mean, sqrt(M2 / (count - 1) / count)."""
-    count, means, m2 = moments
+    sums, M2) as ``_row_moments`` and ``_merge_moments`` give them: the
+    row's mean sum / count against its (name, exact value), with the
+    standard error of a mean, sqrt(M2 / (count - 1) / count)."""
+    count, sums, m2 = moments
     stderrs = np.sqrt(m2 / (count - 1)) / math.sqrt(count)
     return [MomentCheck(name, mean, value, stderr, _z_score(mean, value, stderr))
-            for (name, value), mean, stderr in zip(exact, means.tolist(), stderrs.tolist())]
+            for (name, value), mean, stderr in zip(exact, (sums / count).tolist(),
+                                                   stderrs.tolist())]
 
 
 @dataclass(frozen=True)
@@ -372,6 +371,7 @@ def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
     variance.  E[I] = 0 exactly, so E[I^2] = Var(I): the check is a mean of
     per-trial values like every other, with a mean's standard error, and
     needs no fourth-moment formula for the error of a sample variance."""
+    require_integer("n", n, ConfigError)
     return ChunkCheck(cholesky(r), n, lambda x: np.square(term_i(x, r))[None],
                       [(name, var_i_exact(r, n))])
 
@@ -379,6 +379,7 @@ def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
 def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
     """Monte Carlo means of the same-sample component II1 (against its exact
     closed form) and of the cross-sample term (against zero)."""
+    require_integer("n", n, ConfigError)
     cells = _Cells.of(r)   # decompose's constants, shared by every chunk
 
     def reduce(x: np.ndarray) -> np.ndarray:
@@ -403,6 +404,8 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
     Each block of _MERGE_TRIALS trials is folded (``_fold_blocks``) before
     the next is drawn.
     """
+    if not checks:      # no rows to fold, but the trial count is checked
+        return _fold_blocks(trials, lambda block: [])
     width = max(check.n * check.factor.m for check in checks)
     size = max(1, _CHUNK_BYTES // (8 * sum(max(_TRIAL_FLOATS, check.n * check.factor.m)
                                            for check in checks)))
@@ -436,27 +439,30 @@ def verify_e_ii1(r: CorrMatrix, n: int, trials: int, seed: Seed,
 
 
 def _row_moments(values: np.ndarray):
-    """(count, mean, M2) of each row of a (rows, count) array, M2 the sum of
+    """(count, sum, M2) of each row of a (rows, count) array, M2 the sum of
     squared deviations from the row's mean; ``values`` is overwritten."""
-    mean = values.mean(axis=1)
-    values -= mean[:, None]
-    return values.shape[1], mean, np.square(values, out=values).sum(axis=1)
+    count = values.shape[1]
+    sums = values.sum(axis=1)
+    values -= (sums / count)[:, None]
+    return count, sums, np.square(values, out=values).sum(axis=1)
 
 
 def _merge_moments(a, b):
-    """The (count, mean, M2) of two samples joined, from each one's: the
-    pairwise update of Chan, Golub & LeVeque (1983)."""
-    (count_a, mean_a, m2_a), (count_b, mean_b, m2_b) = a, b
+    """The (count, sum, M2) of two samples joined, from each one's: the
+    pairwise update of Chan, Golub & LeVeque (1983).  A sum of 0/1 values
+    stays an exact integer, so its mean is the count over the trials."""
+    (count_a, sum_a, m2_a), (count_b, sum_b, m2_b) = a, b
     count = count_a + count_b
-    delta = mean_b - mean_a
-    return (count, mean_a + delta * (count_b / count),
+    delta = sum_b / count_b - sum_a / count_a
+    return (count, sum_a + sum_b,
             m2_a + m2_b + delta * delta * (count_a * count_b / count))
 
 
 def _fold_blocks(trials: int, block_rows: Callable[[range], list]) -> list:
-    """(count, mean, M2) of each row set over trials 0..trials-1: ``block_rows``
+    """(count, sum, M2) of each row set over trials 0..trials-1: ``block_rows``
     maps each block of _MERGE_TRIALS trials to one (rows, len(block)) array per
     row set, reduced and merged in order before the next block is drawn."""
+    require_integer("trials", trials, ConfigError)
     if trials < 2:
         raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
     blocks = (list(map(_row_moments, block_rows(range(trials)[lo:lo + _MERGE_TRIALS])))
@@ -473,6 +479,7 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
     from the trial streams, which count up from 0."""
     if not abs(rho) < 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
+    require_integer("n", n, ConfigError)
     exact = kernel_expectations(rho, n)
 
     def block_rows(block: range) -> list:

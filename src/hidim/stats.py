@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import theory
-from .errors import DegenerateColumn, DimensionMismatch, DomainError
+from .errors import DegenerateColumn, DimensionMismatch, DomainError, require_integer
 from .matrix import CorrMatrix, frobenius_signal
 
 
@@ -209,10 +209,15 @@ def statistic_t(data: Union[DataMatrix, np.ndarray], mode: CovMode):
     return shape(_finite(t_value, "T"))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def _level_rule(n: int, m: int, alpha: float):
     """The center m(m-1)/(2n) of T and the bound (m/n) z_alpha that the
-    centered T must exceed to reject, built once per (n, m, alpha)."""
+    centered T must exceed to reject, built once per (n, m, alpha); typed,
+    so that a bool or float size is checked, not served as its int."""
+    require_integer("n", n)
+    require_integer("m", m)
+    if n < 1 or m < 2:
+        raise DomainError(f"need m >= 2 and n >= 1, got m = {m} and n = {n}")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie strictly inside (0, 1)")
     return m * (m - 1) / (2.0 * n), (m / n) * theory.normal_quantile(alpha)

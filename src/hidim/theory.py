@@ -62,6 +62,6 @@ def asymptotic_power(alpha: float, b: float) -> float:
         raise DomainError("alpha must lie strictly inside (0, 1)")
     if not math.isfinite(b):
         raise DomainError("b must be finite and nonnegative")
-    if b < 0.0:
+    if b < 0.0 or math.copysign(1.0, b) < 0.0:     # -0.0 too
         raise DomainError("b must be nonnegative")
     return normal_tail(normal_quantile(alpha) - 0.5 * b * b)

@@ -157,8 +157,8 @@ def test_power_csv_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, output", [
     (("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid", "0,1,2"), "--out"),
-    # 9,000 trials span two merge blocks: each rate is a count recovered from
-    # a merged mean of 0/1 rejections
+    # 9,000 trials span two merge blocks: each rate is a merged sum of 0/1
+    # rejections over the trials
     (("power", "--m", "6", "--n", "20", "--trials", "9000", "--b-grid", "0,2"), "--out"),
     (("null", "--m", "50", "--n", "100", "--trials", "200", "--cov-mode", "centered"),
      "--z-out"),
@@ -580,13 +580,13 @@ _PERTURBATIONS = {
 def test_a_perturbed_battery_input_fails_only_its_gates(monkeypatch, capsys, name):
     perturbed, failing = _PERTURBATIONS[name]
     monkeypatch.setattr(moments, name, perturbed(getattr(moments, name)))
-    # kernels caches its Wick moments: empty the cache before the run, so a
-    # dropped matching reaches it, and after, so none is kept
-    kernels._wick_xy_moment.cache_clear()
+    # kernels caches its per-slot means: empty the cache before the run, so
+    # a dropped matching reaches it, and after, so none is kept
+    kernels._slot_mean.cache_clear()
     try:
         assert run_cli("verify", "isserlis") == 1
     finally:
-        kernels._wick_xy_moment.cache_clear()
+        kernels._slot_mean.cache_clear()
     out, err = capsys.readouterr()
     assert re.findall(r"^FAIL  (.*): ", out, re.M) == failing, out
     assert out.count("pass  ") == 12 - len(failing)

@@ -98,3 +98,9 @@ def test_evaluation_rejects_bad_shapes():
         kernels.evaluate_variants(x[:3], x[:3], 0.0, 10)
     with pytest.raises(DomainError, match="four samples"):
         kernels.evaluate("h3", x, x[:, :2], 0.0, 10)
+
+
+@pytest.mark.parametrize("rho", [1.5, -2.0, float("nan")])
+def test_the_oracle_rejects_a_rho_outside_its_range(rho):
+    with pytest.raises(DomainError, match=r"rho must lie in \[-1, 1\]"):
+        kernels.expectation_by_expansion("h1", rho, 10)

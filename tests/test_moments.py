@@ -346,6 +346,21 @@ def test_var_i_exact_trace_form_matches_enumeration(rng):
             assert var_i_exact(r, n) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: var_i_exact(CorrMatrix.identity(3), 2.5),
+    lambda: expected_ii1(CorrMatrix.identity(3), True),
+    lambda: kernel_expectations(0.5, 4.5),
+    lambda: kernels.expectation_by_expansion("h2", 0.5, 10.0),
+    lambda: kernels.evaluate("h1", np.ones(4), np.ones(4), 0.5, True),
+    lambda: AlternativeFamily.banded(1).pattern(3.5),
+    lambda: AlternativeFamily.banded(1).signal_coefficient(3.5),
+], ids=["var_i_exact", "expected_ii1", "kernel_expectations", "expectation_by_expansion",
+        "evaluate", "pattern", "signal_coefficient"])
+def test_a_non_integer_size_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="^[mn] must be an integer, got "):
+        call()
+
+
 def test_var_i_exact_past_the_enumeration_guard():
     m, n = 80, 160
     with pytest.raises(TooLarge):

@@ -217,11 +217,10 @@ def test_power_csv_bytes_do_not_depend_on_chunking(monkeypatch, mode):
                                         (CovMode.SAMPLE_CENTERED, 0)])
 def test_a_multi_block_power_rate_equals_a_recount(mode, seed):
     # 20,000 trials are three blocks of sim._MERGE_TRIALS: each cell's rate
-    # is the mean of its 0/1 rejections merged block by block, and the
-    # count recovered from it must be the count of an independent recount.
-    # At each seed here one cell's merged mean is not k/trials in its last
-    # bit (about 4% of cells are not), so the rates match only through the
-    # recovered count.
+    # is its 0/1 rejections summed block by block over the trials, and must
+    # be the count of an independent recount over the trials.  At each seed
+    # here a merged mean of the blocks' means misses k/trials in its last bit
+    # in one cell (about 4% of cells do); the merged sum is exact.
     cfg = small_config(m=6, n=20, trials=20_000, seed=Seed(seed),
                        b_grid=(0.0, 1.0, 2.0, 3.0), cov_mode=mode)
     assert cfg.trials > 2 * sim._MERGE_TRIALS
@@ -237,6 +236,21 @@ def test_a_multi_block_power_rate_equals_a_recount(mode, seed):
     for workers in (1, 2):
         points = run_power_curve(dataclasses.replace(cfg, workers=workers))
         assert [p.empirical_power for p in points] == [k / cfg.trials for k in counts]
+
+
+def test_a_power_cell_has_the_standard_error_of_its_mean():
+    # the fold's sqrt(M2 / (N - 1) / N) of N 0/1 rejections, k of them, is
+    # sqrt(p (1 - p) / (N - 1)) with p = k / N; a cell of power 1 has error 0.
+    # 9,000 trials span two merge blocks, and b = 12 is unachievable.
+    cfg = small_config(m=6, n=20, trials=9000, b_grid=(0.0, 1.0, 2.0, 8.0, 12.0))
+    points = run_power_curve(cfg)
+    assert [p.skipped for p in points] == [False] * 4 + [True]
+    assert points[3].empirical_power == 1.0 and points[3].mc_stderr == 0.0
+    for point in points[:3]:
+        p = point.empirical_power
+        want = np.sqrt(p * (1.0 - p) / (cfg.trials - 1))
+        assert abs(point.mc_stderr - want) <= 1e-12 * want
+    assert points[4].empirical_power is None and points[4].mc_stderr is None
 
 
 def test_simulation_runs_take_no_p_values(monkeypatch):
@@ -373,6 +387,22 @@ def test_verify_loops_reject_bad_sizes():
     for trials in (1, 0, -3):
         with pytest.raises(ConfigError, match="at least 2 trials"):
             verify_kernels(0.5, 10, trials, Seed(1))
+    # a float or bool size is refused by name, not by a TypeError from range
+    for verify in (verify_var_i, verify_e_ii1):
+        for n in (15.0, True):
+            with pytest.raises(ConfigError, match="^n must be an integer"):
+                verify(CorrMatrix.identity(4), n, 300, Seed(1))
+        for trials in (300.0, False):
+            with pytest.raises(ConfigError, match="^trials must be an integer"):
+                verify(CorrMatrix.identity(4), 15, trials, Seed(1))
+    with pytest.raises(ConfigError, match="^n must be an integer"):
+        verify_kernels(0.5, 10.0, 1000, Seed(1))
+    with pytest.raises(ConfigError, match="^trials must be an integer"):
+        verify_kernels(0.5, 10, 1000.0, Seed(1))
+    # no checks, no results, and the trial count is still checked
+    assert sim.run_checks([], 100, Seed(1)) == []
+    with pytest.raises(ConfigError, match="^trials must be an integer"):
+        sim.run_checks([], 1.5, Seed(1))
     for rho in (float("nan"), 1.0, -np.inf):
         with pytest.raises(ConfigError, match="rho must lie strictly inside"):
             verify_kernels(rho, 10, 100, Seed(1))

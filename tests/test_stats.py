@@ -189,6 +189,20 @@ def test_report_boundary_and_median():
     assert not report_from_statistic(t, n, m, 0.5).reject[1]
 
 
+@pytest.mark.parametrize("n, m, message", [
+    (0, 3, "need m >= 2 and n >= 1"),
+    (3, 0, "need m >= 2 and n >= 1"),
+    (3, 1, "need m >= 2 and n >= 1"),
+    (2.5, 3, "n must be an integer"),
+    (True, 3, "n must be an integer"),
+    (3, 3.0, "m must be an integer"),
+])
+def test_report_rejects_a_bad_size(n, m, message):
+    # a size the rule is not defined at fails before z or the decision
+    with pytest.raises(DomainError, match=message):
+        report_from_statistic(1.0, n, m, 0.05)
+
+
 def test_report_consistency(rng):
     for _ in range(50):
         data = DataMatrix(rng.standard_normal((30, 8)))

@@ -85,8 +85,10 @@ def test_power_domain():
     for alpha in (0.0, 1.0, -0.1):
         with pytest.raises(DomainError):
             asymptotic_power(alpha, 1.0)
-    with pytest.raises(DomainError, match="b must be nonnegative"):
-        asymptotic_power(0.05, -1.0)
+    # -0.0 has its sign bit set, as calibrate_to_theta and SimConfig read it
+    for b in (-1.0, -0.0):
+        with pytest.raises(DomainError, match="b must be nonnegative"):
+            asymptotic_power(0.05, b)
     # a NaN fails every comparison, and an infinite b would give a power of 1
     for b in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(DomainError, match="b must be finite and nonnegative"):
