@@ -399,8 +399,8 @@ def run_checks(checks: Sequence[ChunkCheck], trials: int, seed: Seed,
     chunk, with B set so that the stacks of all the checks fit in
     _CHUNK_BYTES together.  A chunk draws each trial's stream once, at the
     longest block any check needs, and a check reads the first n*m normals
-    of it: the stream is consumed in order and mapped to normals
-    elementwise, so that prefix is standard_normal_block(seed, trial, n, m).
+    of it: a stream's normals are generated in order, so that prefix is
+    standard_normal_block(seed, trial, n, m).
     Each block of _MERGE_TRIALS trials is folded (``_fold_blocks``) before
     the next is drawn.
     """

@@ -131,7 +131,7 @@ def test_c3_null_calibration():
 #
 # tail(z_alpha - b^2/2) is the power in the limit m, n -> infinity with m/n
 # fixed.  At m=40, n=80 the same-sample term II, which the limit drops, still
-# widens the spread of T enough to pull the power at b=2 and b=3 about 0.09
+# widens the spread of T enough to pull the power at b=2 and b=3 about 0.08
 # below the limit (test_c4_gap_is_the_same_sample_term).  Those cells check
 # the limit at two sizes with m/n fixed: the 0.08 window holds at m=80,
 # n=160, and the gap is smaller there than at m=40 by more than the combined
