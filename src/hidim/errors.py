@@ -48,5 +48,7 @@ class ConfigError(HidimError, ValueError):
 def require_integer(name: str, value, error=DomainError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is an integer; a
     bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # an int is one; the exact type test spares the common case the ABC check
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise error(f"{name} must be an integer, got {value!r}")

@@ -119,6 +119,7 @@ def make_family_matrix(family: AlternativeFamily, rho: float, m: int) -> CorrMat
     """The family member R(rho) = I + rho P on m variables.  For every kind
     it is a member exactly when ``cholesky`` factors it; otherwise, and for
     a non-finite rho, NotPositiveSemidefinite is raised."""
+    require_integer("m", m)
     if m < 2:
         raise DomainError("m must be at least 2")
     if not math.isfinite(rho):
@@ -204,20 +205,27 @@ def standard_normal_blocks(seed: Seed, trials: range, rows: int, cols: int) -> n
     """(len(trials), rows, cols) stack whose k-th slice is the block of
     standard normals for (seed, trials[k]), written in place, so the stack
     is the only array the draw allocates."""
+    for name, size in (("rows", rows), ("cols", cols)):
+        require_integer(name, size)
+        if size < 0:
+            raise DomainError(f"{name} must be nonnegative, got {size}")
     # Philox keys each stream by a 64-bit word
     if len(trials) and not (0 <= trials[0] < 2 ** 64 and 0 <= trials[-1] < 2 ** 64):
         raise DomainError("trial index must fit in an unsigned 64-bit integer")
-    return _philox_rows(seed.master, trials, rows * cols,
+    # Python ints, so a product of two small numpy integers cannot wrap
+    return _philox_rows(seed.master, trials, int(rows) * int(cols),
                         "standard_normal").reshape(len(trials), rows, cols)
 
 
 def standard_normal_block(seed: Seed, trial: int, rows: int, cols: int) -> np.ndarray:
     """Deterministic rows x cols block of standard normals for (seed, trial)."""
+    require_integer("trial", trial)
     return standard_normal_blocks(seed, range(trial, trial + 1), rows, cols)[0]
 
 
 def sample_gaussian(chol: CholeskyFactor, n: int, seed: Seed, trial: int) -> DataMatrix:
     """n i.i.d. zero-mean rows with correlation L L' for the given (seed, trial)."""
+    require_integer("n", n)
     if n < 1:
         raise DomainError("n must be a positive integer")
     z = standard_normal_block(seed, trial, n, chol.m)

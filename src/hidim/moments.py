@@ -51,6 +51,14 @@ def pair_partitions(k: int) -> Tuple[PairPartition, ...]:
     return tuple(rec(tuple(range(2 * k))))
 
 
+def _require_index(i, m: int) -> None:
+    """Raise unless ``i`` is an integer index into m variables: a float or
+    a bool is a DomainError, not read as the integer it truncates to."""
+    require_integer("index", i)
+    if i < 0 or i >= m:
+        raise IndexOutOfRange(f"index {i} outside [0, {m})")
+
+
 def isserlis_moment(indices: Sequence[int], r: CorrMatrix) -> float:
     """E[Z_{i1} ... Z_{i2k}] for a centered Gaussian vector with correlation R.
 
@@ -58,10 +66,9 @@ def isserlis_moment(indices: Sequence[int], r: CorrMatrix) -> float:
     An odd number of indices gives 0 by symmetry.  Indices are 0-based and
     may repeat.
     """
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(indices)
     for i in idx:
-        if i < 0 or i >= r.m:
-            raise IndexOutOfRange(f"index {i} outside [0, {r.m})")
+        _require_index(i, r.m)
     if len(idx) % 2 == 1:
         return 0.0
     if not idx:
@@ -98,7 +105,10 @@ def central_product_moment(duples: Sequence[Tuple[int, int]], r: CorrMatrix) -> 
     is evaluated with ``isserlis_moment``; with at most 4 duples that is
     at most 16 Wick sums of order <= 8.
     """
-    duples = [(int(p), int(q)) for p, q in duples]
+    duples = list(duples)
+    for duple in duples:
+        for i in duple:
+            _require_index(i, r.m)
     if len(duples) < 1:
         raise DomainError("need at least one duple")
     if len(duples) > 4:

@@ -11,6 +11,12 @@ Phi(-x), so both share that one expression.
 tail(x) = p, as ``-scipy.special.ndtri(p)`` (Cephes' probit).  The tests
 hold it to 50-digit reference values and round-trip it through
 ``normal_tail``.
+
+Each function imports its ``scipy.special`` ufunc when it is called, not
+when this module loads: that import costs more than half of a fresh
+``import hidim``, and a process that never takes a normal CDF or quantile
+(``hidim verify``, ``hidim gen``, a usage error) never pays it.  After the
+first call the import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import DomainError
 
@@ -27,6 +32,7 @@ _SQRT2 = math.sqrt(2.0)
 
 def normal_cdf(x):
     """Phi(x) for a scalar or array argument."""
+    from scipy.special import erfc
     arr = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-arr / _SQRT2)
     return float(out) if arr.ndim == 0 else out
@@ -44,6 +50,7 @@ def normal_quantile(p):
     # Two reductions and no boolean temporaries; a NaN fails both comparisons.
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
+    from scipy.special import ndtri
     result = ndtri(arr)
     return -float(result) if arr.ndim == 0 else np.negative(result, out=result)
 

@@ -7,6 +7,10 @@ one ``error:`` line and leaves no output file behind; no warning
 escapes; and no config reaches the Monte Carlo engine with a value it
 cannot take, judged here on the values themselves rather than through
 ``SimConfig``'s own validation.
+
+The library calls below the CLI take hostile sizes and indices too: a
+float, a bool or a negative size is a ``DomainError`` that names the
+argument, never a bare ``TypeError`` or a truncated index.
 """
 
 import contextlib
@@ -22,8 +26,12 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
+import pytest
 
-from hidim import cli
+from hidim import (AlternativeFamily, CorrMatrix, DomainError, IndexOutOfRange, Seed, cli,
+                   central_product_moment, isserlis_moment, make_family_matrix,
+                   sample_gaussian, standard_normal_block, standard_normal_blocks)
+from hidim.matrix import cholesky
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 _NAN, _INF = float("nan"), float("inf")
@@ -238,3 +246,71 @@ def test_gen_survives_hostile_flags(flags):
         data = np.loadtxt(io.StringIO(texts[0]), delimiter=",", ndmin=2)
         assert data.shape == (flags["n"], flags["m"]) and np.isfinite(data).all()
         assert json.loads(texts[1])["m"] == flags["m"]
+
+
+_I3 = CorrMatrix.identity(3)
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(lambda: isserlis_moment([0, 1.5], _I3), "1.5", id="float"),
+    pytest.param(lambda: isserlis_moment([True, 0], _I3), "True", id="bool"),
+    pytest.param(lambda: isserlis_moment([0, 1.0, 2, 2], _I3), "1.0", id="float-even"),
+    pytest.param(lambda: isserlis_moment([np.True_, 0], _I3), "", id="numpy-bool"),
+    pytest.param(lambda: central_product_moment([(0, 1.5)], _I3), "1.5", id="duple-float"),
+    pytest.param(lambda: central_product_moment([(0, 2), (False, 1)], _I3), "False",
+                 id="duple-bool"),
+])
+def test_a_moment_index_that_is_not_an_integer_is_a_domain_error(call, bad):
+    with pytest.raises(DomainError, match=f"^index must be an integer, got {bad}"):
+        call()
+
+
+def test_moment_indices_take_numpy_integers_and_stay_in_range():
+    r = CorrMatrix([[1.0, 0.3, 0.0], [0.3, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    assert isserlis_moment(list(np.array([0, 1, 1, 2])), r) == isserlis_moment([0, 1, 1, 2], r)
+    assert (central_product_moment([(np.int32(0), np.int64(1)), (np.uint8(1), 2)], r)
+            == central_product_moment([(0, 1), (1, 2)], r))
+    # out of range in any duple, before any moment is read
+    for duples, bad in (([(0, 3)], 3), ([(0, 1), (-1, 2)], -1)):
+        with pytest.raises(IndexOutOfRange, match=f"^index {bad} outside"):
+            central_product_moment(duples, r)
+
+
+_CHOL = cholesky(_I3)
+_EQUI = AlternativeFamily.equicorrelation()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sample_gaussian(_CHOL, 3.0, Seed(0), 0),
+                 "n must be an integer, got 3.0", id="n-float"),
+    pytest.param(lambda: sample_gaussian(_CHOL, True, Seed(0), 0),
+                 "n must be an integer, got True", id="n-bool"),
+    pytest.param(lambda: sample_gaussian(_CHOL, 3, Seed(0), 0.0),
+                 "trial must be an integer, got 0.0", id="sample-trial-float"),
+    pytest.param(lambda: standard_normal_block(Seed(0), 0, 2.0, 3),
+                 "rows must be an integer, got 2.0", id="rows-float"),
+    pytest.param(lambda: standard_normal_block(Seed(0), 0, 2, 3.0),
+                 "cols must be an integer, got 3.0", id="cols-float"),
+    pytest.param(lambda: standard_normal_block(Seed(0), 1.5, 2, 3),
+                 "trial must be an integer, got 1.5", id="trial-float"),
+    pytest.param(lambda: standard_normal_block(Seed(0), True, 2, 3),
+                 "trial must be an integer, got True", id="trial-bool"),
+    pytest.param(lambda: standard_normal_block(Seed(0), 0, -1, 3),
+                 "rows must be nonnegative, got -1", id="rows-negative"),
+    pytest.param(lambda: standard_normal_block(Seed(0), 0, 2, -3),
+                 "cols must be nonnegative, got -3", id="cols-negative"),
+    pytest.param(lambda: standard_normal_blocks(Seed(0), range(2), False, 3),
+                 "rows must be an integer, got False", id="blocks-rows-bool"),
+    pytest.param(lambda: make_family_matrix(_EQUI, 0.1, 2.0),
+                 "m must be an integer, got 2.0", id="m-float"),
+    pytest.param(lambda: make_family_matrix(_EQUI, 0.1, True),
+                 "m must be an integer, got True", id="m-bool"),
+])
+def test_a_bad_draw_size_is_a_domain_error_naming_it(call, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
+
+
+def test_a_draw_takes_numpy_integer_sizes():
+    block = standard_normal_block(Seed(0), np.uint64(0), np.uint8(200), np.uint8(200))
+    assert np.array_equal(block, standard_normal_block(Seed(0), 0, 200, 200))
