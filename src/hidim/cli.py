@@ -25,7 +25,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DegenerateColumn, HidimError
+from .errors import ConfigError, DegenerateColumn, HidimError, require_count
 from .generators import (AlternativeFamily, Seed, calibrate_to_theta,
                          make_family_matrix, sample_from_matrix)
 from .matrix import CorrMatrix
@@ -188,11 +188,9 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     # an option no check can take fails before any gate runs
-    if args.which == "all" and args.workers < 1:
-        raise ConfigError("workers must be a positive integer")
-    if args.which == "all" and args.trials < 2:
-        raise ConfigError(f"--trials {args.trials}: "
-                          "a Monte Carlo moment check needs at least 2 trials")
+    if args.which == "all":
+        require_count("--workers", args.workers, 1, ConfigError)
+        require_count("--trials", args.trials, 2, ConfigError)
     _check_writable(report=args.report)
     identities = []
     checks: list[MomentCheck] = []

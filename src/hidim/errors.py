@@ -1,6 +1,7 @@
-"""Exception types shared across the library, and the integer check that
-raises them."""
+"""Exception types shared across the library, and one check per kind of
+argument: an integer, a count >= a floor, a signal b and a level alpha."""
 
+import math
 import numbers
 
 
@@ -52,3 +53,31 @@ def require_integer(name: str, value, error=DomainError) -> None:
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, numbers.Integral)):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_count(name: str, value, floor: int, error=DomainError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``floor``."""
+    require_integer(name, value, error)
+    if value < floor:
+        raise error(f"{name} must be an integer >= {floor}, got {value!r}")
+
+
+def _require_real(name: str, value, error) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+def require_signal(b, error=DomainError) -> None:
+    """Raise ``error`` unless ``b`` is a finite real >= 0 with its sign bit clear."""
+    _require_real("b", b, error)
+    if not math.isfinite(b):
+        raise error("b must be finite and nonnegative")
+    if b < 0.0 or math.copysign(1.0, b) < 0.0:     # -0.0 too
+        raise error("b must be nonnegative")
+
+
+def require_level(alpha, error=DomainError) -> None:
+    """Raise ``error`` unless the level ``alpha`` is a real inside (0, 1)."""
+    _require_real("alpha", alpha, error)
+    if not 0.0 < alpha < 1.0:     # a NaN fails it too
+        raise error("alpha must lie strictly inside (0, 1)")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveSemidefinite, Unachievable, require_integer
+from .errors import (DomainError, NotPositiveSemidefinite, Unachievable, require_count,
+                     require_integer, require_signal)
 from .matrix import CholeskyFactor, CorrMatrix, cholesky
 from .stats import DataMatrix
 # Not called here: bench/tracing.py wraps normal_quantile at this lookup site
@@ -60,11 +61,10 @@ class AlternativeFamily:
     def __post_init__(self):
         if self.kind not in _TAKES_K:
             raise DomainError(f"unknown family kind {self.kind!r}")
-        if not _TAKES_K[self.kind]:
-            if self.k is not None:
-                raise DomainError(f"{self.kind} takes no parameter")
-        elif type(self.k) is not int or self.k < 1:
-            raise DomainError(f"{self.kind} needs an integer k >= 1, got {self.k!r}")
+        if _TAKES_K[self.kind]:
+            require_count(f"{self.kind} k", self.k, 1)
+        elif self.k is not None:
+            raise DomainError(f"{self.kind} takes no parameter")
 
     @classmethod
     def equicorrelation(cls) -> "AlternativeFamily":
@@ -119,9 +119,7 @@ def make_family_matrix(family: AlternativeFamily, rho: float, m: int) -> CorrMat
     """The family member R(rho) = I + rho P on m variables.  For every kind
     it is a member exactly when ``cholesky`` factors it; otherwise, and for
     a non-finite rho, NotPositiveSemidefinite is raised."""
-    require_integer("m", m)
-    if m < 2:
-        raise DomainError("m must be at least 2")
+    require_count("m", m, 2)
     if not math.isfinite(rho):
         raise NotPositiveSemidefinite(f"rho must be finite, got {rho!r}")
     # |rho| near the float limit overflows to inf as CorrMatrix symmetrizes
@@ -139,12 +137,9 @@ def calibrate_to_theta(family: AlternativeFamily, b: float, m: int, n: int) -> C
     when the member it names has no Cholesky factor, an overflowing
     signal among them.
     """
-    if not math.isfinite(b):
-        raise DomainError("b must be finite and nonnegative")
-    if b < 0.0 or math.copysign(1.0, b) < 0.0:     # -0.0 too
-        raise DomainError("b must be nonnegative")
-    if m < 2 or n < 1:
-        raise DomainError(f"need m >= 2 and n >= 1, got m = {m} and n = {n}")
+    require_signal(b)
+    require_count("m", m, 2)
+    require_count("n", n, 1)
     target = b * math.sqrt(m / n)
     rho = target / family.signal_coefficient(m)
     try:
@@ -205,10 +200,8 @@ def standard_normal_blocks(seed: Seed, trials: range, rows: int, cols: int) -> n
     """(len(trials), rows, cols) stack whose k-th slice is the block of
     standard normals for (seed, trials[k]), written in place, so the stack
     is the only array the draw allocates."""
-    for name, size in (("rows", rows), ("cols", cols)):
-        require_integer(name, size)
-        if size < 0:
-            raise DomainError(f"{name} must be nonnegative, got {size}")
+    require_count("rows", rows, 0)
+    require_count("cols", cols, 0)
     # Philox keys each stream by a 64-bit word
     if len(trials) and not (0 <= trials[0] < 2 ** 64 and 0 <= trials[-1] < 2 ** 64):
         raise DomainError("trial index must fit in an unsigned 64-bit integer")
@@ -225,9 +218,7 @@ def standard_normal_block(seed: Seed, trial: int, rows: int, cols: int) -> np.nd
 
 def sample_gaussian(chol: CholeskyFactor, n: int, seed: Seed, trial: int) -> DataMatrix:
     """n i.i.d. zero-mean rows with correlation L L' for the given (seed, trial)."""
-    require_integer("n", n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    require_count("n", n, 1)
     z = standard_normal_block(seed, trial, n, chol.m)
     return DataMatrix(z @ chol.lower.T)
 

@@ -49,7 +49,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .errors import DomainError, require_integer
+from .errors import DomainError, require_count
 from .matrix import CorrMatrix
 from .moments import central_product_moment
 
@@ -124,9 +124,7 @@ def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray
     shape (4,) or (4, reps); ``variants`` lists (name, swapped) pairs.  The
     result has shape (len(variants),) or (len(variants), reps).
     """
-    require_integer("n", n)
-    if n < 4:
-        raise DomainError("kernels are degree 4, so n >= 4 is required")
+    require_count("n", n, 4)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] != 4 or y.shape != x.shape:
@@ -195,9 +193,7 @@ def expectation_by_expansion(name: str, rho: float, n: int, swapped: bool = Fals
     """
     if not abs(rho) <= 1.0:    # a NaN fails it too
         raise DomainError("rho must lie in [-1, 1]")
-    require_integer("n", n)
-    if n < 4:
-        raise DomainError("kernels are degree 4, so n >= 4 is required")
+    require_count("n", n, 4)
     power, addends = KERNELS[name]
     total = 0.0
     for mult, slots in addends:

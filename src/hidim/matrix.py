@@ -36,6 +36,8 @@ class CorrMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.rho):     # a cast would drop the imaginary parts
+            raise ValueError("correlation matrix must be real, got complex entries")
         arr = np.array(self.rho, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("correlation matrix must be square and non-empty")

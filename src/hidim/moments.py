@@ -20,7 +20,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, TooLarge, require_integer
+from .errors import DomainError, IndexOutOfRange, TooLarge, require_count, require_integer
 from .matrix import CorrMatrix
 
 # Enumeration guards, sized so worst-case desk runtime stays under ~10 s.
@@ -30,11 +30,11 @@ MAX_M_S = 60
 PairPartition = Tuple[Tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pair_partitions(k: int) -> Tuple[PairPartition, ...]:
-    """All perfect matchings of {0, ..., 2k-1}; there are (2k)!/(2^k k!)."""
-    if k < 1:
-        raise DomainError("k must be a positive integer")
+    """All perfect matchings of {0, ..., 2k-1}; there are (2k)!/(2^k k!).
+    The cache is typed, so that a bool k is checked, not served as its int."""
+    require_count("k", k, 1)
     if k > MAX_PARTITION_K:
         raise TooLarge(f"pair partitions limited to k <= {MAX_PARTITION_K}")
 
@@ -91,9 +91,8 @@ def central_pair_moment(p1: int, q1: int, p2: int, q2: int, r: CorrMatrix) -> fl
     elementwise.
     """
     for i in (p1, q1, p2, q2):
-        low, high = (i.min(), i.max()) if isinstance(i, np.ndarray) else (i, i)
-        if low < 0 or high >= r.m:
-            raise IndexOutOfRange(f"index {low if low < 0 else high} outside [0, {r.m})")
+        for end in (i.min(), i.max()) if isinstance(i, np.ndarray) else (i,):
+            _require_index(end, r.m)
     rho = r.rho
     return rho[p1, q2] * rho[q1, p2] + rho[p1, p2] * rho[q1, q2]
 
@@ -132,10 +131,12 @@ def f_partial(lam: Sequence[int], u1: float, u2: float, u3: float) -> float:
 
     Orders above 2 in the third argument vanish because f is quadratic in u3.
     """
-    lam = tuple(int(v) for v in lam)
-    if len(lam) != 3 or any(v < 0 for v in lam):
+    lam = tuple(lam)
+    if len(lam) != 3:
         raise DomainError("lam must be three nonnegative integers")
-    if u1 <= 0.0 or u2 <= 0.0:
+    for k, order in enumerate(lam):
+        require_count(f"lam[{k}]", order, 0)
+    if not (u1 > 0.0 and u2 > 0.0):     # a NaN fails it too
         raise DomainError("u1 and u2 must be positive")
     l1, l2, l3 = lam
     if l3 > 2:
@@ -178,9 +179,7 @@ def var_i_exact(r: CorrMatrix, n: int) -> float:
     + 4 sum A o A] / 4.  ``s_sum``, which enumerates the duple pairs, is its
     independent oracle.
     """
-    require_integer("n", n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    require_count("n", n, 1)
     rho = r.rho
     a = rho * rho
     r_sq = rho @ rho
@@ -201,9 +200,7 @@ def kernel_expectations(rho: float, n: int) -> Dict[str, float]:
     """
     if not abs(rho) <= 1.0:
         raise DomainError("rho must lie in [-1, 1]")
-    require_integer("n", n)
-    if n < 4:
-        raise DomainError("kernels have degree 4, so n >= 4 is required")
+    require_count("n", n, 4)
     r2 = rho * rho
     nf = float(n)
     return {"h1": (1.0 + r2) / nf,
@@ -217,9 +214,7 @@ def expected_ii1(r: CorrMatrix, n: int) -> float:
     Sum over p < q of (16 + n^2 + (80 + 8n + n^2) rho_pq^2) / n^3; its
     n -> infinity limit is the centering constant m(m-1)/(2n).
     """
-    require_integer("n", n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    require_count("n", n, 1)
     nf = float(n)
     iu = np.triu_indices(r.m, 1)
     rho2 = r.rho[iu] ** 2

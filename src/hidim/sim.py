@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, Unachievable, require_integer
+from .errors import ConfigError, Unachievable, require_count, require_level, require_signal
 # Not called here: bench/tracing.py wraps sample_gaussian, _uniform_open and
 # normal_quantile at this lookup site, so the names stay bound.
 from .generators import (AlternativeFamily, Seed, _uniform_open,
@@ -100,9 +100,11 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("m", "n", "trials", "workers"):
+        # a stored field is a JSON type, so that json.dumps can write it
+        for name, floor in (("m", 2), ("n", 1), ("trials", 100), ("workers", 1)):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            require_count(name, getattr(self, name), floor, ConfigError)
         for name, kind in (("seed", Seed), ("family", AlternativeFamily), ("cov_mode", CovMode)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be of type {kind.__name__}, "
@@ -111,20 +113,11 @@ class SimConfig:
             raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
         if not all(map(_is_number, self.b_grid)):
             raise ConfigError(f"b grid values must be real numbers, got {self.b_grid!r}")
-        if self.m < 2 or self.n < 1:
-            raise ConfigError("need m >= 2 and n >= 1")
         if self.cov_mode is CovMode.SAMPLE_CENTERED and self.n < 2:
             raise ConfigError("centered covariances need n >= 2")
-        if self.trials < 100:
-            raise ConfigError("statistical runs need at least 100 trials")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie strictly inside (0, 1)")
-        if self.workers < 1:
-            raise ConfigError("workers must be a positive integer")
-        # a NaN fails both comparisons; -0.0 has its sign bit set
-        if not all(0.0 <= b < math.inf and (b > 0.0 or math.copysign(1.0, b) > 0.0)
-                   for b in self.b_grid):
-            raise ConfigError("b grid values must be finite and nonnegative")
+        require_level(self.alpha, ConfigError)
+        for b in self.b_grid:
+            require_signal(b, ConfigError)
         if list(self.b_grid) != sorted(self.b_grid):
             raise ConfigError("b grid must be sorted ascending")
 
@@ -208,8 +201,7 @@ class MomentCheck:
 
 
 def _map_trials(fn: Callable[[int], object], trials: int, workers: int) -> list:
-    if not _is_integer(workers) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
+    require_count("workers", workers, 1, ConfigError)
     if workers == 1:
         return [fn(t) for t in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -371,7 +363,7 @@ def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
     variance.  E[I] = 0 exactly, so E[I^2] = Var(I): the check is a mean of
     per-trial values like every other, with a mean's standard error, and
     needs no fourth-moment formula for the error of a sample variance."""
-    require_integer("n", n, ConfigError)
+    require_count("n", n, 1, ConfigError)
     return ChunkCheck(cholesky(r), n, lambda x: np.square(term_i(x, r))[None],
                       [(name, var_i_exact(r, n))])
 
@@ -379,7 +371,7 @@ def var_i_check(r: CorrMatrix, n: int, name: str = "var_i") -> ChunkCheck:
 def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
     """Monte Carlo means of the same-sample component II1 (against its exact
     closed form) and of the cross-sample term (against zero)."""
-    require_integer("n", n, ConfigError)
+    require_count("n", n, 1, ConfigError)
     cells = _Cells.of(r)   # decompose's constants, shared by every chunk
 
     def reduce(x: np.ndarray) -> np.ndarray:
@@ -462,9 +454,7 @@ def _fold_blocks(trials: int, block_rows: Callable[[range], list]) -> list:
     """(count, sum, M2) of each row set over trials 0..trials-1: ``block_rows``
     maps each block of _MERGE_TRIALS trials to one (rows, len(block)) array per
     row set, reduced and merged in order before the next block is drawn."""
-    require_integer("trials", trials, ConfigError)
-    if trials < 2:
-        raise ConfigError("a Monte Carlo moment check needs at least 2 trials")
+    require_count("trials", trials, 2, ConfigError)
     blocks = (list(map(_row_moments, block_rows(range(trials)[lo:lo + _MERGE_TRIALS])))
               for lo in range(0, trials, _MERGE_TRIALS))
     return functools.reduce(lambda a, b: list(map(_merge_moments, a, b)), blocks)
@@ -479,7 +469,7 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
     from the trial streams, which count up from 0."""
     if not abs(rho) < 1.0:
         raise ConfigError("rho must lie strictly inside (-1, 1)")
-    require_integer("n", n, ConfigError)
+    require_count("n", n, 4, ConfigError)
     exact = kernel_expectations(rho, n)
 
     def block_rows(block: range) -> list:

@@ -14,7 +14,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import theory
-from .errors import DegenerateColumn, DimensionMismatch, DomainError, require_integer
+from .errors import (DegenerateColumn, DimensionMismatch, DomainError, require_count,
+                     require_level)
 from .matrix import CorrMatrix, frobenius_signal
 
 
@@ -55,6 +56,8 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):     # a cast would drop the imaginary parts
+            raise ValueError("data must be real, got complex values")
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2:
             raise ValueError("data must be a 2-D array of samples x variables")
@@ -190,6 +193,8 @@ def _as_stack(data: Union[DataMatrix, np.ndarray]):
     the array itself for a stack."""
     if isinstance(data, DataMatrix):
         return data.values[None], lambda values: float(values[0])
+    if np.iscomplexobj(data):
+        raise ValueError("a data stack must be real, got complex values")
     x = np.asarray(data, dtype=float)
     if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] < 2:
         raise ValueError("a data stack must be a (B, n, m) array with n >= 1 and m >= 2")
@@ -214,12 +219,9 @@ def _level_rule(n: int, m: int, alpha: float):
     """The center m(m-1)/(2n) of T and the bound (m/n) z_alpha that the
     centered T must exceed to reject, built once per (n, m, alpha); typed,
     so that a bool or float size is checked, not served as its int."""
-    require_integer("n", n)
-    require_integer("m", m)
-    if n < 1 or m < 2:
-        raise DomainError(f"need m >= 2 and n >= 1, got m = {m} and n = {n}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie strictly inside (0, 1)")
+    require_count("n", n, 1)
+    require_count("m", m, 2)
+    require_level(alpha)
     return m * (m - 1) / (2.0 * n), (m / n) * theory.normal_quantile(alpha)
 
 

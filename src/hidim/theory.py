@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_level, require_signal
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -61,10 +61,6 @@ def asymptotic_power(alpha: float, b: float) -> float:
     ``b`` scales the minimum Frobenius signal b * sqrt(m/n) of the
     alternative class; b = 0 recovers the level alpha itself.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie strictly inside (0, 1)")
-    if not math.isfinite(b):
-        raise DomainError("b must be finite and nonnegative")
-    if b < 0.0 or math.copysign(1.0, b) < 0.0:     # -0.0 too
-        raise DomainError("b must be nonnegative")
+    require_level(alpha)
+    require_signal(b)
     return normal_tail(normal_quantile(alpha) - 0.5 * b * b)

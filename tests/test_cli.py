@@ -226,7 +226,7 @@ def test_power_config_unknown_key(tmp_path, capsys):
     cfg_path.write_text('{"m": 6, "n": 25, "trials": 120, "alpha": 0.05, "seed": 9, '
                         '"b_grid": [0, NaN]}')
     assert run_cli("power", "--config", str(cfg_path)) == 2
-    assert capsys.readouterr().err == "error: b grid values must be finite and nonnegative\n"
+    assert capsys.readouterr().err == "error: b must be finite and nonnegative\n"
 
 
 def test_power_empty_b_grid_names_its_source(tmp_path, capsys):
@@ -463,7 +463,7 @@ def test_negative_zero_b_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: b must be nonnegative\n")
     assert not data.exists() and not (tmp_path / "d.csv.r.json").exists()
     assert run_cli("power", "--m", "6", "--n", "25", "--trials", "120", "--b-grid=-0,1") == 2
-    assert capsys.readouterr() == ("", "error: b grid values must be finite and nonnegative\n")
+    assert capsys.readouterr() == ("", "error: b must be nonnegative\n")
 
 
 def test_verify_isserlis(capsys):
@@ -476,14 +476,15 @@ def test_verify_bad_sizes(capsys):
     # a sample variance needs two trials
     for trials in ("1", "0", "-3"):
         assert run_cli("verify", "all", "--trials", trials) == 2
-        assert capsys.readouterr() == ("", f"error: --trials {trials}: a Monte Carlo "
-                                           "moment check needs at least 2 trials\n")
+        assert capsys.readouterr() == ("", f"error: --trials must be an integer >= 2, "
+                                           f"got {trials}\n")
 
 
 def test_verify_rejects_a_non_positive_worker_count(capsys):
     for workers in ("0", "-4"):
         assert run_cli("verify", "all", "--workers", workers) == 2
-        assert capsys.readouterr().err == "error: workers must be a positive integer\n"
+        assert capsys.readouterr().err == (f"error: --workers must be an integer >= 1, "
+                                           f"got {workers}\n")
 
 
 @pytest.mark.parametrize("option", ["--seed", "--trials", "--workers"])

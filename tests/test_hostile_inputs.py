@@ -10,7 +10,8 @@ cannot take, judged here on the values themselves rather than through
 
 The library calls below the CLI take hostile sizes and indices too: a
 float, a bool or a negative size is a ``DomainError`` that names the
-argument, never a bare ``TypeError`` or a truncated index.
+argument, never a bare ``TypeError`` or a truncated index, and complex
+data is refused rather than cast to its real part.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from unittest import mock
@@ -28,10 +30,13 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from hidim import (AlternativeFamily, CorrMatrix, DomainError, IndexOutOfRange, Seed, cli,
-                   central_product_moment, isserlis_moment, make_family_matrix,
-                   sample_gaussian, standard_normal_block, standard_normal_blocks)
+from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix, DomainError,
+                   IndexOutOfRange, Seed, asymptotic_power, calibrate_to_theta,
+                   central_pair_moment, central_product_moment, cli, decompose, f_partial,
+                   isserlis_moment, make_family_matrix, pair_partitions, sample_gaussian,
+                   standard_normal_block, standard_normal_blocks, statistic_t, term_i)
 from hidim.matrix import cholesky
+from hidim.sim import verify_var_i
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 _NAN, _INF = float("nan"), float("inf")
@@ -296,9 +301,9 @@ _EQUI = AlternativeFamily.equicorrelation()
     pytest.param(lambda: standard_normal_block(Seed(0), True, 2, 3),
                  "trial must be an integer, got True", id="trial-bool"),
     pytest.param(lambda: standard_normal_block(Seed(0), 0, -1, 3),
-                 "rows must be nonnegative, got -1", id="rows-negative"),
+                 "rows must be an integer >= 0, got -1", id="rows-negative"),
     pytest.param(lambda: standard_normal_block(Seed(0), 0, 2, -3),
-                 "cols must be nonnegative, got -3", id="cols-negative"),
+                 "cols must be an integer >= 0, got -3", id="cols-negative"),
     pytest.param(lambda: standard_normal_blocks(Seed(0), range(2), False, 3),
                  "rows must be an integer, got False", id="blocks-rows-bool"),
     pytest.param(lambda: make_family_matrix(_EQUI, 0.1, 2.0),
@@ -314,3 +319,68 @@ def test_a_bad_draw_size_is_a_domain_error_naming_it(call, message):
 def test_a_draw_takes_numpy_integer_sizes():
     block = standard_normal_block(Seed(0), np.uint64(0), np.uint8(200), np.uint8(200))
     assert np.array_equal(block, standard_normal_block(Seed(0), 0, 200, 200))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: calibrate_to_theta(_EQUI, 1.0, 5, 2.5), DomainError,
+                 "n must be an integer, got 2.5", id="calibrate-n-float"),
+    pytest.param(lambda: calibrate_to_theta(_EQUI, 1.0, 5, True), DomainError,
+                 "n must be an integer, got True", id="calibrate-n-bool"),
+    pytest.param(lambda: calibrate_to_theta(_EQUI, True, 5, 10), DomainError,
+                 "b must be a real number, got True", id="calibrate-b-bool"),
+    pytest.param(lambda: asymptotic_power(0.05, True), DomainError,
+                 "b must be a real number, got True", id="power-b-bool"),
+    pytest.param(lambda: pair_partitions(True), DomainError,
+                 "k must be an integer, got True", id="partitions-bool"),
+    pytest.param(lambda: (pair_partitions(1), pair_partitions(True)), DomainError,
+                 "k must be an integer, got True", id="partitions-bool-after-1"),
+    # an untyped cache keys a plain int by itself but a numpy one by a tuple,
+    # which True equals: only a typed cache checks True after np.int64(1)
+    pytest.param(lambda: (pair_partitions(np.int64(1)), pair_partitions(True)), DomainError,
+                 "k must be an integer, got True", id="partitions-bool-after-numpy-1"),
+    pytest.param(lambda: pair_partitions(2.0), DomainError,
+                 "k must be an integer, got 2.0", id="partitions-float"),
+    pytest.param(lambda: f_partial((1.7, 0, 0), 1.0, 1.0, 0.5), DomainError,
+                 "lam[0] must be an integer, got 1.7", id="order-float"),
+    pytest.param(lambda: f_partial((True, 0, 0), 1.0, 1.0, 0.5), DomainError,
+                 "lam[0] must be an integer, got True", id="order-bool"),
+    pytest.param(lambda: f_partial((0, 0, 0), _NAN, 1.0, 0.5), DomainError,
+                 "u1 and u2 must be positive", id="u1-nan"),
+    pytest.param(lambda: central_pair_moment(True, 1, 0, 1, _I3), DomainError,
+                 "index must be an integer, got True", id="pair-index-bool"),
+    pytest.param(lambda: central_pair_moment(1.0, 1, 0, 1, _I3), DomainError,
+                 "index must be an integer, got 1.0", id="pair-index-float"),
+    # a numpy integer is an integer to every rule
+    pytest.param(lambda: (verify_var_i(_I3, 15, np.int64(300), Seed(1), workers=np.int64(2))
+                          == verify_var_i(_I3, 15, 300, Seed(1))), None, None,
+                 id="verify-numpy-workers"),
+    pytest.param(lambda: AlternativeFamily.banded(np.int64(2)) == AlternativeFamily.banded(2),
+                 None, None, id="banded-numpy-k"),
+])
+def test_each_kind_of_argument_is_checked_by_its_one_rule(call, error, message):
+    if error is None:
+        assert call()
+    else:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_complex_data_is_refused_not_truncated():
+    with pytest.raises(ValueError, match="^data must be real"):
+        DataMatrix([[1.0, 2.0 + 1j], [3.0, 4.0], [5.0, 6.0]])
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda stack: statistic_t(stack, CovMode.SAMPLE_CENTERED),
+    lambda stack: decompose(stack, CorrMatrix.identity(3)),
+    lambda stack: term_i(stack, CorrMatrix.identity(3)),
+], ids=["statistic_t", "decompose", "term_i"])
+def test_a_complex_data_stack_is_refused_not_truncated(reduce):
+    stack = np.random.default_rng(0).standard_normal((2, 6, 3)) + 0.5j
+    with pytest.raises(ValueError, match="^a data stack must be real"):
+        reduce(stack)
+
+
+def test_a_complex_correlation_matrix_is_refused_not_truncated():
+    with pytest.raises(ValueError, match="^correlation matrix must be real"):
+        CorrMatrix([[1.0, 0.5 + 1j], [0.5 - 1j, 1.0]])

@@ -92,7 +92,7 @@ def test_evaluation_matches_the_permutation_sum(n, rho):
 
 def test_evaluation_rejects_bad_shapes():
     x = np.zeros((4, 3))
-    with pytest.raises(DomainError, match="n >= 4"):
+    with pytest.raises(DomainError, match="^n must be an integer >= 4, got 3$"):
         kernels.evaluate("h2", x, x, 0.0, 3)
     with pytest.raises(DomainError, match="four samples"):
         kernels.evaluate_variants(x[:3], x[:3], 0.0, 10)

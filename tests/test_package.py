@@ -68,3 +68,26 @@ def test_scipy_special_loads_only_for_a_normal_cdf_or_quantile(tmp_path, last):
     assert _main_in_process([arg.format(tmp=here) for arg in last]) == (0, report["stdout"])
     files = [{path.name: path.read_bytes() for path in tree.iterdir()} for tree in (here, fresh)]
     assert files[0] == files[1]
+
+
+# Run in a fresh interpreter, so that its peak RSS is the kernel check's own:
+# prints whether every check passed and how far the peak grew, in MB.
+_KERNEL_RSS = """
+import json, resource
+from hidim import Seed
+from hidim.sim import verify_kernels
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+checks = verify_kernels(0.5, 10, 1000000, Seed(0))
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+print(json.dumps([all(c.passed for c in checks), grown]))
+"""
+
+
+def test_the_kernel_check_does_not_grow_with_its_draws():
+    """A million kernel draws: the check holds one block of draws at a time
+    and reduces it before the next, so its peak grows by far less than the
+    61 MB that the draws' normals take together."""
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_RSS],
+                          capture_output=True, text=True, timeout=300, check=True)
+    passed, grown = json.loads(proc.stdout)
+    assert passed and grown < 16, (passed, grown)

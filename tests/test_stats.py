@@ -190,9 +190,9 @@ def test_report_boundary_and_median():
 
 
 @pytest.mark.parametrize("n, m, message", [
-    (0, 3, "need m >= 2 and n >= 1"),
-    (3, 0, "need m >= 2 and n >= 1"),
-    (3, 1, "need m >= 2 and n >= 1"),
+    (0, 3, "n must be an integer >= 1"),
+    (3, 0, "m must be an integer >= 2"),
+    (3, 1, "m must be an integer >= 2"),
     (2.5, 3, "n must be an integer"),
     (True, 3, "n must be an integer"),
     (3, 3.0, "m must be an integer"),
