@@ -1,5 +1,6 @@
 """Exception types shared across the library, and one check per kind of
-argument: an integer, a count >= a floor, a signal b and a level alpha."""
+argument: an integer, a count >= a floor, a signal b, a level alpha and a
+correlation rho."""
 
 import math
 import numbers
@@ -81,3 +82,10 @@ def require_level(alpha, error=DomainError) -> None:
     _require_real("alpha", alpha, error)
     if not 0.0 < alpha < 1.0:     # a NaN fails it too
         raise error("alpha must lie strictly inside (0, 1)")
+
+
+def require_correlation(rho, error=DomainError) -> None:
+    """Raise ``error`` unless the correlation ``rho`` is a real inside [-1, 1]."""
+    _require_real("rho", rho, error)
+    if not abs(rho) <= 1.0:     # a NaN fails it too
+        raise error("rho must lie in [-1, 1]")

@@ -45,11 +45,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, perm
+from math import comb, perm, prod
 
 import numpy as np
 
-from .errors import DomainError, require_count
+from .errors import DomainError, require_correlation, require_count
 from .matrix import CorrMatrix
 from .moments import central_product_moment
 
@@ -87,10 +87,11 @@ def _coef(n: int, power: int, r: int) -> float:
     return comb(n, 4) / (float(n) ** power * comb(n - r, 4 - r))
 
 
-def _factor_counts(name: str):
-    """(a, b): the numbers of A and B factors, read off the one-slot addend."""
+def _a_power(name: str) -> int:
+    """a, the number of A factors, read off the one-slot addend; every kernel
+    has two B factors, so on a subset it is (sum A)^a (sum B)^2."""
     (factors,) = next(slots for _, slots in KERNELS[name][1] if len(slots) == 1)
-    return factors.count("A"), factors.count("B")
+    return factors.count("A")
 
 
 def _size_weights(name: str, n: int):
@@ -102,21 +103,6 @@ def _size_weights(name: str, n: int):
             for k in range(1, 5)]
 
 
-def _monomial(memo: dict, sums: np.ndarray, a: int, b: int, swapped: bool):
-    """(sum A)^a (sum B)^b of one subset, from the subset's ``sums`` of A of
-    x, A of y and B; each is built from the one with an A fewer (or a B
-    fewer), kept in ``memo``, so h3 reuses h2's and all reuse B^2."""
-    key = (a, b, swapped and a > 0)
-    if key not in memo:
-        if a:
-            memo[key] = sums[int(swapped)] * _monomial(memo, sums, a - 1, b, swapped)
-        elif b > 1:
-            memo[key] = sums[2] * _monomial(memo, sums, 0, b - 1, False)
-        else:
-            memo[key] = sums[2]
-    return memo[key]
-
-
 def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray:
     """Evaluate several kernel variants on the same four samples.
 
@@ -124,21 +110,21 @@ def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray
     shape (4,) or (4, reps); ``variants`` lists (name, swapped) pairs.  The
     result has shape (len(variants),) or (len(variants), reps).
     """
+    require_correlation(rho)
     require_count("n", n, 4)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] != 4 or y.shape != x.shape:
         raise DomainError("expected four samples in the leading axis")
     shape = (len(variants),) + x.shape[1:]
-    x = x.reshape(4, -1)
-    y = y.reshape(4, -1)
+    x, y = x.reshape(4, -1), y.reshape(4, -1)
     draws = x.shape[1]
     # factor[j]: A of x, A of y and B of sample j
     factor = np.empty((4, 3, draws))
     for f, (u, v, shift) in enumerate(((x, x, 1.0), (y, y, 1.0), (x, y, rho))):
         np.multiply(u, v, out=factor[:, f])
         factor[:, f] -= shift
-    keys = [(*_factor_counts(name), swapped) for name, swapped in variants]
+    keys = [(_a_power(name), int(swapped)) for name, swapped in variants]
     weights = [_size_weights(name, n) for name, _ in variants]
     out = np.zeros((len(variants), draws))
     by_size = np.empty_like(out)
@@ -151,9 +137,15 @@ def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray
                 sums = np.add(sums, factor[t[1]], out=subset_sum)
                 for j in t[2:]:
                     sums += factor[j]
-            monomials = {}
-            for acc, key in zip(by_size, keys):
-                acc += _monomial(monomials, sums, *key)
+            # chains[side][a] = (sum A)^a (sum B)^2, A of x on side 0 and of y
+            # on side 1: B^2 once, then one product per power of A needed
+            bb = sums[2] * sums[2]
+            chains = [[bb], [bb]]
+            for acc, (a, side) in zip(by_size, keys):
+                chain = chains[side]
+                while len(chain) <= a:
+                    chain.append(sums[side] * chain[-1])
+                acc += chain[a]
         for total, acc, g in zip(out, by_size, weights):
             if g[k - 1]:
                 acc *= g[k - 1]
@@ -170,9 +162,7 @@ def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
     the mirrored kernel (coordinates exchanged).
     """
     total = evaluate_variants(x, y, rho, n, ((name, swapped),))[0]
-    if np.ndim(total) == 0:
-        return float(total)
-    return total
+    return float(total) if np.ndim(total) == 0 else total
 
 
 @lru_cache(maxsize=None)
@@ -191,15 +181,11 @@ def expectation_by_expansion(name: str, rho: float, n: int, swapped: bool = Fals
     product of per-slot means, each a ``central_product_moment``; every one
     of the perm(4, r) injective slot assignments contributes the same value.
     """
-    if not abs(rho) <= 1.0:    # a NaN fails it too
-        raise DomainError("rho must lie in [-1, 1]")
+    require_correlation(rho)
     require_count("n", n, 4)
     power, addends = KERNELS[name]
     total = 0.0
     for mult, slots in addends:
-        r = len(slots)
-        prod = 1.0
-        for factors in slots:
-            prod *= _slot_mean(factors, rho, swapped)
-        total += _coef(n, power, r) * mult * perm(4, r) * prod
+        means = prod(_slot_mean(factors, rho, swapped) for factors in slots)
+        total += _coef(n, power, len(slots)) * mult * perm(4, len(slots)) * means
     return total

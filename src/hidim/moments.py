@@ -20,7 +20,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, TooLarge, require_count, require_integer
+from .errors import (DomainError, IndexOutOfRange, TooLarge, require_correlation, require_count,
+                     require_integer)
 from .matrix import CorrMatrix
 
 # Enumeration guards, sized so worst-case desk runtime stays under ~10 s.
@@ -136,8 +137,11 @@ def f_partial(lam: Sequence[int], u1: float, u2: float, u3: float) -> float:
         raise DomainError("lam must be three nonnegative integers")
     for k, order in enumerate(lam):
         require_count(f"lam[{k}]", order, 0)
-    if not (u1 > 0.0 and u2 > 0.0):     # a NaN fails it too
-        raise DomainError("u1 and u2 must be positive")
+    for name, u in (("u1", u1), ("u2", u2)):
+        if not 0.0 < u < math.inf:     # a NaN fails it too
+            raise DomainError(f"{name} must be finite and positive, got {u!r}")
+    if not math.isfinite(u3):
+        raise DomainError(f"u3 must be finite, got {u3!r}")
     l1, l2, l3 = lam
     if l3 > 2:
         return 0.0
@@ -198,8 +202,7 @@ def kernel_expectations(rho: float, n: int) -> Dict[str, float]:
     names and expands each kernel's addends into per-sample slot means,
     each a ``central_product_moment``.
     """
-    if not abs(rho) <= 1.0:
-        raise DomainError("rho must lie in [-1, 1]")
+    require_correlation(rho)
     require_count("n", n, 4)
     r2 = rho * rho
     nf = float(n)

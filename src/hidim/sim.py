@@ -29,7 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, Unachievable, require_count, require_level, require_signal
+from .errors import (ConfigError, Unachievable, require_correlation, require_count, require_level,
+                     require_signal)
 # Not called here: bench/tracing.py wraps sample_gaussian, _uniform_open and
 # normal_quantile at this lookup site, so the names stay bound.
 from .generators import (AlternativeFamily, Seed, _uniform_open,
@@ -467,8 +468,7 @@ def verify_kernels(rho: float, n: int, trials: int, seed: Seed) -> List[MomentCh
     are evaluated elementwise in one call per ``_fold_blocks`` block; block
     b draws 8 normals a draw from stream 2^64 - 1 - b of ``seed``, apart
     from the trial streams, which count up from 0."""
-    if not abs(rho) < 1.0:
-        raise ConfigError("rho must lie strictly inside (-1, 1)")
+    require_correlation(rho, ConfigError)
     require_count("n", n, 4, ConfigError)
     exact = kernel_expectations(rho, n)
 

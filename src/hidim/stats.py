@@ -49,6 +49,23 @@ def _non_finite(arr: np.ndarray) -> ValueError:
                       f"variable {variable} is {arr[(*where, sample, variable)]}")
 
 
+def _checked_data(values, ndim: int, copy=None) -> np.ndarray:
+    """``values`` as an ``ndim``-D float array of (..., n, m), n >= 1 and m >= 2,
+    all finite; a copy only if ``copy`` or the cast needs one.  Complex values
+    are refused before the cast, which would drop their imaginary parts."""
+    if np.iscomplexobj(values):
+        raise ValueError("data must be real, got complex values")
+    arr = np.array(values, dtype=float, copy=copy)
+    if arr.ndim != ndim:
+        raise ValueError(f"data must be a {ndim}-D array with samples x variables last, "
+                         f"got shape {arr.shape}")
+    if arr.shape[-2] < 1 or arr.shape[-1] < 2:
+        raise ValueError("data needs at least 1 sample and 2 variables")
+    if not np.all(np.isfinite(arr)):
+        raise _non_finite(arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """n samples (rows) by m variables (columns) of finite observations."""
@@ -56,15 +73,7 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.values):     # a cast would drop the imaginary parts
-            raise ValueError("data must be real, got complex values")
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("data must be a 2-D array of samples x variables")
-        if arr.shape[0] < 1 or arr.shape[1] < 2:
-            raise ValueError("data needs at least 1 sample and 2 variables")
-        if not np.all(np.isfinite(arr)):
-            raise _non_finite(arr)
+        arr = _checked_data(self.values, 2, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -193,14 +202,7 @@ def _as_stack(data: Union[DataMatrix, np.ndarray]):
     the array itself for a stack."""
     if isinstance(data, DataMatrix):
         return data.values[None], lambda values: float(values[0])
-    if np.iscomplexobj(data):
-        raise ValueError("a data stack must be real, got complex values")
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] < 2:
-        raise ValueError("a data stack must be a (B, n, m) array with n >= 1 and m >= 2")
-    if not np.all(np.isfinite(x)):
-        raise _non_finite(x)
-    return x, lambda values: values
+    return _checked_data(data, 3), lambda values: values
 
 
 def statistic_t(data: Union[DataMatrix, np.ndarray], mode: CovMode):

@@ -10,8 +10,11 @@ cannot take, judged here on the values themselves rather than through
 
 The library calls below the CLI take hostile sizes and indices too: a
 float, a bool or a negative size is a ``DomainError`` that names the
-argument, never a bare ``TypeError`` or a truncated index, and complex
-data is refused rather than cast to its real part.
+argument, never a bare ``TypeError`` or a truncated index; a correlation
+outside [-1, 1] or not a real number is refused at every call that takes
+one; and data of the wrong type, shape or size, or with a non-finite entry,
+is refused by the one data checker, complex data rather than cast to its
+real part.
 """
 
 import contextlib
@@ -30,11 +33,12 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix, DomainError,
-                   IndexOutOfRange, Seed, asymptotic_power, calibrate_to_theta,
+from hidim import (AlternativeFamily, ConfigError, CorrMatrix, CovMode, DataMatrix,
+                   DomainError, IndexOutOfRange, Seed, asymptotic_power, calibrate_to_theta,
                    central_pair_moment, central_product_moment, cli, decompose, f_partial,
-                   isserlis_moment, make_family_matrix, pair_partitions, sample_gaussian,
-                   standard_normal_block, standard_normal_blocks, statistic_t, term_i)
+                   isserlis_moment, kernel_expectations, kernels, make_family_matrix,
+                   pair_partitions, sample_gaussian, standard_normal_block,
+                   standard_normal_blocks, statistic_t, term_i, verify_kernels)
 from hidim.matrix import cholesky
 from hidim.sim import verify_var_i
 
@@ -321,6 +325,37 @@ def test_a_draw_takes_numpy_integer_sizes():
     assert np.array_equal(block, standard_normal_block(Seed(0), 0, 200, 200))
 
 
+_X4, _Y4 = np.random.default_rng(0).standard_normal((2, 4, 3))
+# each call that takes a correlation rho, its error class, and the numbers it
+# computes from rho
+_RHO_CALLS = {
+    "kernel_expectations": (DomainError, lambda rho: list(kernel_expectations(rho, 10).values())),
+    "expectation_by_expansion": (DomainError,
+                                 lambda rho: kernels.expectation_by_expansion("h3", rho, 10)),
+    "evaluate_variants": (DomainError, lambda rho: kernels.evaluate_variants(_X4, _Y4, rho, 10)),
+    "evaluate": (DomainError, lambda rho: kernels.evaluate("h2", _X4, _Y4, rho, 10, True)),
+    "verify_kernels": (ConfigError,
+                       lambda rho: [c.z_score for c in verify_kernels(rho, 10, 100, Seed(0))]),
+}
+_OUTSIDE = "rho must lie in [-1, 1]"
+_BAD_RHOS = [(True, "rho must be a real number, got True", "bool"),
+             (np.True_, f"rho must be a real number, got {np.True_!r}", "numpy-bool"),
+             ("0.5", "rho must be a real number, got '0.5'", "string"),
+             (_NAN, _OUTSIDE, "nan"), (_INF, _OUTSIDE, "inf"), (-_INF, _OUTSIDE, "-inf"),
+             (1.0 + 2.0 ** -52, _OUTSIDE, "above-1"), (-1.5, _OUTSIDE, "below-minus-1")]
+
+
+def _rho_cases():
+    """A refused and an accepted case per bad and per extreme rho at each call."""
+    for site, (error, call) in _RHO_CALLS.items():
+        for rho, message, label in _BAD_RHOS:
+            yield pytest.param(lambda call=call, rho=rho: call(rho), error, message,
+                               id=f"{site}-rho-{label}")
+        for rho in (1.0, -1.0):
+            yield pytest.param(lambda call=call, rho=rho: np.all(np.isfinite(call(rho))),
+                               None, None, id=f"{site}-rho-{rho:+.0f}")
+
+
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: calibrate_to_theta(_EQUI, 1.0, 5, 2.5), DomainError,
                  "n must be an integer, got 2.5", id="calibrate-n-float"),
@@ -345,7 +380,21 @@ def test_a_draw_takes_numpy_integer_sizes():
     pytest.param(lambda: f_partial((True, 0, 0), 1.0, 1.0, 0.5), DomainError,
                  "lam[0] must be an integer, got True", id="order-bool"),
     pytest.param(lambda: f_partial((0, 0, 0), _NAN, 1.0, 0.5), DomainError,
-                 "u1 and u2 must be positive", id="u1-nan"),
+                 "u1 must be finite and positive, got nan", id="u1-nan"),
+    pytest.param(lambda: f_partial((0, 0, 0), _INF, 1.0, 0.5), DomainError,
+                 "u1 must be finite and positive, got inf", id="u1-inf"),
+    pytest.param(lambda: f_partial((0, 0, 0), 1.0, 0.0, 0.5), DomainError,
+                 "u2 must be finite and positive, got 0.0", id="u2-zero"),
+    pytest.param(lambda: f_partial((0, 0, 0), 1.0, -_INF, 0.5), DomainError,
+                 "u2 must be finite and positive, got -inf", id="u2-minus-inf"),
+    pytest.param(lambda: f_partial((0, 0, 0), 1.0, 1.0, _NAN), DomainError,
+                 "u3 must be finite, got nan", id="u3-nan"),
+    pytest.param(lambda: f_partial((0, 0, 1), 1.0, 1.0, _INF), DomainError,
+                 "u3 must be finite, got inf", id="u3-inf"),
+    pytest.param(lambda: f_partial((0, 0, 2), 1.0, 1.0, -_INF), DomainError,
+                 "u3 must be finite, got -inf", id="u3-minus-inf"),
+    pytest.param(lambda: f_partial((0, 0, 0), 2.0, 0.5, -3.0) == 9.0, None, None,
+                 id="u-finite"),
     pytest.param(lambda: central_pair_moment(True, 1, 0, 1, _I3), DomainError,
                  "index must be an integer, got True", id="pair-index-bool"),
     pytest.param(lambda: central_pair_moment(1.0, 1, 0, 1, _I3), DomainError,
@@ -356,6 +405,7 @@ def test_a_draw_takes_numpy_integer_sizes():
                  id="verify-numpy-workers"),
     pytest.param(lambda: AlternativeFamily.banded(np.int64(2)) == AlternativeFamily.banded(2),
                  None, None, id="banded-numpy-k"),
+    *_rho_cases(),
 ])
 def test_each_kind_of_argument_is_checked_by_its_one_rule(call, error, message):
     if error is None:
@@ -365,20 +415,32 @@ def test_each_kind_of_argument_is_checked_by_its_one_rule(call, error, message):
             call()
 
 
-def test_complex_data_is_refused_not_truncated():
-    with pytest.raises(ValueError, match="^data must be real"):
-        DataMatrix([[1.0, 2.0 + 1j], [3.0, 4.0], [5.0, 6.0]])
+_STACK = np.random.default_rng(0).standard_normal((2, 6, 3))
+_HOLED = _STACK.copy()
+_HOLED[1, 4, 2] = _NAN
 
 
-@pytest.mark.parametrize("reduce", [
-    lambda stack: statistic_t(stack, CovMode.SAMPLE_CENTERED),
-    lambda stack: decompose(stack, CorrMatrix.identity(3)),
-    lambda stack: term_i(stack, CorrMatrix.identity(3)),
-], ids=["statistic_t", "decompose", "term_i"])
-def test_a_complex_data_stack_is_refused_not_truncated(reduce):
-    stack = np.random.default_rng(0).standard_normal((2, 6, 3)) + 0.5j
-    with pytest.raises(ValueError, match="^a data stack must be real"):
-        reduce(stack)
+@pytest.mark.parametrize("reduce, ndim, where", [
+    (DataMatrix, 2, ""),
+    (lambda stack: statistic_t(stack, CovMode.SAMPLE_CENTERED), 3, "slice 1, "),
+    (lambda stack: decompose(stack, CorrMatrix.identity(3)), 3, "slice 1, "),
+    (lambda stack: term_i(stack, CorrMatrix.identity(3)), 3, "slice 1, "),
+], ids=["DataMatrix", "statistic_t", "decompose", "term_i"])
+@pytest.mark.parametrize("data, message", [
+    (_STACK + 0.5j, "data must be real, got complex values"),
+    (np.ones(3), "data must be a {ndim}-D array with samples x variables last, got shape (3,)"),
+    (np.ones((1, 2, 6, 3)),
+     "data must be a {ndim}-D array with samples x variables last, got shape (1, 2, 6, 3)"),
+    (_STACK[:, :0], "data needs at least 1 sample and 2 variables"),
+    (_STACK[..., :1], "data needs at least 1 sample and 2 variables"),
+    (_HOLED, "data entries must be finite: {where}sample 4, variable 2 is nan"),
+], ids=["complex", "1-D", "4-D", "zero-rows", "one-column", "nan"])
+def test_bad_data_is_refused_by_its_one_checker(reduce, ndim, where, data, message):
+    # a DataMatrix takes the last slice of a stack; a 1-D or 4-D array as it is
+    if ndim == 2 and data.ndim == 3:
+        data = data[-1]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(ndim=ndim, where=where))}$"):
+        reduce(data)
 
 
 def test_a_complex_correlation_matrix_is_refused_not_truncated():

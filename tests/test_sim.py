@@ -403,9 +403,12 @@ def test_verify_loops_reject_bad_sizes():
     assert sim.run_checks([], 100, Seed(1)) == []
     with pytest.raises(ConfigError, match="^trials must be an integer"):
         sim.run_checks([], 1.5, Seed(1))
-    for rho in (float("nan"), 1.0, -np.inf):
-        with pytest.raises(ConfigError, match="rho must lie strictly inside"):
+    for rho in (float("nan"), -np.inf):
+        with pytest.raises(ConfigError, match=r"^rho must lie in \[-1, 1\]$"):
             verify_kernels(rho, 10, 100, Seed(1))
+    # rho = 1 runs: y = x, and every kernel mean is checked at its closed form
+    checks = verify_kernels(1.0, 10, 20_000, Seed(0))
+    assert len(checks) == 5 and all(np.isfinite(c.z_score) for c in checks)
 
 
 def test_zero_spread_checks_pass_exactly_and_fail_otherwise(monkeypatch):
@@ -527,7 +530,7 @@ def test_verify_kernels_sanity():
     for check in checks:
         assert abs(check.z_score) <= 4.0
     with pytest.raises(ConfigError):
-        verify_kernels(1.0, 8, 100, Seed(0))
+        verify_kernels(1.0 + 2.0 ** -52, 8, 100, Seed(0))
 
 
 def test_verify_kernels_symmetry_at_zero():
