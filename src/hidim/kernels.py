@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, perm, prod
+from math import comb, perm
 
 import numpy as np
 
@@ -117,7 +117,8 @@ def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray
     if x.shape[0] != 4 or y.shape != x.shape:
         raise DomainError("expected four samples in the leading axis")
     shape = (len(variants),) + x.shape[1:]
-    x, y = x.reshape(4, -1), y.reshape(4, -1)
+    x = x.reshape(4, -1)
+    y = y.reshape(4, -1)
     draws = x.shape[1]
     # factor[j]: A of x, A of y and B of sample j
     factor = np.empty((4, 3, draws))
@@ -162,7 +163,9 @@ def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
     the mirrored kernel (coordinates exchanged).
     """
     total = evaluate_variants(x, y, rho, n, ((name, swapped),))[0]
-    return float(total) if np.ndim(total) == 0 else total
+    if np.ndim(total) == 0:
+        return float(total)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -186,6 +189,9 @@ def expectation_by_expansion(name: str, rho: float, n: int, swapped: bool = Fals
     power, addends = KERNELS[name]
     total = 0.0
     for mult, slots in addends:
-        means = prod(_slot_mean(factors, rho, swapped) for factors in slots)
-        total += _coef(n, power, len(slots)) * mult * perm(4, len(slots)) * means
+        r = len(slots)
+        prod = 1.0
+        for factors in slots:
+            prod *= _slot_mean(factors, rho, swapped)
+        total += _coef(n, power, r) * mult * perm(4, r) * prod
     return total

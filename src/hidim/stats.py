@@ -49,13 +49,13 @@ def _non_finite(arr: np.ndarray) -> ValueError:
                       f"variable {variable} is {arr[(*where, sample, variable)]}")
 
 
-def _checked_data(values, ndim: int, copy=None) -> np.ndarray:
+def _checked_data(values, ndim: int, copy: bool = False) -> np.ndarray:
     """``values`` as an ``ndim``-D float array of (..., n, m), n >= 1 and m >= 2,
     all finite; a copy only if ``copy`` or the cast needs one.  Complex values
     are refused before the cast, which would drop their imaginary parts."""
     if np.iscomplexobj(values):
         raise ValueError("data must be real, got complex values")
-    arr = np.array(values, dtype=float, copy=copy)
+    arr = (np.array if copy else np.asarray)(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"data must be a {ndim}-D array with samples x variables last, "
                          f"got shape {arr.shape}")

@@ -12,7 +12,7 @@ from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix,
                    cholesky, decompose, f_partial, make_family_matrix,
                    rao_score_test, sample_gaussian, statistic_t, term_i,
                    report_from_statistic, normal_quantile)
-from hidim.stats import _Cells, _cov_matrix
+from hidim.stats import _Cells, _as_stack, _cov_matrix
 from conftest import martingale_differences, random_corr
 
 ZM = CovMode.KNOWN_ZERO_MEAN
@@ -30,6 +30,16 @@ def test_datamatrix_validation():
     bad[4, 2] = bad[5, 0] = np.nan
     with pytest.raises(ValueError, match="finite: sample 4, variable 2 is nan$"):
         DataMatrix(bad)
+
+
+def test_a_datamatrix_copies_its_data_and_a_stack_is_not_copied():
+    values = np.ones((5, 3))
+    data = DataMatrix(values)
+    assert not np.shares_memory(data.values, values) and not data.values.flags.writeable
+    assert values.flags.writeable
+    stack = np.ones((2, 5, 3))
+    assert _as_stack(stack)[0] is stack
+    assert _as_stack(data)[0].base is data.values
 
 
 def test_sample_cov_hand_examples():
