@@ -4,6 +4,7 @@ correlation rho."""
 
 import math
 import numbers
+import sys
 
 
 class HidimError(Exception):
@@ -71,7 +72,7 @@ def _require_real(name: str, value, error) -> None:
 def require_signal(b, error=DomainError) -> None:
     """Raise ``error`` unless ``b`` is a finite real >= 0 with its sign bit clear."""
     _require_real("b", b, error)
-    if not math.isfinite(b):
+    if not abs(b) <= sys.float_info.max:     # a NaN, and an int past the floats, too
         raise error("b must be finite and nonnegative")
     if b < 0.0 or math.copysign(1.0, b) < 0.0:     # -0.0 too
         raise error("b must be nonnegative")

@@ -131,6 +131,7 @@ def f_partial(lam: Sequence[int], u1: float, u2: float, u3: float) -> float:
     """Partial derivative of f(u1, u2, u3) = u3^2 / (u1 u2) of multi-order lam.
 
     Orders above 2 in the third argument vanish because f is quadratic in u3.
+    Beyond the normal floats, the exact quotient is rounded once or refused.
     """
     lam = tuple(lam)
     if len(lam) != 3:
@@ -147,8 +148,22 @@ def f_partial(lam: Sequence[int], u1: float, u2: float, u3: float) -> float:
         return 0.0
     mult = 1.0 if l3 == 0 else 2.0
     sign = -1.0 if (l1 + l2) % 2 else 1.0
-    return (mult * sign * math.factorial(l1) * math.factorial(l2)
-            * u3 ** (2 - l3) / (u1 ** (1 + l1) * u2 ** (1 + l2)))
+    try:
+        num, den = float(u3) ** (2 - l3), float(u1) ** (1 + l1) * float(u2) ** (1 + l2)
+        value = mult * sign * math.factorial(l1) * math.factorial(l2) * num / den
+        # the formula holds when the value is 0 (u3 is, l3 < 2) or no power left the normal floats
+        if (num == 0 == u3 or abs(num) >= 2.0 ** -1022 <= den < math.inf) and math.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    from fractions import Fraction     # imported here: its decimal import costs ~5 ms
+    exact = (Fraction(int(mult * sign) * math.factorial(l1) * math.factorial(l2))
+             * Fraction(u3) ** (2 - l3) / (Fraction(u1) ** (1 + l1) * Fraction(u2) ** (1 + l2)))
+    try:
+        return float(exact)
+    except OverflowError:
+        raise DomainError(f"f_partial of order lam = {lam} at (u1, u2, u3) = "
+                          f"({u1!r}, {u2!r}, {u3!r}) is too large for a float") from None
 
 
 def s_sum(k: int, r: CorrMatrix) -> float:

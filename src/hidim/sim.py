@@ -60,25 +60,9 @@ _TRIAL_FLOATS = 80
 _MERGE_TRIALS = 8192
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_integer(value) or isinstance(value, float)
-
-
-# The JSON type of each SimConfig field, as (name, test), and the conversions
-# of the fields that are not stored as their JSON value.
-_JSON_TYPES = {
-    **dict.fromkeys(("m", "n", "trials", "seed", "workers"), ("an integer", _is_integer)),
-    **dict.fromkeys(("family", "cov_mode"),
-                    ("a string", lambda value: isinstance(value, str))),
-    "alpha": ("a number", _is_number),
-    "b_grid": ("an array of numbers",
-               lambda value: isinstance(value, list) and all(map(_is_number, value)))}
-_FROM_JSON = {"alpha": float, "seed": Seed, "family": AlternativeFamily.parse,
-              "b_grid": lambda value: tuple(map(float, value)), "cov_mode": CovMode}
+# The JSON type and the conversion of each field not stored as its JSON value
+_FROM_JSON = {"seed": ("an integer", int, Seed), "cov_mode": ("a string", str, CovMode),
+              "family": ("a string", str, AlternativeFamily.parse)}
 _TO_JSON = {"seed": lambda seed: seed.master, "family": lambda family: family.label,
             "b_grid": list, "cov_mode": lambda mode: mode.value}
 
@@ -99,24 +83,24 @@ class SimConfig:
 
     def __post_init__(self):
         self.validate()
+        # numpy numbers are stored as Python ones, which json.dumps writes
+        for name, kind in (("m", int), ("n", int), ("trials", int), ("workers", int),
+                           ("alpha", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "b_grid", tuple(map(float, self.b_grid)))
 
     def validate(self) -> None:
-        # a stored field is a JSON type, so that json.dumps can write it
         for name, floor in (("m", 2), ("n", 1), ("trials", 100), ("workers", 1)):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
             require_count(name, getattr(self, name), floor, ConfigError)
         for name, kind in (("seed", Seed), ("family", AlternativeFamily), ("cov_mode", CovMode)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be of type {kind.__name__}, "
                                   f"got {getattr(self, name)!r}")
-        if not _is_number(self.alpha):
-            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
-        if not all(map(_is_number, self.b_grid)):
-            raise ConfigError(f"b grid values must be real numbers, got {self.b_grid!r}")
         if self.cov_mode is CovMode.SAMPLE_CENTERED and self.n < 2:
             raise ConfigError("centered covariances need n >= 2")
         require_level(self.alpha, ConfigError)
+        if not isinstance(self.b_grid, (tuple, list)):
+            raise ConfigError(f"b_grid must be a tuple or list, got {self.b_grid!r}")
         for b in self.b_grid:
             require_signal(b, ConfigError)
         if list(self.b_grid) != sorted(self.b_grid):
@@ -130,9 +114,9 @@ class SimConfig:
     def from_json_obj(cls, obj: dict) -> "SimConfig":
         """Config from its JSON object, the one constructor for outside
         input.  A key that is not a field (a typo such as "trails"), a
-        missing required field or a value of the wrong JSON type (6.9 or
-        "6" for m) raises ConfigError; a missing optional key takes the
-        field's default."""
+        missing required field or a value of the wrong type (6.9 or "6" for
+        m) raises ConfigError; a missing optional key takes the field's
+        default.  Only seed, family and cov_mode are converted."""
         if not isinstance(obj, dict):
             raise ConfigError("a config must be a JSON object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
@@ -142,12 +126,11 @@ class SimConfig:
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ConfigError(f"missing config key(s): {', '.join(missing)}")
-        for key, value in obj.items():
-            json_type, is_type = _JSON_TYPES[key]
-            if not is_type(value):
+        for key, (json_type, kind, _) in _FROM_JSON.items():
+            if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], kind)):
                 raise ConfigError(f"config key {key!r} must be {json_type}, "
-                                  f"got {json.dumps(value, default=repr)}")
-        return cls(**{key: _FROM_JSON.get(key, lambda value: value)(value)
+                                  f"got {json.dumps(obj[key], default=repr)}")
+        return cls(**{key: _FROM_JSON[key][2](value) if key in _FROM_JSON else value
                       for key, value in obj.items()})
 
 

@@ -14,6 +14,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix, Seed,
                    SimConfig, calibrate_to_theta, cholesky, decompose,
@@ -239,6 +240,86 @@ def test_c4_gap_is_the_same_sample_term():
            f"{sd_ii_null:.3f} (margin {(excess - excess_se) / excess_se:.1f} se); "
            f"II at m={large.m} {sd_ii_large:.3f} (smaller, margin "
            f"{(shrink - shrink_se) / shrink_se:.1f} se)")
+
+
+# -- criterion 4, exact: the finite-n power at m = 2 --------------------------
+#
+# At m = 2, T is one squared correlation r^2, and the rule rejects iff
+# r^2 > (1 + 2 z_alpha)/n.  With k = n degrees of freedom in the zero-mean
+# convention and k = n - 1 in the centered one, r is distributed as a sample
+# correlation on N = k + 1 rows, whose density is Hotelling's.  At m = 2 the
+# equicorrelation signal is sqrt(2) rho, so b calibrates to rho = b/sqrt(n).
+# The power is then known exactly at every n, and each cell is held to it.
+
+EXACT_TRIALS = 40_000
+EXACT_SIZES = (20, 60)
+EXACT_B = (0.0, 1.0, 2.0, 3.0)
+
+
+def _exact_rows(n: int, mode: CovMode) -> int:
+    """N = k + 1, the rows of the centered correlation distributed as r."""
+    return n + 1 if mode is CovMode.KNOWN_ZERO_MEAN else n
+
+
+def exact_power_m2(n: int, b: float, alpha: float, rows: int) -> float:
+    """P(r^2 > (1 + 2 z_alpha)/n) for the sample correlation r on ``rows``
+    rows at rho = b/sqrt(n), from the density of r (Fisher 1915) in
+    Hotelling's (1953) hypergeometric form."""
+    rho = b / math.sqrt(n)
+    cut = math.sqrt((1.0 + 2.0 * special.ndtri(1.0 - alpha)) / n)
+    log_scale = (math.log(rows - 2) + special.gammaln(rows - 1) - special.gammaln(rows - 0.5)
+                 - 0.5 * math.log(2.0 * math.pi) + 0.5 * (rows - 1) * math.log1p(-rho * rho))
+
+    def density(r):
+        return (math.exp(log_scale + 0.5 * (rows - 4) * math.log1p(-r * r)
+                         - (rows - 1.5) * math.log1p(-rho * r))
+                * special.hyp2f1(0.5, 0.5, rows - 0.5, (1.0 + rho * r) / 2.0))
+
+    return integrate.quad(density, cut, 1.0)[0] + integrate.quad(density, -1.0, -cut)[0]
+
+
+@functools.cache
+def _exact_cells() -> tuple:
+    """(n, mode, b, empirical power) of each m = 2 cell: one power run per
+    size and convention."""
+    cells = []
+    for n in EXACT_SIZES:
+        for mode in CovMode:
+            config = SimConfig(m=2, n=n, trials=EXACT_TRIALS, alpha=0.05, seed=Seed(11),
+                               b_grid=EXACT_B, cov_mode=mode)
+            cells += [(n, mode, point.b, point.empirical_power)
+                      for point in run_power_curve(config)]
+    return tuple(cells)
+
+
+def _exact_z_scores(rows) -> list:
+    """Each cell's z score against the exact power on ``rows(n, mode)`` rows."""
+    scores = []
+    for n, mode, b, empirical in _exact_cells():
+        exact = exact_power_m2(n, b, 0.05, rows(n, mode))
+        scores.append((empirical - exact) / math.sqrt(exact * (1.0 - exact) / EXACT_TRIALS))
+    return scores
+
+
+def test_c4_exact_power_at_m2():
+    # at b = 0, r^2 is Beta(1/2, (k - 1)/2) with k = rows - 1
+    for n in EXACT_SIZES:
+        for mode in CovMode:
+            rows = _exact_rows(n, mode)
+            cut = (1.0 + 2.0 * special.ndtri(0.95)) / n
+            assert exact_power_m2(n, 0.0, 0.05, rows) == pytest.approx(
+                special.betaincc(0.5, (rows - 2) / 2, cut), rel=1e-9)
+    worst = max(map(abs, _exact_z_scores(_exact_rows)))
+    assert worst <= 3.0
+    report(f"PASS criterion 4 (exact, m=2): {len(_exact_cells())} cells at n in "
+           f"{EXACT_SIZES}, both conventions, max |z| = {worst:.2f} <= 3 over "
+           f"{EXACT_TRIALS} trials each")
+
+
+def test_c4_exact_power_sees_one_row_too_few():
+    # the mutant oracle gives zero-mean data N = n rows, as if it were centered
+    worst = max(map(abs, _exact_z_scores(lambda n, mode: n)))
+    assert worst > 3.0
 
 
 # -- criterion 5: determinism across worker counts ---------------------------

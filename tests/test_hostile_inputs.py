@@ -34,11 +34,12 @@ import numpy as np
 import pytest
 
 from hidim import (AlternativeFamily, ConfigError, CorrMatrix, CovMode, DataMatrix,
-                   DomainError, IndexOutOfRange, Seed, asymptotic_power, calibrate_to_theta,
-                   central_pair_moment, central_product_moment, cli, decompose, f_partial,
-                   isserlis_moment, kernel_expectations, kernels, make_family_matrix,
-                   pair_partitions, sample_gaussian, standard_normal_block,
-                   standard_normal_blocks, statistic_t, term_i, verify_kernels)
+                   DomainError, IndexOutOfRange, Seed, SimConfig, asymptotic_power,
+                   calibrate_to_theta, central_pair_moment, central_product_moment, cli,
+                   decompose, f_partial, isserlis_moment, kernel_expectations, kernels,
+                   make_family_matrix, pair_partitions, sample_gaussian,
+                   standard_normal_block, standard_normal_blocks, statistic_t, term_i,
+                   verify_kernels)
 from hidim.matrix import cholesky
 from hidim.sim import verify_var_i
 
@@ -345,6 +346,12 @@ _BAD_RHOS = [(True, "rho must be a real number, got True", "bool"),
              (1.0 + 2.0 ** -52, _OUTSIDE, "above-1"), (-1.5, _OUTSIDE, "below-minus-1")]
 
 
+# a config given numpy numbers, and its twin given Python ones
+_NUMPY_CONFIG = dict(m=np.int64(8), n=np.int32(30), trials=np.int64(200),
+                     alpha=np.float64(0.05), seed=Seed(3), b_grid=(np.float64(0.0), 1))
+_PLAIN_CONFIG = dict(m=8, n=30, trials=200, alpha=0.05, seed=Seed(3), b_grid=(0.0, 1.0))
+
+
 def _rho_cases():
     """A refused and an accepted case per bad and per extreme rho at each call."""
     for site, (error, call) in _RHO_CALLS.items():
@@ -405,6 +412,20 @@ def _rho_cases():
                  id="verify-numpy-workers"),
     pytest.param(lambda: AlternativeFamily.banded(np.int64(2)) == AlternativeFamily.banded(2),
                  None, None, id="banded-numpy-k"),
+    # SimConfig stores them as Python numbers, which json.dumps writes
+    pytest.param(lambda: (SimConfig(**_NUMPY_CONFIG) == SimConfig(**_PLAIN_CONFIG)
+                          and json.dumps(SimConfig(**_NUMPY_CONFIG).to_json_obj())
+                          == json.dumps(SimConfig(**_PLAIN_CONFIG).to_json_obj())),
+                 None, None, id="config-numpy-numbers"),
+    # an int too large for a float is no finite signal, not an OverflowError
+    pytest.param(lambda: SimConfig(**{**_PLAIN_CONFIG, "b_grid": (10 ** 400,)}), ConfigError,
+                 "b must be finite and nonnegative", id="config-b-past-the-floats"),
+    pytest.param(lambda: asymptotic_power(0.05, 10 ** 400), DomainError,
+                 "b must be finite and nonnegative", id="power-b-past-the-floats"),
+    *(pytest.param(lambda m=m: SimConfig(**{**_PLAIN_CONFIG, "m": m}), ConfigError,
+                   f"m must be an integer, got {m!r}", id=f"config-m-{label}")
+      for m, label in ((True, "bool"), (np.True_, "numpy-bool"), ("8", "string"),
+                       (8.0, "float"))),
     *_rho_cases(),
 ])
 def test_each_kind_of_argument_is_checked_by_its_one_rule(call, error, message):

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import mpmath as mp
@@ -136,6 +137,33 @@ def test_f_partial_examples():
         f_partial((0, 0, 0), 1.0, -1.0, 0.5)
     with pytest.raises(DomainError):
         f_partial((0, -1, 0), 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("lam, u, want", [
+    # a power or a product past the floats (the last read 0.0)
+    ((0, 0, 0), (1e300, 1e300, -1e300), 1.0),
+    ((2, 0, 0), (1e200, 1e-300, 1.0), 2e-300),
+    ((0, 0, 1), (1e200, 1e200, 1e150), 2e-250),
+    # a power below the normal floats (it read 0.0)
+    ((0, 0, 0), (1e-200, 1.0, 1e-200), 1e-200),
+    # quotients past the floats
+    ((0, 0, 0), (1e-300, 1e-300, 1e300), None),
+    ((1, 1, 1), (1e-200, 1e-200, 1e100), None),
+])
+def test_f_partial_far_from_one(lam, u, want):
+    if want is None:
+        message = (f"f_partial of order lam = {lam} at (u1, u2, u3) = "
+                   f"({u[0]!r}, {u[1]!r}, {u[2]!r}) is too large for a float")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            f_partial(lam, *u)
+        return
+    l1, l2, l3 = lam
+    with mp.workdps(50):
+        u1, u2, u3 = map(mp.mpf, u)
+        exact = ((-1) ** (l1 + l2) * (1 if l3 == 0 else 2) * math.factorial(l1)
+                 * math.factorial(l2) * u3 ** (2 - l3) / (u1 ** (1 + l1) * u2 ** (1 + l2)))
+        assert abs(exact / want - 1) < 1e-15
+    assert f_partial(lam, *u) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 _FD_STENCILS = {

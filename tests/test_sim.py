@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,12 +66,22 @@ def test_config_rejects_unknown_and_missing_keys():
     del obj["trials"]
     with pytest.raises(ConfigError, match="trials"):
         SimConfig.from_json_obj(obj)
-    # each value of the wrong JSON type is named with its key, none is coerced
-    for key, value in (("m", 6.9), ("n", "25"), ("trials", 120.5), ("seed", True),
-                       ("workers", 1.7), ("alpha", "0.05"), ("b_grid", "0,1"), ("m", None),
-                       ("b_grid", [0.0, "1"]), ("family", 3), ("cov_mode", None)):
+    # each value of the wrong type is named with its field, none is coerced: a
+    # seed, family or cov mode by its JSON type, any other field by validate
+    for key, value, message in (
+            ("m", 6.9, "m must be an integer, got 6.9"),
+            ("n", "25", "n must be an integer, got '25'"),
+            ("trials", 120.5, "trials must be an integer, got 120.5"),
+            ("seed", True, "config key 'seed' must be an integer, got true"),
+            ("workers", 1.7, "workers must be an integer, got 1.7"),
+            ("alpha", "0.05", "alpha must be a real number, got '0.05'"),
+            ("b_grid", "0,1", "b_grid must be a tuple or list, got '0,1'"),
+            ("m", None, "m must be an integer, got None"),
+            ("b_grid", [0.0, "1"], "b must be a real number, got '1'"),
+            ("family", 3, "config key 'family' must be a string, got 3"),
+            ("cov_mode", None, "config key 'cov_mode' must be a string, got null")):
         obj = {**small_config().to_json_obj(), key: value}
-        with pytest.raises(ConfigError, match=f"config key '{key}' must be .*, got "):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             SimConfig.from_json_obj(obj)
     with pytest.raises(ConfigError, match="JSON object"):
         SimConfig.from_json_obj([["m", 8]])
@@ -93,14 +104,22 @@ def test_config_rejects_values_of_the_wrong_python_type():
     # the constructor checks types itself, not only from_json_obj, so a float
     # m cannot reach run_null and fail there, and a seed, family or cov mode
     # given as its JSON value is not taken ("zero-mean" would run centered)
-    for key, value in (("m", 6.9), ("n", 30.0), ("trials", True), ("workers", 1.5),
-                       ("alpha", "0.05"), ("b_grid", (0.0, "1")), ("seed", 1),
-                       ("family", "banded:2"), ("cov_mode", "zero-mean"),
-                       ("cov_mode", "centered")):
-        name = "b grid values" if key == "b_grid" else key
-        with pytest.raises(ConfigError, match=f"{name} must be .*, got "):
+    for key, value, message in (
+            ("m", 6.9, "m must be an integer, got 6.9"),
+            ("n", 30.0, "n must be an integer, got 30.0"),
+            ("trials", True, "trials must be an integer, got True"),
+            ("workers", 1.5, "workers must be an integer, got 1.5"),
+            ("alpha", "0.05", "alpha must be a real number, got '0.05'"),
+            ("b_grid", (0.0, "1"), "b must be a real number, got '1'"),
+            ("seed", 1, "seed must be of type Seed, got 1"),
+            ("family", "banded:2", "family must be of type AlternativeFamily, got 'banded:2'"),
+            ("cov_mode", "zero-mean", "cov_mode must be of type CovMode, got 'zero-mean'"),
+            ("cov_mode", "centered", "cov_mode must be of type CovMode, got 'centered'")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             small_config(**{key: value})
-    assert small_config(alpha=np.float64(0.05), b_grid=(0, 1.5)).alpha == 0.05
+    cfg = small_config(alpha=np.float64(0.05), b_grid=(0, 1.5))
+    assert (cfg.alpha, cfg.b_grid) == (0.05, (0.0, 1.5))
+    assert type(cfg.alpha) is float and type(cfg.b_grid[0]) is float
 
 
 def test_run_null_basics():
