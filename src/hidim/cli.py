@@ -70,6 +70,19 @@ def _check_writable(out=None, **files) -> None:
             open(path, "a").close()
 
 
+@contextlib.contextmanager
+def _sized(m, n):
+    """Re-raise what numpy raises for an array it cannot make, a ValueError
+    past its dimension limit or a MemoryError the OS refused, as a
+    ConfigError that names the m and n of the run."""
+    try:
+        yield
+    except HidimError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot run m = {m} and n = {n}: {exc}") from exc
+
+
 def _output(path: str):
     """The text handle an --out path names: stdout for '-', else the file,
     truncated."""
@@ -140,7 +153,8 @@ def cmd_power(args) -> int:
         source = f'"b_grid" in {args.config}' if args.config else "--b-grid"
         raise ConfigError(f"power runs need a nonempty b grid: {source} is empty")
     _check_writable(args.out)
-    points = run_power_curve(config)
+    with _sized(config.m, config.n):
+        points = run_power_curve(config)
     with _output(args.out) as handle:
         write_power_csv(points, handle)
     live = [p for p in points if not p.skipped]
@@ -162,7 +176,8 @@ def cmd_null(args) -> int:
         raise ConfigError(f"null runs ignore config key(s) {', '.join(ignored)}: "
                           f"leave them out of {args.config} or at their defaults")
     _check_writable(args.out, z_out=args.z_out)
-    report = run_null(config)
+    with _sized(config.m, config.n):
+        report = run_null(config)
     if args.z_out is not None:
         np.savetxt(args.z_out, report.z_values, fmt="%.17g")
     with _output(args.out) as handle:
@@ -175,9 +190,12 @@ def cmd_gen(args) -> int:
     r_out = args.r_out
     if r_out is None and args.out != "-":
         r_out = args.out + ".r.json"
-    r = calibrate_to_theta(AlternativeFamily.parse(args.family), args.b, args.m, args.n)
+    family = AlternativeFamily.parse(args.family)
+    with _sized(args.m, args.n):
+        r = calibrate_to_theta(family, args.b, args.m, args.n)
     _check_writable(args.out, r_out=r_out)
-    data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
+    with _sized(args.m, args.n):
+        data = sample_from_matrix(r, args.n, Seed(args.seed), args.trial)
     with _output(args.out) as handle:
         np.savetxt(handle, data.values, delimiter=",", fmt="%.17g")
     if r_out:

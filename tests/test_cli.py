@@ -8,6 +8,7 @@ import pytest
 from hidim import AlternativeFamily, CorrMatrix, Seed, SimConfig
 from hidim import cli, kernels, moments, sim
 from hidim.cli import main
+from hidim.errors import DomainError
 from hidim.generators import make_family_matrix
 from hidim.moments import expected_ii1, kernel_expectations, var_i_exact
 from conftest import strict_json
@@ -512,16 +513,17 @@ def test_verify_isserlis_takes_no_draw_options(capsys, option):
 ])
 def test_a_refused_memory_request_exits_2(monkeypatch, capsys, argv, module, attr):
     # stands in for numpy's MemoryError on a size the OS refuses, without
-    # allocating it
+    # allocating it; a run of m variables and n samples names them
     message = ("Unable to allocate 59.6 GiB for an array with shape "
                "(8000000000,) and data type float64")
+    sized = {"gen": "cannot run m = 5 and n = 30: ", "null": "cannot run m = 6 and n = 20: "}
 
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
     monkeypatch.setattr(f"{module}.{attr}", refuse)
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {sized.get(argv[0], '')}{message}\n"
 
 
 _IDENTITY_GATES = [f"partition count k={k}" for k in range(1, 7)] + [
@@ -662,6 +664,49 @@ def test_hostile_sizes_exit_2_before_any_gate(tmp_path, monkeypatch, capsys, arg
     assert out == ""
     assert re.fullmatch(r"error: [^\n]+\n", err), err
     # no output file is written, and '-' names no file
+    assert list(tmp_path.iterdir()) == []
+
+
+_BIG = str(10 ** 30)
+
+
+@pytest.mark.parametrize("argv, m, n", [
+    (("power", "--m", _BIG, "--n", "80", "--trials", "100", "--out", "big.csv"), _BIG, "80"),
+    (("null", "--m", "6", "--n", _BIG, "--trials", "100", "--out", "big.json"), "6", _BIG),
+    (("gen", "--b", "1", "--m", _BIG, "--n", "80", "--out", "g.csv"), _BIG, "80"),
+    (("gen", "--b", "1", "--m", "5", "--n", _BIG, "--out", "g.csv"), "5", _BIG),
+], ids=["power-m", "null-n", "gen-m", "gen-n"])
+def test_a_size_past_numpys_limit_names_m_and_n(tmp_path, monkeypatch, capsys, argv, m, n):
+    # numpy refuses the array before it allocates anything
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: cannot run m = {m} and n = {n}: Maximum allowed "
+                        r"(dimension|size) exceeded\n", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_size_past_numpys_limit_names_m_and_n(tmp_path, capsys):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({**SimConfig(m=6, n=20, trials=100, alpha=0.05, seed=Seed(1),
+                                                b_grid=(0.0, 1.0)).to_json_obj(),
+                                  "m": 10 ** 30}))
+    assert run_cli("power", "--config", str(config), "--out", str(tmp_path / "p.csv")) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot run m = {_BIG} and n = 20: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+def test_an_error_of_the_run_itself_is_not_renamed(tmp_path, monkeypatch, capsys):
+    # only numpy's ValueError and MemoryError gain m and n; a HidimError
+    # raised inside the run keeps its own line
+    def domain(config):
+        raise DomainError("a domain error of the run")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_null", domain)
+    assert run_cli("null", "--m", "6", "--n", "20", "--trials", "100", "--out", "n.json") == 2
+    assert capsys.readouterr() == ("", "error: a domain error of the run\n")
     assert list(tmp_path.iterdir()) == []
 
 

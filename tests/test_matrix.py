@@ -24,6 +24,23 @@ def test_entries_read_only():
         r.rho[0, 1] = 0.5
 
 
+def test_stored_matrix_is_symmetrized_with_a_unit_diagonal_in_any_layout(rng):
+    # the stored copy is 0.5 (R + R') with its diagonal set to exactly 1, the
+    # same whether the input is C-ordered, Fortran-ordered or a strided view
+    a = rng.standard_normal((6, 9))
+    cov = a @ a.T
+    d = np.sqrt(np.diag(cov))
+    x = cov / np.outer(d, d) + np.triu(np.full((6, 6), 1e-14), 1)   # off by rounding
+    want = 0.5 * (x + x.T)
+    np.fill_diagonal(want, 1.0)
+    big = np.zeros((12, 12))
+    big[::2, ::2] = x
+    for arr in (x, np.asfortranarray(x), big[::2, ::2]):
+        got = CorrMatrix(arr).rho
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, got.T) and np.all(np.diag(got) == 1.0)
+
+
 def test_frobenius_signal_examples():
     assert frobenius_signal(CorrMatrix.identity(7)) == 0.0
     r2 = CorrMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
