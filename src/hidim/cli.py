@@ -143,8 +143,15 @@ def _config_from_args(args) -> SimConfig:
         obj = {key: value for key, value in vars(args).items() if key in names}
         text = obj.get("b_grid")
         if text is not None:
-            obj["b_grid"] = [float(b) for b in text.split(",")] if text else []
+            obj["b_grid"] = [_b_entry(b) for b in text.split(",")] if text else []
     return SimConfig.from_json_obj(obj)
+
+
+def _b_entry(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"--b-grid entries must be numbers, got {text!r}") from None
 
 
 def cmd_power(args) -> int:

@@ -171,7 +171,7 @@ def evaluate(name: str, x, y, rho: float, n: int, swapped: bool = False):
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)     # bounded, as rho is any caller's float; the battery uses 40 keys
 def _slot_mean(factors: tuple, rho: float, swapped: bool) -> float:
     """The mean of one sample's product of ``factors``, each a centered
     duple of (x, y): A = (0, 0), or (1, 1) when swapped, and B = (0, 1)."""

@@ -6,12 +6,23 @@ m stays at experiment scale and O(m^2) memory is acceptable.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveSemidefinite
+
+
+@functools.lru_cache(maxsize=16)
+def pair_offsets(m: int) -> np.ndarray:
+    """Flat offsets p * m + q of the pairs p < q in row-major order, the order
+    of every sum over the pairs; cached and read-only, as callers share it."""
+    p, q = np.triu_indices(m, 1)
+    flat = p * m + q
+    flat.flags.writeable = False
+    return flat
 
 
 def _symmetrized(arr: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DomainError, IndexOutOfRange, TooLarge, require_correlation, require_count,
                      require_integer)
-from .matrix import CorrMatrix
+from .matrix import CorrMatrix, pair_offsets
 
 # Enumeration guards, sized so worst-case desk runtime stays under ~10 s.
 MAX_PARTITION_K = 8
@@ -139,10 +139,9 @@ def central_product_moment(duples: Sequence[Tuple[int, int]], r: CorrMatrix) -> 
 
 
 def f_partial(lam: Sequence[int], u1: float, u2: float, u3: float) -> float:
-    """Partial derivative of f(u1, u2, u3) = u3^2 / (u1 u2) of multi-order lam.
-
+    """Partial derivative of f(u1, u2, u3) = u3^2 / (u1 u2) of multi-order lam:
+    the exact quotient rounded once, or a DomainError past the largest float.
     Orders above 2 in the third argument vanish because f is quadratic in u3.
-    Beyond the normal floats, the exact quotient is rounded once or refused.
     """
     lam = tuple(lam)
     if len(lam) != 3:
@@ -157,21 +156,13 @@ def f_partial(lam: Sequence[int], u1: float, u2: float, u3: float) -> float:
     l1, l2, l3 = lam
     if l3 > 2:
         return 0.0
-    mult = 1.0 if l3 == 0 else 2.0
-    sign = -1.0 if (l1 + l2) % 2 else 1.0
-    try:
-        num, den = float(u3) ** (2 - l3), float(u1) ** (1 + l1) * float(u2) ** (1 + l2)
-        value = mult * sign * math.factorial(l1) * math.factorial(l2) * num / den
-        # the formula holds when the value is 0 (u3 is, l3 < 2) or no power left the normal floats
-        if (num == 0 == u3 or abs(num) >= 2.0 ** -1022 <= den < math.inf) and math.isfinite(value):
-            return value
-    except (OverflowError, ZeroDivisionError):
-        pass
-    from fractions import Fraction     # imported here: its decimal import costs ~5 ms
-    exact = (Fraction(int(mult * sign) * math.factorial(l1) * math.factorial(l2))
-             * Fraction(u3) ** (2 - l3) / (Fraction(u1) ** (1 + l1) * Fraction(u2) ** (1 + l2)))
-    try:
-        return float(exact)
+    # numpy integers have no as_integer_ratio, so every value but an int goes through float
+    (n1, d1), (n2, d2), (n3, d3) = (u.as_integer_ratio() if isinstance(u, int)
+                                    else float(u).as_integer_ratio() for u in (u1, u2, u3))
+    coeff = (-1) ** (l1 + l2) * (1 if l3 == 0 else 2) * math.factorial(l1) * math.factorial(l2)
+    try:     # int / int is correctly rounded, to a subnormal or 0.0 below the floats
+        return (coeff * n3 ** (2 - l3) * d1 ** (1 + l1) * d2 ** (1 + l2)
+                / (d3 ** (2 - l3) * n1 ** (1 + l1) * n2 ** (1 + l2)))
     except OverflowError:
         raise DomainError(f"f_partial of order lam = {lam} at (u1, u2, u3) = "
                           f"({u1!r}, {u2!r}, {u3!r}) is too large for a float") from None
@@ -188,7 +179,7 @@ def s_sum(k: int, r: CorrMatrix) -> float:
         raise DomainError("k must be 2, 3 or 4")
     if r.m > MAX_M_S:
         raise TooLarge(f"s_sum limited to m <= {MAX_M_S}")
-    p, q = np.nonzero(~np.tri(r.m, dtype=bool))   # np.triu_indices(m, 1) at ~1/4 the cost
+    p, q = divmod(pair_offsets(r.m), r.m)
     rows = 2 ** 14 // (p.size + 1) + 1    # about 16k duple pairs a block
     total = 0.0
     for start in range(0, p.size, rows):
@@ -245,8 +236,7 @@ def expected_ii1(r: CorrMatrix, n: int) -> float:
     """
     require_count("n", n, 1)
     nf = float(n)
-    iu = np.triu_indices(r.m, 1)
-    rho2 = r.rho[iu] ** 2
+    rho2 = r.rho.ravel()[pair_offsets(r.m)] ** 2
     return float(np.sum((16.0 + nf * nf + (80.0 + 8.0 * nf + nf * nf) * rho2) / nf ** 3))
 
 
@@ -292,7 +282,7 @@ def identity_rows():
     worst = 0.0
     for _ in range(25):
         r = random_corr(rng, int(rng.integers(2, 15)))
-        off = r.rho[~np.tri(r.m, dtype=bool)]     # the entries above the diagonal
+        off = r.rho.ravel()[pair_offsets(r.m)]     # the entries above the diagonal
         closed = float(np.sum(1.0 + 2.0 * off ** 2 + off ** 4))
         oracle = s_sum(2, r)
         worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))

@@ -16,7 +16,7 @@ import numpy as np
 from . import theory
 from .errors import (DegenerateColumn, DimensionMismatch, DomainError, require_count,
                      require_level)
-from .matrix import CorrMatrix, frobenius_signal
+from .matrix import CorrMatrix, frobenius_signal, pair_offsets
 
 
 class CovMode(enum.Enum):
@@ -154,22 +154,12 @@ def _check_dims(columns: int, m: int) -> None:
         raise DimensionMismatch(f"data has {columns} columns, matrix is {m} x {m}")
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_offsets(m: int) -> np.ndarray:
-    """Flat offsets p * m + q of the pairs p < q of m variables in row-major
-    order; built once per m and read-only, because every caller shares it."""
-    p, q = np.triu_indices(m, 1)
-    flat = p * m + q
-    flat.flags.writeable = False
-    return flat
-
-
 def _upper(mats: np.ndarray) -> np.ndarray:
     """The entries p < q of a (B, m, m) stack as a C-contiguous (B, m(m-1)/2)
     array.  Row sums of it use numpy's pairwise summation; those of the
     strided gather mats[:, p, q] do not, and differ in the last bits."""
     b, m = mats.shape[0], mats.shape[-1]
-    return np.take(mats.reshape(b, m * m), _pair_offsets(m), axis=1)
+    return np.take(mats.reshape(b, m * m), pair_offsets(m), axis=1)
 
 
 def _squared_correlations(s: np.ndarray, pairs: Optional[np.ndarray] = None):

@@ -244,6 +244,15 @@ def test_power_empty_b_grid_names_its_source(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, entry", [("0,x", "'x'"), ("1,,2", "''"), ("1;2", "'1;2'")])
+def test_power_malformed_b_grid_entry_names_the_flag(tmp_path, capsys, grid, entry):
+    out = tmp_path / "p.csv"
+    assert run_cli("power", "--m", "6", "--n", "20", "--trials", "100", "--b-grid", grid,
+                   "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: --b-grid entries must be numbers, got {entry}\n")
+    assert not out.exists()
+
+
 def test_power_bad_config(capsys):
     assert run_cli("power", "--m", "8", "--n", "30", "--trials", "50",
                    "--seed", "1", "--b-grid", "0,1") == 2

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hidim import kernels
+from hidim import kernels, moments
 from hidim.errors import DomainError
 
 
@@ -104,3 +104,16 @@ def test_evaluation_rejects_bad_shapes():
 def test_the_oracle_rejects_a_rho_outside_its_range(rho):
     with pytest.raises(DomainError, match=r"rho must lie in \[-1, 1\]"):
         kernels.expectation_by_expansion("h1", rho, 10)
+
+
+def test_slot_means_are_cached_within_a_bound():
+    """The battery's per-slot means all stay cached: a second identity_rows
+    takes none of them anew; a sweep over many rho keeps the cache bounded."""
+    moments.identity_rows()
+    misses = kernels._slot_mean.cache_info().misses
+    moments.identity_rows()
+    assert kernels._slot_mean.cache_info().misses == misses
+    for rho in np.linspace(-0.99, 0.99, 500):
+        kernels.expectation_by_expansion("h3", float(rho), 10)
+    info = kernels._slot_mean.cache_info()
+    assert info.currsize <= info.maxsize == 64

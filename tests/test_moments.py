@@ -5,6 +5,8 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hidim import (AlternativeFamily, CorrMatrix, DomainError, IndexOutOfRange,
                    TooLarge, central_pair_moment, central_product_moment,
@@ -164,6 +166,27 @@ def test_f_partial_far_from_one(lam, u, want):
                  * math.factorial(l2) * u3 ** (2 - l3) / (u1 ** (1 + l1) * u2 ** (1 + l2)))
         assert abs(exact / want - 1) < 1e-15
     assert f_partial(lam, *u) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.tuples(*[st.integers(0, 4)] * 3),
+       u1=st.floats(2.0 ** -20, 2.0 ** 20), u2=st.floats(2.0 ** -20, 2.0 ** 20),
+       u3=st.floats(-2.0 ** 20, 2.0 ** 20))
+def test_f_partial_is_correctly_rounded(lam, u1, u2, u3):
+    l1, l2, l3 = lam
+    want = 0.0
+    if l3 <= 2:
+        with mp.workprec(200):
+            want = float(     # rounded to the nearest double
+                (-1) ** (l1 + l2) * (1 if l3 == 0 else 2) * math.factorial(l1)
+                * math.factorial(l2) * mp.mpf(u3) ** (2 - l3)
+                / (mp.mpf(u1) ** (1 + l1) * mp.mpf(u2) ** (1 + l2)))
+    assert f_partial(lam, u1, u2, u3) == want
+
+
+def test_f_partial_of_a_zero_has_no_sign():
+    # u3 = 0 with l1 + l2 odd: the coefficient is negative, the value +0.0
+    assert math.copysign(1.0, f_partial((1, 0, 0), 1.0, 1.0, 0.0)) == 1.0
 
 
 _FD_STENCILS = {

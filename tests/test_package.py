@@ -20,16 +20,17 @@ def test_star_import_binds_no_module():
 
 
 # Run in a fresh interpreter on a JSON list of cli.main argvs: prints, after
-# the imports and after each run, whether scipy.special is loaded, and the
-# exit code and stdout of the last run.
+# the imports and after each run, whether scipy.special, fractions and
+# decimal are loaded, and the exit code and stdout of the last run.
 _STARTUP = """
 import contextlib, io, json, sys
 import hidim, hidim.cli, hidim.sim
-loaded = ["scipy.special" in sys.modules]
+names = ("scipy.special", "fractions", "decimal")
+loaded = [[name in sys.modules for name in names]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = hidim.cli.main(argv)
-    loaded.append("scipy.special" in sys.modules)
+    loaded.append([name in sys.modules for name in names])
 print(json.dumps({"file": hidim.__file__, "loaded": loaded, "code": code,
                   "stdout": out.getvalue()}))
 """
@@ -50,7 +51,8 @@ def _main_in_process(argv):
 def test_scipy_special_loads_only_for_a_normal_cdf_or_quantile(tmp_path, last):
     """Importing hidim, ``verify`` and ``gen`` take no normal CDF or
     quantile, so they leave scipy.special unloaded; ``test`` and ``power``
-    load it on first use and write what an in-process run writes."""
+    load it on first use and write what an in-process run writes.  Neither
+    the imports nor ``verify`` load fractions or decimal."""
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     fresh.mkdir()
     here.mkdir()
@@ -62,7 +64,9 @@ def test_scipy_special_loads_only_for_a_normal_cdf_or_quantile(tmp_path, last):
     report = json.loads(proc.stdout)
     assert report["file"] == hidim.__file__
     # after the imports, verify isserlis, verify all, gen and the last run
-    assert report["loaded"] == [False, False, False, False, True]
+    assert [special for special, _, _ in report["loaded"]] == [False, False, False, False, True]
+    # verify computes f_partial exactly without the ~5 ms import of fractions
+    assert [exact for _, *exact in report["loaded"][:3]] == [[False, False]] * 3
     assert report["code"] == 0
     assert _main_in_process([arg.format(tmp=here) for arg in _GEN])[0] == 0
     assert _main_in_process([arg.format(tmp=here) for arg in last]) == (0, report["stdout"])
