@@ -94,7 +94,7 @@ def _a_power(name: str) -> int:
     return factors.count("A")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)     # bounded, as n is any caller's; verify all uses h1, h2, h3 at n = 10
 def _size_weights(name: str, n: int) -> tuple:
     """g(1..4), the weight of a subset sum term by the size of its subset;
     cached, because every block of a Monte Carlo run asks for the same

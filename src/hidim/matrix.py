@@ -74,6 +74,23 @@ class CorrMatrix:
     def m(self) -> int:
         return self.rho.shape[0]
 
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        """The m(m-1)/2 correlations rho_pq, p < q, in ``pair_offsets`` order;
+        built on first use and read-only, as every caller shares it."""
+        pairs = self.rho.ravel()[pair_offsets(self.m)]
+        pairs.flags.writeable = False
+        return pairs
+
+    @functools.cached_property
+    def squares(self) -> np.ndarray:
+        """R * R (entrywise) with a zero diagonal; built on first use and
+        read-only, as every caller shares it."""
+        squares = self.rho * self.rho
+        squares.flat[::self.m + 1] = 0.0
+        squares.flags.writeable = False
+        return squares
+
     @classmethod
     def identity(cls, m: int) -> "CorrMatrix":
         return cls(np.eye(m))
@@ -103,8 +120,7 @@ class CholeskyFactor:
 
 def frobenius_signal(r: CorrMatrix) -> float:
     """Frobenius norm of R - I: sqrt(sum of all squared off-diagonal entries)."""
-    off = r.rho - np.eye(r.m)
-    return float(np.sqrt(np.sum(off * off)))
+    return float(np.sqrt(np.sum(r.squares)))
 
 
 def cholesky(r: CorrMatrix) -> CholeskyFactor:

@@ -236,7 +236,7 @@ def expected_ii1(r: CorrMatrix, n: int) -> float:
     """
     require_count("n", n, 1)
     nf = float(n)
-    rho2 = r.rho.ravel()[pair_offsets(r.m)] ** 2
+    rho2 = r.pairs ** 2
     return float(np.sum((16.0 + nf * nf + (80.0 + 8.0 * nf + nf * nf) * rho2) / nf ** 3))
 
 
@@ -282,8 +282,7 @@ def identity_rows():
     worst = 0.0
     for _ in range(25):
         r = random_corr(rng, int(rng.integers(2, 15)))
-        off = r.rho.ravel()[pair_offsets(r.m)]     # the entries above the diagonal
-        closed = float(np.sum(1.0 + 2.0 * off ** 2 + off ** 4))
+        closed = float(np.sum(1.0 + 2.0 * r.pairs ** 2 + r.pairs ** 4))
         oracle = s_sum(2, r)
         worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-12))
     rows.append(("S(2) closed form (25 random)", "|rel err|", worst))

@@ -38,7 +38,7 @@ from .generators import (AlternativeFamily, Seed, _uniform_open,
 from . import generators as _generators
 from .matrix import CholeskyFactor, CorrMatrix, cholesky
 from .moments import expected_ii1, kernel_expectations, var_i_exact
-from .stats import (CovMode, Decomposition, _Cells, decompose,
+from .stats import (CovMode, Decomposition, decompose,
                     report_from_statistic, statistic_t, term_i)
 from .theory import asymptotic_power, normal_cdf, normal_quantile
 from . import kernels as _kernels
@@ -210,12 +210,10 @@ def _gated_decompose(data, r) -> Decomposition:
 def _t_values(r: CorrMatrix, mode: CovMode) -> Callable[[np.ndarray], np.ndarray]:
     """The function from a (B, n, m) stack of samples of the one matrix
     ``r`` to T of each slice.  In the zero-mean convention the decomposition
-    identity is written in, T comes from the gated ``decompose``, with the
-    matrix's constants built here once for all trials; otherwise from
-    ``statistic_t``."""
+    identity is written in, T comes from the gated ``decompose``; otherwise
+    from ``statistic_t``."""
     if mode is CovMode.KNOWN_ZERO_MEAN:
-        cells = _Cells.of(r)
-        return lambda stack: _gated_decompose(stack, cells).t_value
+        return lambda stack: _gated_decompose(stack, r).t_value
     return lambda stack: statistic_t(stack, mode)
 
 
@@ -356,10 +354,9 @@ def e_ii1_check(r: CorrMatrix, n: int) -> ChunkCheck:
     """Monte Carlo means of the same-sample component II1 (against its exact
     closed form) and of the cross-sample term (against zero)."""
     require_count("n", n, 1, ConfigError)
-    cells = _Cells.of(r)   # decompose's constants, shared by every chunk
 
     def reduce(x: np.ndarray) -> np.ndarray:
-        dec = _gated_decompose(x, cells)
+        dec = _gated_decompose(x, r)
         return np.stack([dec.term_ii1, dec.term_i])
 
     return ChunkCheck(cholesky(r), n, reduce,

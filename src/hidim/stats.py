@@ -285,8 +285,7 @@ def term_i(data: Union[DataMatrix, np.ndarray], r: CorrMatrix):
     """
     x, shape = _as_stack(data)
     _check_dims(x.shape[2], r.m)
-    rho = _upper(r.rho[None])
-    _, _, sum_c, sum_c2 = _pair_sums(x, rho)
+    _, _, sum_c, sum_c2 = _pair_sums(x, r.pairs)
     return shape(_cross_sample(sum_c, sum_c2, x.shape[1]))
 
 
@@ -310,28 +309,7 @@ def _ii_weights() -> np.ndarray:
 _II_WEIGHTS = _ii_weights()
 
 
-@dataclass(frozen=True)
-class _Cells:
-    """The constants ``decompose`` needs of one correlation matrix, built
-    once per run: R and P = R * R (P with a zero diagonal) as (m, m)
-    arrays, the m(m-1)/2 pair correlations rho and ||R - I||_F^2 / 2."""
-
-    matrix: np.ndarray
-    rho_sq: np.ndarray
-    rho: np.ndarray
-    half_signal: float
-
-    @classmethod
-    def of(cls, r: CorrMatrix) -> "_Cells":
-        rho_sq = r.rho * r.rho
-        np.fill_diagonal(rho_sq, 0.0)
-        signal = frobenius_signal(r)
-        return cls(matrix=r.rho, rho_sq=rho_sq, rho=_upper(r.rho[None])[0],
-                   half_signal=0.5 * signal * signal)
-
-
-def decompose(data: Union[DataMatrix, np.ndarray],
-              r: Union[CorrMatrix, _Cells]) -> Decomposition:
+def decompose(data: Union[DataMatrix, np.ndarray], r: CorrMatrix) -> Decomposition:
     """Exact decomposition of the centered statistic around a known R.
 
     Per pair, with u = Sbar_pp, v = Sbar_qq and w = Sbar_pq for
@@ -365,13 +343,12 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     ``data`` is one DataMatrix, giving float fields, or a (B, n, m) stack
     of samples, giving length-B arrays whose k-th entries equal those of
     decompose(DataMatrix(data[k]), r).  One matrix ``r`` serves every
-    slice; it may also be given as its ``_Cells``, built once per run.
+    slice.
     """
     x, shape = _as_stack(data)
     size, n, m = x.shape
-    cells = r if isinstance(r, _Cells) else _Cells.of(r)
-    _check_dims(m, len(cells.matrix))
-    g, g_pairs, sum_c, sum_c2 = _pair_sums(x, cells.rho)
+    _check_dims(m, r.m)
+    g, g_pairs, sum_c, sum_c2 = _pair_sums(x, r.pairs)
     # S and its pairs overwrite the spent Gram matrices and their pairs.
     s = np.divide(g, n, out=g)
     r2_hat, d = _squared_correlations(s, np.divide(g_pairs, n, out=g_pairs))
@@ -379,22 +356,24 @@ def decompose(data: Union[DataMatrix, np.ndarray],
     t_i = _cross_sample(sum_c, sum_c2, n)
 
     # Sbar and then RW overwrite S, which is spent.
-    sbar = np.subtract(s, cells.matrix, out=s)
+    sbar = np.subtract(s, r.rho, out=s)
     sbar.reshape(size, m * m)[:, ::m + 1] = 0.0
     w = sbar * sbar
-    rw = np.multiply(sbar, cells.matrix, out=sbar)
+    rw = np.multiply(sbar, r.rho, out=sbar)
     powers = np.empty((size, m, 5))                # V per variable
     powers[..., 0] = 1.0
     a = np.subtract(1.0, d, out=powers[..., 1])
     a2 = np.multiply(a, a, out=powers[..., 2])
     np.multiply(a2, a, out=powers[..., 3])
     np.multiply(a2, a2, out=powers[..., 4])
-    kv = np.concatenate([np.matmul(w, powers), np.matmul(cells.rho_sq, powers),
+    kv = np.concatenate([np.matmul(w, powers), np.matmul(r.squares, powers),
                          np.matmul(rw, powers)], axis=2)
     forms = np.matmul(powers.transpose(0, 2, 1), kv)   # [l1, K, l2] per slice
     t_ii1, t_ii2 = (forms.reshape(size, 1, 75) * _II_WEIGHTS).sum(axis=2).T
     t_ii1 = t_ii1 + sum_c2 / float(n) ** 2
-    t_iii = (t_value - cells.half_signal) - t_i - (t_ii1 + t_ii2)
-    residual = np.abs(t_value - cells.half_signal - (t_i + t_ii1 + t_ii2 + t_iii))
+    signal = frobenius_signal(r)
+    half_signal = 0.5 * signal * signal
+    t_iii = (t_value - half_signal) - t_i - (t_ii1 + t_ii2)
+    residual = np.abs(t_value - half_signal - (t_i + t_ii1 + t_ii2 + t_iii))
     return Decomposition(*map(shape, (t_value, t_i, t_ii1 + t_ii2, t_ii1, t_ii2,
                                       t_iii, residual)))

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hidim import kernels, moments
+from hidim import Seed, kernels, moments, verify_kernels
 from hidim.errors import DomainError
 
 
@@ -117,3 +117,17 @@ def test_slot_means_are_cached_within_a_bound():
         kernels.expectation_by_expansion("h3", float(rho), 10)
     info = kernels._slot_mean.cache_info()
     assert info.currsize <= info.maxsize == 64
+
+
+def test_size_weights_are_cached_within_a_bound():
+    """A second verify_kernels takes no weight row anew; a sweep of
+    evaluate_variants over many n keeps the cache bounded."""
+    verify_kernels(0.5, 10, 20_000, Seed(0))
+    misses = kernels._size_weights.cache_info().misses
+    verify_kernels(0.5, 10, 20_000, Seed(0))
+    assert kernels._size_weights.cache_info().misses == misses
+    x = np.linspace(-1.0, 1.0, 4)
+    for n in range(4, 104):
+        kernels.evaluate_variants(x, x[::-1], 0.3, n)
+    info = kernels._size_weights.cache_info()
+    assert info.currsize <= info.maxsize == 16

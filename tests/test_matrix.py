@@ -41,6 +41,22 @@ def test_stored_matrix_is_symmetrized_with_a_unit_diagonal_in_any_layout(rng):
         assert np.array_equal(got, got.T) and np.all(np.diag(got) == 1.0)
 
 
+def test_pairs_and_squares_are_built_once_and_read_only(rng):
+    # the one home of R's pair correlations and entrywise squares, also for a
+    # matrix built without the constructor's checks
+    for r in (CorrMatrix(np.full((4, 4), 0.3) + 0.7 * np.eye(4)), random_corr(rng, 6)):
+        m = r.m
+        assert np.array_equal(r.pairs, r.rho[np.triu_indices(m, 1)])
+        want = r.rho * r.rho
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(r.squares, want)
+        for name in ("pairs", "squares"):
+            arr = getattr(r, name)
+            assert getattr(r, name) is arr
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
 def test_frobenius_signal_examples():
     assert frobenius_signal(CorrMatrix.identity(7)) == 0.0
     r2 = CorrMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))

@@ -12,7 +12,7 @@ from hidim import (AlternativeFamily, CorrMatrix, CovMode, DataMatrix,
                    cholesky, decompose, f_partial, make_family_matrix,
                    rao_score_test, sample_gaussian, statistic_t, term_i,
                    report_from_statistic, normal_quantile)
-from hidim.stats import _Cells, _as_stack, _cov_matrix
+from hidim.stats import _as_stack, _cov_matrix
 from conftest import martingale_differences, random_corr
 
 ZM = CovMode.KNOWN_ZERO_MEAN
@@ -469,9 +469,8 @@ def test_decompose_stack_equals_its_slices(rng):
         for k in range(len(stack)):
             assert t[k] == statistic_t(DataMatrix(stack[k]), mode)
     # the constants of R, built once, serve any stack of its samples
-    cells = _Cells.of(r)
-    built = decompose(stack, cells)
-    shared = decompose(stack[[1, 3]], cells)
+    built = decompose(stack, r)
+    shared = decompose(stack[[1, 3]], r)
     for field in dataclasses.fields(dec):
         assert np.array_equal(getattr(built, field.name), getattr(dec, field.name))
         assert np.array_equal(getattr(shared, field.name), getattr(dec, field.name)[[1, 3]])
@@ -495,8 +494,6 @@ def test_decompose_stack_errors(rng):
         assert info.value.columns == (3,)
     with pytest.raises(DimensionMismatch):
         decompose(stack, CorrMatrix.identity(m + 1))
-    with pytest.raises(DimensionMismatch):
-        decompose(stack, _Cells.of(CorrMatrix.identity(m + 1)))
     bad = stack.copy()
     bad[0, 4, 2] = np.nan
     with pytest.raises(ValueError, match="slice 0, sample 4, variable 2 is nan"):
